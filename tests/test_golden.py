@@ -1,0 +1,43 @@
+"""Golden report bodies for every battery config.
+
+Each file ``tests/golden/<config>.json`` holds ``body_dict()`` of one config
+under ``scripts/configs``.  Sampled configs run at 1_250_000 samples, one full
+shard plus a partial one, so an edit to the random stream, the shard size or
+the reduction order shows up as a diff; quadrature-only configs run as they
+are.  Any such change must regenerate the files on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from holoext.scenarios import ScenarioConfig, run_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_SAMPLES = 1_250_000
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def _body(config_path):
+    config = ScenarioConfig.from_mapping(json.loads(config_path.read_text()))
+    if config.samples:
+        config.samples = GOLDEN_SAMPLES
+    return run_scenario(config).body_dict()
+
+
+@pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
+def test_report_body_matches_golden(config_path):
+    golden = json.loads((GOLDEN_DIR / f"{config_path.stem}.json").read_text())
+    assert json.loads(json.dumps(_body(config_path))) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for path in CONFIGS:
+        text = json.dumps(_body(path), indent=2, sort_keys=True)
+        (GOLDEN_DIR / f"{path.stem}.json").write_text(text + "\n")
+        print(f"wrote {GOLDEN_DIR.name}/{path.stem}.json")
