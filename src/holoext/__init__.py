@@ -24,7 +24,6 @@ from .bounds import (
     disc_scenario,
     ball_bound_ratio,
     lift_route_rhs,
-    sigma_mu,
     strictness_gap,
     generator_bound_rhs,
     indicatrix_bound_rhs,
@@ -56,6 +55,7 @@ from .integrate import (
     fubini_sides,
     mc_integrate,
     radial_integrate,
+    sigma_mu,
     volume,
 )
 from .scenarios import Report, ScenarioConfig, run_scenario

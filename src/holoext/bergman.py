@@ -25,7 +25,7 @@ from scipy.linalg import cholesky, solve, solve_triangular
 
 from .errors import DomainError, GramConditioningError, InfeasibleConstraintError
 from .geometry import Ball
-from .integrate import _box_volume, _draw_box, _stream, _Z99, radial_integrate
+from .integrate import _box_shards, _box_volume, _Z99, radial_integrate
 from .weights import (
     BallStandardWeight,
     EpsilonRegularizedWeight,
@@ -231,11 +231,7 @@ def gram_matrix(
     width = len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
-    done = 0
-    shard = 0
-    while done < samples:
-        m = min(1_000_000, samples - done)
-        pts = _draw_box(_stream(seed, shard), m, radii)
+    for pts in _box_shards(radii, samples, seed):
         mask = domain.contains_batch(pts)
         if mask.any():
             inside = pts[mask]
@@ -244,8 +240,6 @@ def gram_matrix(
             acc += (vals * wts[:, None]).conj().T @ vals
             p2 = np.abs(vals) ** 2
             acc2 += (p2 * (wts**2)[:, None]).T @ p2
-        done += m
-        shard += 1
     mean = acc / samples
     gram = boxvol * 0.5 * (mean + mean.conj().T)
     var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)

@@ -27,13 +27,18 @@ from .bergman import MultiIndexBasis, gram_matrix, min_norm_extension
 from .errors import UnsupportedModelError
 from .geometry import Ball, HartogsLift
 from .green import BallPairModel, BallPointModel, RadialLiftModel
-from .integrate import QuadratureResult, fubini_sides, mc_integrate, radial_integrate
+from .integrate import (
+    QuadratureResult,
+    fubini_sides,
+    mc_integrate,
+    radial_integrate,
+    sigma_mu,
+)
 from .weights import RadialProfile, RadialWeight, TrivialWeight, _fiber_psi_batch
 
 __all__ = [
     "ExtensionScenario",
     "BoundReport",
-    "sigma_mu",
     "generator_bound_rhs",
     "weighted_trace_direct",
     "lift_route_rhs",
@@ -47,16 +52,6 @@ __all__ = [
     "disc_scenario",
     "ball2_scenario",
 ]
-
-
-def sigma_mu(k: int):
-    """(sigma_k, mu_k): volumes of the unit ball in C^k and of S^(2k-1)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return (
-        math.pi**k / math.factorial(k),
-        2.0 * math.pi**k / math.factorial(k - 1),
-    )
 
 
 def _ball_moment(m: int, beta: tuple, q: int) -> float:

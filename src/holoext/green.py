@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Ball, HartogsLift, SubvarietySpec, as_point
-from .integrate import QuadratureResult, _ball_volume, _box_volume, _draw_box, _stream, _Z99
+from .integrate import QuadratureResult, _box_moments, _box_volume, _Z99, sigma_mu, volume
 from .weights import RadialProfile, RadialWeight, _fiber_psi_batch, fiber_psi
 
 __all__ = [
@@ -302,30 +302,12 @@ def indicatrix_volume(
     if probe < 0.0:
         raise ValueError("indicatrix is unbounded: A < 0 at |X| = 1e3")
     k = form.pole_dim
-    exact = _ball_volume(k) * math.exp(-2.0 * k * form.log_shift)
+    exact = sigma_mu(k)[0] * math.exp(-2.0 * k * form.log_shift)
     if method == "closed_form":
         return QuadratureResult(value=exact, error_estimate=0.0, samples_or_nodes=0)
     if method != "monte_carlo":
         raise ValueError("method must be 'closed_form' or 'monte_carlo'")
-    radius = form.indicatrix_radius
-    radii = np.full(k, radius)
-    boxvol = _box_volume(radii)
-    hits = 0
-    done = 0
-    shard = 0
-    chunk = 1_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        pts = _draw_box(_stream(seed, shard), m, radii)
-        hits += int(np.sum(np.sum(np.abs(pts) ** 2, axis=1) < radius**2))
-        done += m
-        shard += 1
-    p_hat = hits / samples
-    value = boxvol * p_hat
-    half = _Z99 * boxvol * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return QuadratureResult(
-        value=value, error_estimate=half, samples_or_nodes=samples, seed=seed
-    )
+    return volume(Ball(radius=form.indicatrix_radius, dim=k), samples, seed)
 
 
 def _sublevel_radii(model, t):
@@ -341,36 +323,23 @@ def sublevel_scaling(model, chi, t: float, samples: int, seed: int) -> Quadratur
 
     Samples the sublevel set's own bounding box (the domain box would almost
     never hit {G < t/2} for very negative t).  ``chi`` is a vectorized
-    nonnegative integrand.  An empty sublevel set at the given resolution
-    yields a zero-valued result with a warning note rather than an error.
+    nonnegative integrand; a non-finite value of it counts as zero and is
+    reported in ``rejected_infinite``.  An empty sublevel set at the given
+    resolution yields a zero-valued result with a warning note rather than an
+    error.
     """
     if t >= 0.0:
         raise ValueError("t must be negative")
-    k = model.pole_dim
     domain = model.domain()
     radii = _sublevel_radii(model, t)
-    boxvol = _box_volume(radii)
-    s1 = s2 = 0.0
-    n_hit = 0
-    done = 0
-    shard = 0
-    chunk = 1_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        pts = _draw_box(_stream(seed, shard), m, radii)
+
+    def inside(pts):
         mask = domain.contains_batch(pts)
         if mask.any():
-            sub = model.green_batch(pts[mask]) < 0.5 * t
-            mask[mask] = sub
-        y = np.zeros(m)
-        if mask.any():
-            y[mask] = np.asarray(chi(pts[mask]), dtype=float)
-            n_hit += int(mask.sum())
-        s1 += float(y.sum())
-        s2 += float(np.dot(y, y))
-        done += m
-        shard += 1
-    scale = math.exp(-k * t) * boxvol
+            mask[mask] = model.green_batch(pts[mask]) < 0.5 * t
+        return mask
+
+    mean, stderr, n_hit, n_bad = _box_moments(radii, inside, chi, samples, seed)
     if n_hit == 0:
         return QuadratureResult(
             value=0.0,
@@ -380,11 +349,11 @@ def sublevel_scaling(model, chi, t: float, samples: int, seed: int) -> Quadratur
             converged=False,
             note="sublevel set not resolved at this sample count",
         )
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
+    scale = math.exp(-model.pole_dim * t) * _box_volume(radii)
     return QuadratureResult(
         value=scale * mean,
-        error_estimate=_Z99 * scale * math.sqrt(var / samples),
+        error_estimate=_Z99 * scale * stderr,
         samples_or_nodes=samples,
         seed=seed,
+        rejected_infinite=n_bad,
     )

@@ -1,14 +1,18 @@
 """Seeded Monte Carlo over domains and adaptive 1D radial quadrature.
 
-Monte Carlo draws from the domain's bounding box with plain rejection.  The
-generator is counter-based (Philox) keyed by (seed, shard), and shards are
-reduced in fixed order, so every estimate is bit-reproducible for a given
-(samples, seed) pair regardless of how the shards are scheduled.
+Every Monte Carlo estimator in the package (``mc_integrate`` and ``volume``
+here, ``green.sublevel_scaling``, ``green.indicatrix_volume`` and the Monte
+Carlo ``bergman.gram_matrix``) draws through one sampler, ``_box_shards``:
+uniform points in a bounding box with plain rejection, in shards of
+``_SHARD_SIZE`` points.  The generator is counter-based (Philox) keyed by
+(seed, shard), and shards are reduced in fixed order, so every estimate is
+bit-reproducible for a given (samples, seed) pair regardless of how the
+shards are scheduled.
 
 Integrands are vectorized: they receive an (N, ambient_dim) complex array of
 points that already passed the membership test and return N real values.
-Non-finite integrand values are treated as rejected samples; they contribute
-zero and are counted in the result.
+A non-finite integrand value counts as zero and is reported in the result's
+``rejected_infinite``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .weights import RadialProfile, RadialWeight, ShiftedProfile
 
 __all__ = [
     "QuadratureResult",
+    "sigma_mu",
     "rng_stream",
     "mc_integrate",
     "volume",
@@ -61,9 +66,6 @@ def rng_stream(seed: int, shard: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_stream = rng_stream
-
-
 def _draw_box(rng, n, radii):
     m = len(radii)
     u = 2.0 * rng.random((n, 2 * m)) - 1.0
@@ -74,37 +76,31 @@ def _box_volume(radii):
     return float(np.prod((2.0 * radii) ** 2))
 
 
-def _sphere_area(k: int) -> float:
-    """Surface volume of the unit sphere in C^k: 2 pi^k / (k-1)!."""
-    return 2.0 * math.pi**k / math.factorial(k - 1)
+def _box_shards(radii, samples: int, seed: int):
+    """Yield ``samples`` uniform draws from the box prod |z_i| < radii_i.
+
+    Shard j holds the next min(_SHARD_SIZE, remaining) points, drawn from
+    rng_stream(seed, j).
+    """
+    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
+        m = min(_SHARD_SIZE, samples - done)
+        yield _draw_box(rng_stream(seed, shard), m, radii)
 
 
-def _ball_volume(k: int) -> float:
-    """Volume of the unit ball in C^k: pi^k / k!."""
-    return math.pi**k / math.factorial(k)
+def _box_moments(radii, inside, integrand, samples: int, seed: int):
+    """Moments of the masked integrand over the box draws, shard by shard.
 
-
-def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:
-    """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
-
-    The estimator is box volume times the mean of chi_domain * integrand over
-    the box; the error_estimate is a 99% confidence half-width.  Raises
-    DegenerateDomainError when fewer than 0.1% of the samples land inside.
+    ``inside`` maps a shard of points to its membership mask and
+    ``integrand`` maps the inside points to real values.  Returns the sample
+    mean, its standard error, the inside count and the non-finite count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    radii = domain.bounding_radii()
-    boxvol = _box_volume(radii)
     s1 = s2 = 0.0
-    n_inside = 0
-    n_bad = 0
-    done = 0
-    shard = 0
-    while done < samples:
-        m = min(_SHARD_SIZE, samples - done)
-        pts = _draw_box(_stream(seed, shard), m, radii)
-        mask = domain.contains_batch(pts)
-        y = np.zeros(m)
+    n_inside = n_bad = 0
+    for pts in _box_shards(radii, samples, seed):
+        mask = inside(pts)
+        y = np.zeros(len(pts))
         if mask.any():
             vals = np.asarray(integrand(pts[mask]), dtype=float)
             bad = ~np.isfinite(vals)
@@ -115,18 +111,41 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
         n_inside += int(mask.sum())
         s1 += float(y.sum())
         s2 += float(np.dot(y, y))
-        done += m
-        shard += 1
+    mean = s1 / samples
+    var = max(s2 / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples), n_inside, n_bad
+
+
+def sigma_mu(k: int):
+    """(sigma_k, mu_k): volumes of the unit ball in C^k and of S^(2k-1)."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    return (
+        math.pi**k / math.factorial(k),
+        2.0 * math.pi**k / math.factorial(k - 1),
+    )
+
+
+def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:
+    """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
+
+    The estimator is box volume times the mean of chi_domain * integrand over
+    the box; the error_estimate is a 99% confidence half-width.  Raises
+    DegenerateDomainError when fewer than 0.1% of the samples land inside.
+    """
+    radii = domain.bounding_radii()
+    mean, stderr, n_inside, n_bad = _box_moments(
+        radii, domain.contains_batch, integrand, samples, seed
+    )
     if n_inside < 0.001 * samples:
         raise DegenerateDomainError(
             f"only {n_inside} of {samples} samples hit the domain; "
             "the bounding box does not resolve it"
         )
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
+    boxvol = _box_volume(radii)
     return QuadratureResult(
         value=boxvol * mean,
-        error_estimate=_Z99 * boxvol * math.sqrt(var / samples),
+        error_estimate=_Z99 * boxvol * stderr,
         samples_or_nodes=samples,
         seed=seed,
         rejected_infinite=n_bad,
@@ -207,7 +226,7 @@ def radial_integrate(g, k: int, r_max: float = 1.0, rtol=1e-10, node_cap=10**6):
         raise ValueError("k must be a positive integer")
     if not 0.0 < r_max <= 1.0:
         raise ValueError("r_max must lie in (0, 1]")
-    mu_k = _sphere_area(k)
+    _, mu_k = sigma_mu(k)
     value, resid, nodes, converged = adaptive_gauss(
         lambda r: g(r) * r ** (2 * k - 1), 0.0, r_max, rtol=rtol, node_cap=node_cap
     )
@@ -250,7 +269,7 @@ def fubini_sides(profile: RadialProfile, k: int, z2_norm: float = 0.0):
     if not 0.0 <= z2_norm < 1.0:
         raise ValueError("z2_norm must lie in [0, 1)")
     big_t = math.log1p(-(z2_norm**2))
-    mu_k = _sphere_area(k)
+    _, mu_k = sigma_mu(k)
 
     def lhs_integrand(t):
         return np.exp(k * (t - profile.value(t - big_t)))
@@ -304,7 +323,7 @@ def fubini_mc_oracle(
         fiber_dim=k,
     )
     res = volume(lift, samples, seed)
-    sigma_k = _ball_volume(k)
+    sigma_k, _ = sigma_mu(k)
     return QuadratureResult(
         value=res.value / sigma_k,
         error_estimate=res.error_estimate / sigma_k,

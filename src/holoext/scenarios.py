@@ -26,11 +26,10 @@ from .bounds import (
     ball_bound_ratio,
     lift_route_rhs,
     minimal_norm_squared,
-    sigma_mu,
 )
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
-from .integrate import fubini_mc_oracle, fubini_sides, radial_integrate
+from .integrate import fubini_mc_oracle, fubini_sides, radial_integrate, sigma_mu
 from .weights import LogSingularProfile, make_profile, _fiber_psi_batch
 
 __all__ = [

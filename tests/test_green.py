@@ -280,6 +280,25 @@ def test_sublevel_scaling_empty_resolution_warns():
     assert "not resolved" in res.note
 
 
+def test_sublevel_scaling_counts_non_finite_integrand():
+    # chi is NaN on the half Re z_1 < 0 of the sublevel set; those points
+    # count as zero and are reported, over two shards of draws
+    model = BallPointModel(2)
+    returned_nan = []
+
+    def chi(pts):
+        vals = np.where(pts[:, 0].real < 0.0, np.nan, 1.0)
+        returned_nan.append(int(np.isnan(vals).sum()))
+        return vals
+
+    res = sublevel_scaling(model, chi, -2.0, 1_200_000, seed=5)
+    assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+    assert res.rejected_infinite == sum(returned_nan) > 0
+    zeroed = lambda pts: np.where(pts[:, 0].real < 0.0, 0.0, 1.0)
+    assert res.value == sublevel_scaling(model, zeroed, -2.0, 1_200_000, seed=5).value
+    assert res.value == pytest.approx(PI**2 / 4, rel=2e-2)
+
+
 def test_sublevel_scaling_requires_negative_t():
     with pytest.raises(ValueError):
         sublevel_scaling(BallPointModel(1), lambda p: np.ones(len(p)), 0.5, 100, 0)
