@@ -11,7 +11,8 @@ integral against exact angular moments) or by shared-sample Monte Carlo.
 
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
-coefficient of f; the stationarity (KKT) system is solved densely.
+coefficient of f.  The constraint fixes coordinates, so the pinned block is
+eliminated and the free block solves G_ff c_f = -G_fp b by Cholesky.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.linalg import cholesky, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import DomainError, GramConditioningError, InfeasibleConstraintError
 from .geometry import Ball
@@ -104,9 +105,7 @@ class GramMatrix:
 
     basis: MultiIndexBasis
     matrix: np.ndarray
-    method: str
     domain: object
-    weight: object
     half_widths: np.ndarray | None = None
     excluded: tuple = ()
     _chol: np.ndarray | None = field(default=None, repr=False)
@@ -205,23 +204,16 @@ def gram_matrix(
         bad = []
         for i, alpha in enumerate(basis.indices):
             value, quad = _diag_entry(weight, n, kb, radial_factor, alpha)
-            if not (quad.converged and np.isfinite(value) and value > 0.0):
-                bad.append((alpha, "non-convergent or non-finite radial quadrature"))
-            else:
+            if quad.converged and np.isfinite(value) and value > 0.0:
                 diag[i] = value
-        if bad:
-            keep = [i for i, a in enumerate(basis.indices) if a not in {b[0] for b in bad}]
-            basis = basis.without(
-                [i for i in range(len(diag)) if i not in keep]
-            )
-            diag = diag[keep]
+            else:
+                bad.append(i)
+        reason = "non-convergent or non-finite radial quadrature"
         return GramMatrix(
-            basis=basis,
-            matrix=np.diag(diag).astype(complex),
-            method="radial_exact",
+            basis=basis.without(bad),
+            matrix=np.diag(np.delete(diag, bad)).astype(complex),
             domain=domain,
-            weight=weight,
-            excluded=tuple(bad),
+            excluded=tuple((basis.indices[i], reason) for i in bad),
         )
     if method != "monte_carlo":
         raise ValueError("method must be 'radial_exact' or 'monte_carlo'")
@@ -244,14 +236,7 @@ def gram_matrix(
     gram = boxvol * 0.5 * (mean + mean.conj().T)
     var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)
     half = _Z99 * boxvol * np.sqrt(var / samples)
-    result = GramMatrix(
-        basis=basis,
-        matrix=gram,
-        method="monte_carlo",
-        domain=domain,
-        weight=weight,
-        half_widths=half,
-    )
+    result = GramMatrix(basis=basis, matrix=gram, domain=domain, half_widths=half)
     try:
         result.cholesky_factor()
     except GramConditioningError:
@@ -269,8 +254,6 @@ class ExtensionResult:
     basis: MultiIndexBasis
     norm_squared: float
     constraint_residual: float
-    multipliers: np.ndarray
-    bound_report: object | None = None
 
     @property
     def max_pole_coefficient(self):
@@ -297,52 +280,54 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     ``f_coeffs`` maps z''-multi-indices (tuples of length ambient_dim - k) to
     coefficients.  Every pole-free basis monomial is constrained: its
     coefficient is pinned to the matching coefficient of f (zero when f has
-    none).  Data outside the truncated basis is rejected with the degree that
-    would be needed.
+    none).  With the pinned values b fixed, the free coefficients minimize
+    the quadratic form exactly when G_ff c_f = -G_fp b, solved through the
+    Cholesky factor of the free block.  Data outside the truncated basis is
+    rejected with the degree that would be needed.
     """
     basis = gram.basis
     n2 = basis.ambient_dim - basis.pole_dim
-    restriction = {
-        basis.restriction_index(a): i
-        for i, a in enumerate(basis.indices)
-        if basis.is_pole_free(a)
-    }
+    pinned = basis.pole_free_positions()
+    restriction = {basis.restriction_index(basis.indices[i]): i for i in pinned}
     for key, coeff in f_coeffs.items():
         key = tuple(key)
         if len(key) != n2:
             raise InfeasibleConstraintError(
                 f"f index {key} must have length {n2}", needed_degree=None
             )
-        if key not in restriction and coeff != 0:
+        if key in restriction or coeff == 0:
+            continue
+        if sum(key) <= basis.degree:
             raise InfeasibleConstraintError(
-                f"monomial {key} of f exceeds the truncation degree "
-                f"{basis.degree}; need degree >= {sum(key)}",
-                needed_degree=sum(key),
+                f"monomial {key} of f was excluded from the basis as "
+                "non-integrable; no truncation degree represents it",
+                needed_degree=None,
             )
+        raise InfeasibleConstraintError(
+            f"monomial {key} of f exceeds the truncation degree "
+            f"{basis.degree}; need degree >= {sum(key)}",
+            needed_degree=sum(key),
+        )
 
-    pinned = sorted(restriction.items())
-    m = len(pinned)
-    size = len(basis)
-    sel = np.zeros((m, size))
-    b = np.zeros(m, dtype=complex)
-    for row, (key, col) in enumerate(pinned):
-        sel[row, col] = 1.0
-        b[row] = complex(f_coeffs.get(key, 0.0))
-
-    kkt = np.zeros((size + m, size + m), dtype=complex)
-    kkt[:size, :size] = gram.matrix
-    kkt[:size, size:] = sel.conj().T
-    kkt[size:, :size] = sel
-    rhs = np.concatenate([np.zeros(size, dtype=complex), b])
-    sol = solve(kkt, rhs, assume_a="her")
-    coeffs = sol[:size]
-    residual = float(np.max(np.abs(sel @ coeffs - b))) if m else 0.0
+    b = np.array(
+        [complex(f_coeffs.get(basis.restriction_index(basis.indices[i]), 0.0)) for i in pinned],
+        dtype=complex,
+    )
+    free = np.setdiff1d(np.arange(len(basis)), pinned)
+    g = gram.matrix
+    coeffs = np.zeros(len(basis), dtype=complex)
+    coeffs[pinned] = b
+    try:
+        factor = cho_factor(g[np.ix_(free, free)])
+    except np.linalg.LinAlgError as exc:
+        raise GramConditioningError(str(exc))
+    coeffs[free] = -cho_solve(factor, g[np.ix_(free, pinned)] @ b)
+    residual = float(np.max(np.abs(coeffs[pinned] - b))) if pinned else 0.0
     return ExtensionResult(
         coefficients=coeffs,
         basis=basis,
         norm_squared=gram.norm_squared(coeffs),
         constraint_residual=residual,
-        multipliers=sol[size:],
     )
 
 

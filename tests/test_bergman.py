@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holoext.bergman import (
+    GramMatrix,
     MultiIndexBasis,
     gram_matrix,
     kernel_diag_at,
@@ -138,6 +139,10 @@ def test_gram_excludes_non_integrable_monomials():
     assert len(g.excluded) == 3
     assert len(g.basis) == 0
     assert all("quadrature" in reason for _, reason in g.excluded)
+    # data on an excluded pole-free monomial is not a truncation problem
+    with pytest.raises(InfeasibleConstraintError, match="non-integrable") as err:
+        min_norm_extension({(): 1.0}, g)
+    assert err.value.needed_degree is None
 
 
 def test_min_norm_disc_constant_data():
@@ -261,3 +266,58 @@ def test_regularized_weight_keeps_flat_minimizer():
         {(): 1.0}, gram_matrix(BALL2, RadialWeight(U, 2), MultiIndexBasis(2, 6, 2))
     )
     assert res.norm_squared < plain.norm_squared
+
+
+def _kkt_reference(f_coeffs, gram):
+    """Coefficients from the dense Lagrange-multiplier (KKT) system."""
+    basis = gram.basis
+    pinned = basis.pole_free_positions()
+    size, m = len(basis), len(pinned)
+    sel = np.zeros((m, size))
+    sel[np.arange(m), pinned] = 1.0
+    b = [f_coeffs.get(basis.restriction_index(basis.indices[i]), 0.0) for i in pinned]
+    kkt = np.block([[gram.matrix, sel.T], [sel, np.zeros((m, m))]])
+    rhs = np.concatenate([np.zeros(size), b])
+    return np.linalg.solve(kkt, rhs)[:size]
+
+
+@pytest.mark.parametrize(
+    "make_gram, data",
+    [
+        (
+            lambda: gram_matrix(
+                BALL2,
+                RadialWeight(U, 1),
+                MultiIndexBasis(2, 6, 1),
+                method="monte_carlo",
+                samples=200_000,
+                seed=3,
+            ),
+            {(0,): 1.0, (2,): 0.5 - 0.2j},
+        ),
+        # degree 0: every coefficient is pinned and the free block is empty
+        (lambda: gram_matrix(BALL2, RadialWeight(U, 2), MultiIndexBasis(2, 0, 2)), {(): 1.0}),
+        (
+            lambda: gram_matrix(BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 6, 1)),
+            {(0,): 1.0, (2,): 0.5 - 0.2j},
+        ),
+    ],
+    ids=["monte_carlo", "degree0", "radial"],
+)
+def test_min_norm_matches_kkt_reference(make_gram, data):
+    g = make_gram()
+    res = min_norm_extension(data, g)
+    ref = _kkt_reference(data, g)
+    assert np.allclose(res.coefficients, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+    assert res.norm_squared == pytest.approx(g.norm_squared(ref), rel=1e-12)
+    assert res.constraint_residual == 0.0
+    if not np.any(g.matrix - np.diag(np.diag(g.matrix))):
+        # a diagonal Gram couples nothing to the pinned block: flat extension
+        assert res.max_pole_coefficient == 0.0
+
+
+def test_min_norm_indefinite_free_block_raises():
+    basis = MultiIndexBasis(1, 1, 1)
+    g = GramMatrix(basis=basis, matrix=np.diag([1.0, -1.0]).astype(complex), domain=DISC)
+    with pytest.raises(GramConditioningError):
+        min_norm_extension({(): 1.0}, g)
