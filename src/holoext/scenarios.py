@@ -345,11 +345,11 @@ def _run_radial_minimal(config, params, samples, seed):
     coarse = minimal_norm_squared(scenario, max(d - 2, 0))
     lift = lift_route_rhs(scenario)
     values = [
-        ValueRecord("minimal_norm_squared", result.norm_squared, 0.0, "kkt-solve"),
-        ValueRecord("minimal_norm_squared_coarser", coarse.norm_squared, 0.0, "kkt-solve"),
+        ValueRecord("minimal_norm_squared", result.norm_squared, 0.0, "cholesky-elimination"),
+        ValueRecord("minimal_norm_squared_coarser", coarse.norm_squared, 0.0, "cholesky-elimination"),
         ValueRecord("lift_route_bound", lift, 0.0, "adaptive-quadrature"),
-        ValueRecord("max_pole_coefficient", result.max_pole_coefficient, 0.0, "kkt-solve"),
-        ValueRecord("constraint_residual", result.constraint_residual, 0.0, "kkt-solve"),
+        ValueRecord("max_pole_coefficient", result.max_pole_coefficient, 0.0, "cholesky-elimination"),
+        ValueRecord("constraint_residual", result.constraint_residual, 0.0, "cholesky-elimination"),
     ]
     assertions = [
         _below("flat_extension", result.max_pole_coefficient, _tol(config, "pole_coeff", 1e-8)),
@@ -391,7 +391,7 @@ def _run_bound_comparison(config, params, samples, seed):
     scenario = _scenario_from_params(params)
     report = build_bound_report(scenario)
     values = [
-        ValueRecord("minimal_norm_squared", report.minimal_norm_squared, 0.0, "kkt-solve"),
+        ValueRecord("minimal_norm_squared", report.minimal_norm_squared, 0.0, "cholesky-elimination"),
         ValueRecord("lift_route_bound", report.lift_route_bound, 0.0, "adaptive-quadrature"),
         ValueRecord("generator_bound", report.generator_bound, 0.0, "closed-form"),
         ValueRecord("indicatrix_bound", report.indicatrix_bound, 0.0, "closed-form"),
