@@ -34,9 +34,7 @@ from .geometry import (
     HartogsLift,
     Polydisc,
     SubvarietySpec,
-    contains,
     lift_generators,
-    make_hartogs_lift,
 )
 from .green import (
     AzukawaForm,
@@ -67,9 +65,5 @@ from .weights import (
     ScaledLogProfile,
     TrivialWeight,
     epsilon_regularize,
-    eval_weight,
     fiber_psi,
-    profile_inverse,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

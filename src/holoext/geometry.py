@@ -18,9 +18,6 @@ __all__ = [
     "HartogsLift",
     "SubvarietySpec",
     "as_point",
-    "contains",
-    "contains_batch",
-    "make_hartogs_lift",
     "lift_generators",
 ]
 
@@ -163,23 +160,6 @@ class SubvarietySpec:
 
     def contains(self, p):
         return self.generator_norm(p) == 0.0
-
-
-def contains(domain, p) -> bool:
-    """True iff p lies strictly inside the open domain."""
-    return domain.contains(p)
-
-
-def contains_batch(domain, pts) -> np.ndarray:
-    """Vectorized membership for an (N, ambient_dim) array of points."""
-    return domain.contains_batch(np.asarray(pts, dtype=complex))
-
-
-def make_hartogs_lift(base, weight, k: int) -> HartogsLift:
-    """Lift the pair (base, weight) to a Hartogs domain with fiber C^k."""
-    if k < 1:
-        raise ValueError("fiber dimension k must be >= 1")
-    return HartogsLift(base=base, weight=weight, fiber_dim=k)
 
 
 def lift_generators(v: SubvarietySpec) -> SubvarietySpec:

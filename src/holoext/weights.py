@@ -22,13 +22,11 @@ __all__ = [
     "ScaledLogProfile",
     "EpsilonRegularizedProfile",
     "ShiftedProfile",
-    "profile_inverse",
     "fiber_psi",
     "TrivialWeight",
     "BallStandardWeight",
     "RadialWeight",
     "EpsilonRegularizedWeight",
-    "eval_weight",
     "epsilon_regularize",
     "make_profile",
 ]
@@ -213,11 +211,6 @@ class ShiftedProfile(RadialProfile):
         return self.inner.inverse(s) + self.shift
 
 
-def profile_inverse(profile: RadialProfile, s):
-    """Exact inverse of the profile: the t <= upper_limit with u(t) = s."""
-    return profile.inverse(s)
-
-
 def fiber_psi(profile: RadialProfile, w):
     """Fiber function psi(w) = -u^{-1}(-log |w|^2) / 2 for w in the unit ball.
 
@@ -365,11 +358,6 @@ class EpsilonRegularizedWeight:
         with np.errstate(invalid="ignore"):
             extra = -self.eps * np.log1p(-r2)
         return np.where(r2 < 1.0, self.inner.value_batch(pts) + extra, np.inf)
-
-
-def eval_weight(weight, p):
-    """Evaluate a weight at a single point (0 exactly on the pole slice)."""
-    return weight.value(np.asarray(p, dtype=complex))
 
 
 def epsilon_regularize(weight, eps: float):

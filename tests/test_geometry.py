@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from holoext.errors import DimensionMismatchError
 from holoext.geometry import (
     Ball,
+    HartogsLift,
     Polydisc,
     SubvarietySpec,
-    contains,
-    contains_batch,
     lift_generators,
-    make_hartogs_lift,
 )
 from holoext.weights import (
     BallStandardWeight,
@@ -22,79 +20,79 @@ from holoext.weights import (
 
 
 def test_ball_contains_interior_point():
-    assert contains(Ball(1.0, 2), [0.5, 0.0])
+    assert Ball(1.0, 2).contains([0.5, 0.0])
 
 
 def test_ball_boundary_is_excluded():
-    assert not contains(Ball(1.0, 2), [1.0, 0.0])
+    assert not Ball(1.0, 2).contains([1.0, 0.0])
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
-        contains(Ball(1.0, 2), [0.1, 0.2, 0.3])
+        Ball(1.0, 2).contains([0.1, 0.2, 0.3])
 
 
 def test_nonfinite_point_rejected():
     with pytest.raises(ValueError):
-        contains(Ball(1.0, 1), [np.nan])
+        Ball(1.0, 1).contains([np.nan])
 
 
 def test_disc_lift_of_standard_weight_is_the_ball():
-    lift = make_hartogs_lift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
-    assert contains(lift, [0.6, 0.6])
-    assert not contains(lift, [0.8, 0.8])
+    lift = HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
+    assert lift.contains([0.6, 0.6])
+    assert not lift.contains([0.8, 0.8])
 
 
 def test_zero_weight_lift_is_the_bidisc():
-    lift = make_hartogs_lift(Ball(1.0, 1), TrivialWeight(), 1)
+    lift = HartogsLift(Ball(1.0, 1), TrivialWeight(), 1)
     bidisc = Polydisc((1.0, 1.0))
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.1, 1.1, (4000, 4)).view(complex)
-    assert np.array_equal(contains_batch(lift, pts), contains_batch(bidisc, pts))
+    assert np.array_equal(lift.contains_batch(pts), bidisc.contains_batch(pts))
 
 
 def test_ball_lift_identity_on_random_points():
     # lift of the unit disc under the standard weight matches the ball of C^2
-    lift = make_hartogs_lift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
+    lift = HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
     ball = Ball(1.0, 2)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, (100_000, 4)).view(complex)
-    assert np.array_equal(contains_batch(lift, pts), contains_batch(ball, pts))
+    assert np.array_equal(lift.contains_batch(pts), ball.contains_batch(pts))
 
 
 def test_ball2_lift_of_double_weight_is_ball4():
-    lift = make_hartogs_lift(Ball(1.0, 2), BallStandardWeight(2), 2)
+    lift = HartogsLift(Ball(1.0, 2), BallStandardWeight(2), 2)
     ball4 = Ball(1.0, 4)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.8, 0.8, (50_000, 8)).view(complex)
-    assert np.array_equal(contains_batch(lift, pts), contains_batch(ball4, pts))
+    assert np.array_equal(lift.contains_batch(pts), ball4.contains_batch(pts))
 
 
 def test_lift_membership_rule():
     weight = RadialWeight(LogSingularProfile(), 1)
     base = Ball(1.0, 1)
-    lift = make_hartogs_lift(base, weight, 1)
+    lift = HartogsLift(base, weight, 1)
     rng = np.random.default_rng(11)
     for _ in range(300):
         z = complex(*rng.uniform(-1, 1, 2))
         w = complex(*rng.uniform(-1, 1, 2))
         expected = base.contains([z]) and abs(w) ** 2 < np.exp(-weight.value([z]))
-        assert contains(lift, [z, w]) == expected
+        assert lift.contains([z, w]) == expected
 
 
 def test_domains_contain_the_origin():
     for domain in (
         Ball(1.0, 3),
         Polydisc((0.5, 2.0)),
-        make_hartogs_lift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1),
-        make_hartogs_lift(Ball(1.0, 2), TrivialWeight(), 2),
+        HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1),
+        HartogsLift(Ball(1.0, 2), TrivialWeight(), 2),
     ):
-        assert contains(domain, np.zeros(domain.ambient_dim))
+        assert domain.contains(np.zeros(domain.ambient_dim))
 
 
 def test_lift_requires_positive_fiber_dimension():
     with pytest.raises(ValueError):
-        make_hartogs_lift(Ball(1.0, 1), TrivialWeight(), 0)
+        HartogsLift(Ball(1.0, 1), TrivialWeight(), 0)
 
 
 def test_invalid_radii_rejected():
@@ -149,4 +147,4 @@ def test_lifted_generator_norm_matches_base(z, w):
 def test_contains_rejects_wrong_length(extra):
     domain = Ball(1.0, 2)
     with pytest.raises(DimensionMismatchError):
-        contains(domain, np.zeros(2 + extra))
+        domain.contains(np.zeros(2 + extra))

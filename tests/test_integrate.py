@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holoext.errors import DegenerateDomainError
-from holoext.geometry import Ball, HartogsLift, make_hartogs_lift
+from holoext.geometry import Ball, HartogsLift
 from holoext.integrate import (
     adaptive_gauss,
     fubini_mc_oracle,
@@ -90,7 +90,7 @@ def test_mc_counts_nonfinite_integrand_values():
 
 def test_mc_degenerate_domain_raises():
     # steep weight: the lift fills a vanishing fraction of its bounding box
-    lift = make_hartogs_lift(Ball(1.0, 2), RadialWeight(ScaledLogProfile(a=2.5), 2), 2)
+    lift = HartogsLift(Ball(1.0, 2), RadialWeight(ScaledLogProfile(a=2.5), 2), 2)
     with pytest.raises(DegenerateDomainError):
         volume(lift, 50_000, seed=1)
 
