@@ -283,19 +283,20 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     none).  With the pinned values b fixed, the free coefficients minimize
     the quadratic form exactly when G_ff c_f = -G_fp b, solved through the
     Cholesky factor of the free block.  Data outside the truncated basis is
-    rejected with the degree that would be needed.
+    rejected with the degree that would be needed; data on a monomial the
+    Gram matrix excluded as non-integrable is rejected without one.
     """
     basis = gram.basis
     n2 = basis.ambient_dim - basis.pole_dim
     pinned = basis.pole_free_positions()
-    restriction = {basis.restriction_index(basis.indices[i]): i for i in pinned}
+    keys = [basis.restriction_index(basis.indices[i]) for i in pinned]
     for key, coeff in f_coeffs.items():
         key = tuple(key)
         if len(key) != n2:
             raise InfeasibleConstraintError(
                 f"f index {key} must have length {n2}", needed_degree=None
             )
-        if key in restriction or coeff == 0:
+        if key in keys or coeff == 0:
             continue
         if sum(key) <= basis.degree:
             raise InfeasibleConstraintError(
@@ -309,10 +310,7 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
             needed_degree=sum(key),
         )
 
-    b = np.array(
-        [complex(f_coeffs.get(basis.restriction_index(basis.indices[i]), 0.0)) for i in pinned],
-        dtype=complex,
-    )
+    b = np.array([f_coeffs.get(key, 0.0) for key in keys], dtype=complex)
     free = np.setdiff1d(np.arange(len(basis)), pinned)
     g = gram.matrix
     coeffs = np.zeros(len(basis), dtype=complex)
