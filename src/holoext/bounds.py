@@ -6,9 +6,12 @@ and polynomial boundary data f on V.  Three upper bounds for the weighted
 norm of the least-norm extension are evaluated:
 
   * the direct generator bound: sigma_k * integral_V |f|^2 e^(-phi + 2kB),
-  * the lift route: apply the generator bound (or the indicatrix bound) on
-    the Hartogs lift with the trivial weight, then descend by the mean value
-    inequality, dividing by sigma_k,
+  * the lift route: apply the generator bound on the Hartogs lift with the
+    trivial weight, then descend by the mean value inequality, dividing by
+    sigma_k.  On the lift the gap is B~ = -psi and the indicatrix at w is the
+    ball of radius e^(-psi(w)), so the generator and indicatrix routes are the
+    same integral sigma_k * integral |f|^2 e^(-2k psi) and it is computed
+    once,
   * the indicatrix bound: integral_V vol(I_w) |f|^2 e^(-phi).
 
 All closed-form constants come from exact integer factorials times powers of
@@ -25,15 +28,8 @@ import numpy as np
 
 from .bergman import MultiIndexBasis, gram_matrix, min_norm_extension
 from .errors import UnsupportedModelError
-from .geometry import Ball, HartogsLift
-from .green import BallPairModel, BallPointModel, RadialLiftModel
-from .integrate import (
-    QuadratureResult,
-    fubini_sides,
-    mc_integrate,
-    radial_integrate,
-    sigma_mu,
-)
+from .geometry import Ball
+from .integrate import QuadratureResult, mc_integrate, radial_integrate, sigma_mu
 from .weights import RadialProfile, RadialWeight, TrivialWeight, _fiber_psi_batch
 
 __all__ = [
@@ -101,23 +97,6 @@ class ExtensionScenario:
             return TrivialWeight()
         return RadialWeight(self.profile, self.codim)
 
-    def lift_domain(self) -> HartogsLift:
-        return HartogsLift(self.domain(), self.weight(), self.codim)
-
-    def lift_model(self) -> RadialLiftModel:
-        if self.profile is None:
-            raise UnsupportedModelError(
-                "the lift of the trivially weighted ball is a ball-times-ball "
-                "product with no catalog Green model"
-            )
-        return RadialLiftModel(
-            profile=self.profile, pole_dim=self.codim, base_dim=self.ambient_dim
-        )
-
-    def direct_model(self):
-        n, k = self.ambient_dim, self.codim
-        return BallPointModel(n) if k == n else BallPairModel(k, n - k)
-
     def _f_norm_factor(self, extra_power: int) -> float:
         """sum_beta |f_beta|^2 * integral_(B^(n-k)) |z^beta|^2 (1-|z|^2)^extra."""
         m = self.ambient_dim - self.codim
@@ -147,35 +126,28 @@ def weighted_trace_direct(scenario: ExtensionScenario) -> float:
     return scenario._f_norm_factor(scenario.codim)
 
 
-def _fiber_integral(scenario: ExtensionScenario) -> float:
-    """integral_(B^k) e^(-2k psi(w)) dV(w), the fiber side of the identity."""
-    if scenario.profile is None:
-        raise UnsupportedModelError("fiber integral requires a radial profile")
-    _, rhs = fubini_sides(scenario.profile, scenario.codim, 0.0)
-    return rhs.value
+def _fiber_integral(profile: RadialProfile, k: int) -> float:
+    """integral_(B^k) e^(-2k psi(w)) dV(w) by radial quadrature."""
+    return radial_integrate(
+        lambda r: np.exp(-2.0 * k * _fiber_psi_batch(profile, r * r)), k, 1.0
+    ).value
 
 
 def lift_route_rhs(scenario: ExtensionScenario) -> float:
-    """Sharpest lift-route bound on the weighted extension norm.
+    """Lift-route bound on the weighted extension norm.
 
-    Both available bounds on the lift (generator bound with the exact gap
-    B = -psi, and the indicatrix bound) are evaluated; the minimum is
-    descended through the mean value inequality, i.e. divided by sigma_k.
+    On the lift the generator bound with the exact gap B~ = -psi and the
+    indicatrix bound (the indicatrix at w is the ball of radius e^(-psi(w)))
+    coincide: both are sigma_k * integral |f|^2 e^(-2k psi).  That one
+    integral is computed once and descended through the mean value
+    inequality, i.e. divided by sigma_k.
     """
-    k = scenario.codim
-    sigma_k, _ = sigma_mu(k)
-    model = scenario.lift_model()  # raises for non-catalog lifts
-    f_factor = scenario._f_norm_factor(0)
-    # generator route on the lift: sigma_k * int |f|^2 e^(2k B~), B~ = -psi
-    generator_bound = sigma_k * f_factor * _fiber_integral(scenario)
-    # indicatrix route on the lift: int |f|^2 vol(I_w), closed form per fiber point
-    profile = model.profile
-
-    def vol_integrand(r):
-        return sigma_k * np.exp(-2.0 * k * _fiber_psi_batch(profile, r * r))
-
-    indicatrix_bound = f_factor * radial_integrate(vol_integrand, k, 1.0).value
-    return min(generator_bound, indicatrix_bound) / sigma_k
+    if scenario.profile is None:
+        raise UnsupportedModelError(
+            "the lift of the trivially weighted ball is a ball-times-ball "
+            "product with no catalog Green model"
+        )
+    return scenario._f_norm_factor(0) * _fiber_integral(scenario.profile, scenario.codim)
 
 
 def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:
@@ -185,7 +157,6 @@ def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:
     sqrt(1 - |z''|^2) in C^k, so vol(I) = sigma_k (1 - |z''|^2)^k.
     """
     sigma_k, _ = sigma_mu(scenario.codim)
-    scenario.direct_model()  # validates that a catalog form exists
     return sigma_k * scenario._f_norm_factor(scenario.codim)
 
 

@@ -34,8 +34,15 @@ def as_point(coords, ambient_dim=None):
     return p
 
 
+class _Domain:
+    """Scalar membership through the batch test of the concrete domain."""
+
+    def contains(self, p):
+        return bool(self.contains_batch(as_point(p, self.ambient_dim)[None, :])[0])
+
+
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Domain):
     """Open ball of given radius centered at the origin of C^dim."""
 
     radius: float
@@ -51,10 +58,6 @@ class Ball:
     def ambient_dim(self):
         return self.dim
 
-    def contains(self, p):
-        p = as_point(p, self.dim)
-        return float(np.sum(np.abs(p) ** 2)) < self.radius**2
-
     def contains_batch(self, pts):
         return np.sum(np.abs(pts) ** 2, axis=1) < self.radius**2
 
@@ -63,7 +66,7 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Polydisc:
+class Polydisc(_Domain):
     """Product of discs |z_i| < r_i."""
 
     radii: tuple
@@ -77,10 +80,6 @@ class Polydisc:
     def ambient_dim(self):
         return len(self.radii)
 
-    def contains(self, p):
-        p = as_point(p, self.ambient_dim)
-        return bool(np.all(np.abs(p) < np.asarray(self.radii)))
-
     def contains_batch(self, pts):
         return np.all(np.abs(pts) < np.asarray(self.radii), axis=1)
 
@@ -89,7 +88,7 @@ class Polydisc:
 
 
 @dataclass(frozen=True)
-class HartogsLift:
+class HartogsLift(_Domain):
     """Lift {(z, w) : z in base, |w|^2 < e^(-phi(z)/k)} with fiber w in C^k.
 
     The weight is evaluated lazily per membership query; the fiber radius is
@@ -108,14 +107,6 @@ class HartogsLift:
     @property
     def ambient_dim(self):
         return self.base.ambient_dim + self.fiber_dim
-
-    def contains(self, p):
-        p = as_point(p, self.ambient_dim)
-        z, w = p[: self.base.ambient_dim], p[self.base.ambient_dim :]
-        if not self.base.contains(z):
-            return False
-        phi = self.weight.value(z)
-        return float(np.sum(np.abs(w) ** 2)) < np.exp(-phi / self.fiber_dim)
 
     def contains_batch(self, pts):
         nb = self.base.ambient_dim

@@ -64,8 +64,25 @@ class AzukawaForm:
         return math.exp(-self.log_shift)
 
 
+class _GreenModel:
+    """Scalar Green function and point embedding shared by the catalog models."""
+
+    def green(self, p):
+        """G at one point, through the batch formula; -inf on the pole set."""
+        return float(self.green_batch(as_point(p, self.ambient_dim)[None, :])[0])
+
+    def embed(self, pole_part, base_point=()):
+        """The point (pole_part, base_point) of the ambient space."""
+        return np.concatenate(
+            [
+                np.asarray(pole_part, dtype=complex).ravel(),
+                np.asarray(base_point, dtype=complex).ravel(),
+            ]
+        )
+
+
 @dataclass(frozen=True)
-class BallPointModel:
+class BallPointModel(_GreenModel):
     """Unit ball of C^n with V = {0}: G(z) = log |z|."""
 
     n: int
@@ -88,10 +105,6 @@ class BallPointModel:
     def subvariety(self):
         return SubvarietySpec(codim=self.n, ambient_dim=self.n)
 
-    def green(self, p):
-        r = float(np.linalg.norm(p))
-        return math.log(r) if r > 0.0 else -math.inf
-
     def green_batch(self, pts):
         with np.errstate(divide="ignore"):
             return np.log(np.linalg.norm(pts, axis=1))
@@ -105,12 +118,9 @@ class BallPointModel:
             raise ValueError("the pole is a single point; base_point must be empty")
         return AzukawaForm(pole_dim=self.n, log_shift=0.0)
 
-    def embed(self, pole_part, base_point=()):
-        return np.asarray(pole_part, dtype=complex).ravel()
-
 
 @dataclass(frozen=True)
-class BallPairModel:
+class BallPairModel(_GreenModel):
     """Unit ball of C^(k+n) with V = {z' = 0}.
 
     G(z', z'') = log(|z'| / sqrt(1 - |z''|^2)), so the gap function is
@@ -135,16 +145,6 @@ class BallPairModel:
     def subvariety(self):
         return SubvarietySpec(codim=self.pole_dim, ambient_dim=self.ambient_dim)
 
-    def _split(self, p):
-        p = as_point(p, self.ambient_dim)
-        return p[: self.pole_dim], p[self.pole_dim :]
-
-    def green(self, p):
-        zp, zpp = self._split(p)
-        r = float(np.linalg.norm(zp))
-        shift = -0.5 * math.log1p(-float(np.sum(np.abs(zpp) ** 2)))
-        return (math.log(r) if r > 0.0 else -math.inf) + shift
-
     def green_batch(self, pts):
         r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
         w2 = np.sum(np.abs(pts[:, self.pole_dim :]) ** 2, axis=1)
@@ -152,7 +152,7 @@ class BallPairModel:
             return np.log(r) - 0.5 * np.log1p(-w2)
 
     def gap(self, p):
-        _, zpp = self._split(p)
+        zpp = as_point(p, self.ambient_dim)[self.pole_dim :]
         return 0.5 * math.log1p(-float(np.sum(np.abs(zpp) ** 2)))
 
     def azukawa_form(self, base_point):
@@ -168,17 +168,9 @@ class BallPairModel:
             base_point=tuple(w),
         )
 
-    def embed(self, pole_part, base_point):
-        return np.concatenate(
-            [
-                np.asarray(pole_part, dtype=complex).ravel(),
-                np.asarray(base_point, dtype=complex).ravel(),
-            ]
-        )
-
 
 @dataclass(frozen=True)
-class RadialLiftModel:
+class RadialLiftModel(_GreenModel):
     """Hartogs lift of the unit ball of C^n under phi = k u(log |z'|^2).
 
     Points are laid out as (z', z'', w) with the fiber w in C^k last.  The
@@ -214,15 +206,6 @@ class RadialLiftModel:
             codim=self.pole_dim, ambient_dim=self.ambient_dim, lifted=True
         )
 
-    def _split(self, p):
-        p = as_point(p, self.ambient_dim)
-        return p[: self.pole_dim], p[self.base_dim :]
-
-    def green(self, p):
-        zp, w = self._split(p)
-        r = float(np.linalg.norm(zp))
-        return (math.log(r) if r > 0.0 else -math.inf) + fiber_psi(self.profile, w)
-
     def green_batch(self, pts):
         r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
         w2 = np.sum(np.abs(pts[:, self.base_dim :]) ** 2, axis=1)
@@ -230,8 +213,7 @@ class RadialLiftModel:
             return np.log(r) + _fiber_psi_batch(self.profile, w2)
 
     def gap(self, p):
-        _, w = self._split(p)
-        return -fiber_psi(self.profile, w)
+        return -fiber_psi(self.profile, as_point(p, self.ambient_dim)[self.base_dim :])
 
     def azukawa_form(self, base_point):
         v = np.asarray(base_point, dtype=complex).ravel()
@@ -244,14 +226,6 @@ class RadialLiftModel:
             pole_dim=self.pole_dim,
             log_shift=fiber_psi(self.profile, w),
             base_point=tuple(v),
-        )
-
-    def embed(self, pole_part, base_point):
-        return np.concatenate(
-            [
-                np.asarray(pole_part, dtype=complex).ravel(),
-                np.asarray(base_point, dtype=complex).ravel(),
-            ]
         )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .bounds import (
     ExtensionScenario,
+    _fiber_integral,
     build_bound_report,
     ball_bound_integral_mc,
     ball_bound_integral,
@@ -29,8 +30,8 @@ from .bounds import (
 )
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
-from .integrate import fubini_mc_oracle, fubini_sides, radial_integrate, sigma_mu
-from .weights import LogSingularProfile, make_profile, _fiber_psi_batch
+from .integrate import fubini_mc_oracle, fubini_sides, sigma_mu
+from .weights import LogSingularProfile, make_profile
 
 __all__ = [
     "ScenarioConfig",
@@ -182,65 +183,6 @@ def _below(name, value, limit, slack=0.0) -> AssertionRecord:
     )
 
 
-SCENARIO_SPECS = {
-    "fubini_identity": {
-        "description": "slice integral of e^(-phi) vs fiber integral of e^(-2k psi)",
-        "params": {
-            "profile": "log_singular | {kind: scaled_log, a} | {kind: epsilon_regularized, eps}",
-            "k": "codimension, 1..3",
-            "z2_norm": "slice offset |z''| in [0, 1)",
-        },
-        "defaults": {"profile": "log_singular", "k": 1, "z2_norm": 0.0},
-        "default_samples": 2_000_000,
-        "needs_seed": True,
-    },
-    "bound_ratio": {
-        "description": "lift-to-direct bound ratio pi^n n!/(2n)! on the standard ball",
-        "params": {"n": "ball dimension, 1..6"},
-        "defaults": {"n": 2},
-        "default_samples": 1_000_000,
-        "needs_seed": True,
-    },
-    "radial_minimal": {
-        "description": "least-norm extension equals the flat extension for radial weights",
-        "params": {
-            "n": "ambient dimension",
-            "k": "codimension (k <= n)",
-            "profile": "radial profile id",
-            "degree": "basis truncation degree",
-        },
-        "defaults": {"n": 1, "k": 1, "profile": "log_singular", "degree": 8},
-        "default_samples": 0,
-        "needs_seed": False,
-    },
-    "bound_comparison": {
-        "description": "minimal norm vs lift-route vs direct indicatrix bound",
-        "params": {
-            "n": "ambient dimension",
-            "k": "codimension (k <= n)",
-            "profile": "radial profile id",
-            "degree": "basis truncation degree",
-        },
-        "defaults": {"n": 2, "k": 2, "profile": "log_singular", "degree": 8},
-        "default_samples": 0,
-        "needs_seed": False,
-    },
-    "scaling_limit": {
-        "description": "e^(-kt) * volume of the Green sublevel set {G < t/2}",
-        "params": {
-            "model": "ball_point | ball_pair | radial_lift",
-            "n": "ball_point: ambient dim; ball_pair/radial_lift: base dim",
-            "k": "pole dimension (ball_pair, radial_lift)",
-            "profile": "radial profile id (radial_lift)",
-            "t_ladder": "negative levels, e.g. [-4, -8, -12]",
-        },
-        "defaults": {"model": "ball_point", "n": 2, "t_ladder": [-4.0, -8.0, -12.0]},
-        "default_samples": 10_000_000,
-        "needs_seed": True,
-    },
-}
-
-
 def _resolve(config: ScenarioConfig):
     if config.scenario not in SCENARIO_SPECS:
         raise ConfigError(
@@ -258,9 +200,18 @@ def _resolve(config: ScenarioConfig):
     params.update(config.params)
     samples = config.samples if config.samples is not None else entry["default_samples"]
     seed = config.seed
-    if entry["needs_seed"] and seed is None:
-        raise ConfigError(f"scenario {config.scenario!r} samples; field 'seed' is required")
+    if entry["needs_seed"]:
+        if seed is None:
+            raise ConfigError(f"scenario {config.scenario!r} samples; field 'seed' is required")
+        if not _is_int(seed):
+            raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
+        if not (_is_int(samples) and samples >= 1):
+            raise ConfigError(f"field 'samples' must be an integer >= 1, got {samples!r}")
     return params, samples, seed
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _tol(config: ScenarioConfig, name: str, default: float) -> float:
@@ -449,11 +400,9 @@ def _scaling_model(params):
         profile = make_profile(params.get("profile", "log_singular"))
         model = RadialLiftModel(profile=profile, pole_dim=k, base_dim=n)
         sigma_k, _ = sigma_mu(k)
-        fiber = radial_integrate(
-            lambda r: np.exp(-2.0 * k * _fiber_psi_batch(profile, r * r)), k, 1.0
-        ).value
         base_factor = math.pi ** (n - k) / math.factorial(n - k)
-        return model, base_factor * sigma_k * fiber, "limit of the rescaled sublevel volumes"
+        limit = base_factor * sigma_k * _fiber_integral(profile, k)
+        return model, limit, "limit of the rescaled sublevel volumes"
     raise ConfigError(
         f"unknown model {kind!r}; choose ball_point, ball_pair or radial_lift"
     )
@@ -490,12 +439,67 @@ def _run_scaling(config, params, samples, seed):
     return values, assertions
 
 
-_RUNNERS = {
-    "fubini_identity": _run_fubini,
-    "bound_ratio": _run_bound_ratio,
-    "radial_minimal": _run_radial_minimal,
-    "bound_comparison": _run_bound_comparison,
-    "scaling_limit": _run_scaling,
+SCENARIO_SPECS = {
+    "fubini_identity": {
+        "run": _run_fubini,
+        "description": "slice integral of e^(-phi) vs fiber integral of e^(-2k psi)",
+        "params": {
+            "profile": "log_singular | {kind: scaled_log, a} | {kind: epsilon_regularized, eps}",
+            "k": "codimension, 1..3",
+            "z2_norm": "slice offset |z''| in [0, 1)",
+        },
+        "defaults": {"profile": "log_singular", "k": 1, "z2_norm": 0.0},
+        "default_samples": 2_000_000,
+        "needs_seed": True,
+    },
+    "bound_ratio": {
+        "run": _run_bound_ratio,
+        "description": "lift-to-direct bound ratio pi^n n!/(2n)! on the standard ball",
+        "params": {"n": "ball dimension, 1..6"},
+        "defaults": {"n": 2},
+        "default_samples": 1_000_000,
+        "needs_seed": True,
+    },
+    "radial_minimal": {
+        "run": _run_radial_minimal,
+        "description": "least-norm extension equals the flat extension for radial weights",
+        "params": {
+            "n": "ambient dimension",
+            "k": "codimension (k <= n)",
+            "profile": "radial profile id",
+            "degree": "basis truncation degree",
+        },
+        "defaults": {"n": 1, "k": 1, "profile": "log_singular", "degree": 8},
+        "default_samples": 0,
+        "needs_seed": False,
+    },
+    "bound_comparison": {
+        "run": _run_bound_comparison,
+        "description": "minimal norm vs lift-route vs direct indicatrix bound",
+        "params": {
+            "n": "ambient dimension",
+            "k": "codimension (k <= n)",
+            "profile": "radial profile id",
+            "degree": "basis truncation degree",
+        },
+        "defaults": {"n": 2, "k": 2, "profile": "log_singular", "degree": 8},
+        "default_samples": 0,
+        "needs_seed": False,
+    },
+    "scaling_limit": {
+        "run": _run_scaling,
+        "description": "e^(-kt) * volume of the Green sublevel set {G < t/2}",
+        "params": {
+            "model": "ball_point | ball_pair | radial_lift",
+            "n": "ball_point: ambient dim; ball_pair/radial_lift: base dim",
+            "k": "pole dimension (ball_pair, radial_lift)",
+            "profile": "radial profile id (radial_lift)",
+            "t_ladder": "negative levels, e.g. [-4, -8, -12]",
+        },
+        "defaults": {"model": "ball_point", "n": 2, "t_ladder": [-4.0, -8.0, -12.0]},
+        "default_samples": 10_000_000,
+        "needs_seed": True,
+    },
 }
 
 
@@ -503,7 +507,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
     """Execute one scenario and collect its report."""
     params, samples, seed = _resolve(config)
     start = time.perf_counter()
-    values, assertions = _RUNNERS[config.scenario](config, params, samples, seed)
+    values, assertions = SCENARIO_SPECS[config.scenario]["run"](config, params, samples, seed)
     elapsed = time.perf_counter() - start
     return Report(
         scenario=config.scenario,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .geometry import as_point
 
 __all__ = [
     "RadialProfile",
@@ -217,13 +218,10 @@ def fiber_psi(profile: RadialProfile, w):
     psi vanishes at w = 0 (the limit value) and increases to +inf as
     |w| -> 1.  Outside the open ball the function is undefined.
     """
-    w_arr = np.asarray(w, dtype=complex).ravel()
-    r2 = float(np.sum(np.abs(w_arr) ** 2))
+    r2 = float(np.sum(np.abs(as_point(w)) ** 2))
     if r2 >= 1.0:
         raise DomainError(f"fiber point must satisfy |w| < 1, got |w|^2 = {r2}")
-    if r2 == 0.0:
-        return -0.5 * profile.upper_limit + 0.0
-    return -0.5 * float(profile.inverse(-np.log(r2))) + 0.0
+    return float(_fiber_psi_batch(profile, [r2])[0]) + 0.0
 
 
 def _fiber_psi_batch(profile: RadialProfile, r2):
@@ -239,22 +237,34 @@ def _fiber_psi_batch(profile: RadialProfile, r2):
 # ---------------------------------------------------------------------------
 
 
+class _Weight:
+    """Scalar evaluation through the batch formula of the concrete weight.
+
+    The batch formula returns +inf outside the weight's domain; the scalar
+    entry point raises DomainError there.
+    """
+
+    def value(self, p):
+        p = as_point(p)
+        out = float(self.value_batch(p[None, :])[0])
+        if out == np.inf:
+            raise DomainError(f"the weight is +inf at {p}: outside its domain")
+        return out
+
+
 @dataclass(frozen=True)
-class TrivialWeight:
+class TrivialWeight(_Weight):
     """phi identically 0."""
 
     pole_dim = None
     lower_bound = 0.0
-
-    def value(self, p):
-        return 0.0
 
     def value_batch(self, pts):
         return np.zeros(len(pts))
 
 
 @dataclass(frozen=True)
-class BallStandardWeight:
+class BallStandardWeight(_Weight):
     """phi(z) = -n * log(1 - |z|^2) on the unit ball."""
 
     n: int
@@ -268,21 +278,15 @@ class BallStandardWeight:
     def pole_dim(self):
         return self.n
 
-    def value(self, p):
-        r2 = float(np.sum(np.abs(np.asarray(p, dtype=complex)) ** 2))
-        if r2 >= 1.0:
-            raise DomainError(f"|z|^2 = {r2} is outside the unit ball")
-        return -self.n * float(np.log1p(-r2))
-
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             out = -self.n * np.log1p(-r2)
         return np.where(r2 < 1.0, out, np.inf)
 
 
 @dataclass(frozen=True)
-class RadialWeight:
+class RadialWeight(_Weight):
     """phi(z) = k * u(log |z'|^2) with z' the first k coordinates."""
 
     profile: RadialProfile
@@ -300,19 +304,6 @@ class RadialWeight:
     def lower_bound(self):
         return 0.0
 
-    def value(self, p):
-        z = np.asarray(p, dtype=complex).ravel()
-        r2 = float(np.sum(np.abs(z[: self.k]) ** 2))
-        if r2 == 0.0:
-            return 0.0
-        t = np.log(r2)
-        if t >= self.profile.upper_limit:
-            raise DomainError(
-                f"|z'|^2 = {r2} at or beyond the slice radius "
-                f"e^{self.profile.upper_limit}"
-            )
-        return self.k * float(self.profile.value(t))
-
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts[:, : self.k]) ** 2, axis=1)
         out = np.full(len(pts), np.inf)
@@ -325,7 +316,7 @@ class RadialWeight:
 
 
 @dataclass(frozen=True)
-class EpsilonRegularizedWeight:
+class EpsilonRegularizedWeight(_Weight):
     """inner weight plus -eps * log(1 - |z|^2) on the unit ball.
 
     The added term vanishes as eps -> 0 at interior points and forces the
@@ -347,15 +338,9 @@ class EpsilonRegularizedWeight:
     def lower_bound(self):
         return 0.0
 
-    def value(self, p):
-        r2 = float(np.sum(np.abs(np.asarray(p, dtype=complex)) ** 2))
-        if r2 >= 1.0:
-            raise DomainError(f"|z|^2 = {r2} is outside the unit ball")
-        return self.inner.value(p) - self.eps * float(np.log1p(-r2))
-
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             extra = -self.eps * np.log1p(-r2)
         return np.where(r2 < 1.0, self.inner.value_batch(pts) + extra, np.inf)
 

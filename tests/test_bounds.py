@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from holoext.bounds import (
@@ -19,7 +20,8 @@ from holoext.bounds import (
     weighted_trace_direct,
 )
 from holoext.errors import UnsupportedModelError
-from holoext.weights import LogSingularProfile, ScaledLogProfile
+from holoext.scenarios import ScenarioConfig, run_scenario
+from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
 
 PI = math.pi
 
@@ -65,12 +67,70 @@ def test_weighted_trace_lifted_pair_reproduces_beta_integral():
     )
 
 
-def test_lift_route_disc():
-    assert lift_route_rhs(disc_scenario()) == pytest.approx(PI / 2, rel=1e-9)
+def _beta(x, y):
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
 
 
-def test_lift_route_ball2():
-    assert lift_route_rhs(ball2_scenario()) == pytest.approx(PI**2 / 12, rel=1e-9)
+def _mixed_fiber_integral(n, a, eps):
+    """(mu_n / 2) int_0^1 (1 - x^(1/a))^(na) (1 - x)^(n eps) x^(n-1) dx at 30 digits."""
+    with mpmath.workdps(30):
+        a, eps = mpmath.mpf(a), mpmath.mpf(eps)
+        integral = mpmath.quad(
+            lambda x: (1 - x ** (1 / a)) ** (n * a) * (1 - x) ** (n * eps) * x ** (n - 1),
+            [0, 1],
+        )
+        return float(mpmath.pi**n / mpmath.factorial(n - 1) * integral)
+
+
+# (profile, integral_(B^n) e^(-2n psi) as a function of n, with mu_n / 2 = pi^n/(n-1)!)
+LIFT_ROUTE_CASES = {
+    "log_singular": (
+        LogSingularProfile(),
+        lambda n: PI**n / math.factorial(n - 1) * _beta(n, n + 1),
+    ),
+    "scaled_log_a0.5": (
+        ScaledLogProfile(a=0.5),
+        lambda n: PI**n / math.factorial(n - 1) * 0.5 * _beta(0.5 * n, 0.5 * n + 1),
+    ),
+    "scaled_log_a2": (
+        ScaledLogProfile(a=2.0),
+        lambda n: PI**n / math.factorial(n - 1) * 2.0 * _beta(2.0 * n, 2.0 * n + 1),
+    ),
+    "eps0.1": (
+        EpsilonRegularizedProfile(LogSingularProfile(), eps=0.1),
+        lambda n: PI**n / math.factorial(n - 1) * _beta(n, n * 1.1 + 1),
+    ),
+    "eps0.1_over_scaled_log_a0.5": (
+        EpsilonRegularizedProfile(ScaledLogProfile(a=0.5), eps=0.1),
+        lambda n: _mixed_fiber_integral(n, 0.5, 0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LIFT_ROUTE_CASES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_route_closed_form(n, label):
+    # V a point and f = 1: the lift route is the fiber integral of e^(-2n psi)
+    profile, closed_form = LIFT_ROUTE_CASES[label]
+    scenario = ExtensionScenario(name=label, ambient_dim=n, codim=n, profile=profile)
+    assert lift_route_rhs(scenario) == pytest.approx(closed_form(n), rel=1e-9)
+    if label == "log_singular":
+        assert closed_form(n) == pytest.approx(ball_bound_ratio(n), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_radial_lift_scaling_limit_closed_form(n, k):
+    config = ScenarioConfig(
+        scenario="scaling_limit",
+        params={"model": "radial_lift", "n": n, "k": k, "t_ladder": [-1.0]},
+        samples=1000,
+        seed=0,
+    )
+    values = {v.name: v.value for v in run_scenario(config).values}
+    sigma_k, _ = sigma_mu(k)
+    fiber = PI**k * math.factorial(k) / math.factorial(2 * k)
+    expected = PI ** (n - k) / math.factorial(n - k) * sigma_k * fiber
+    assert values["limit_value"] == pytest.approx(expected, rel=1e-9)
 
 
 def test_lift_route_requires_catalog_model():

@@ -160,3 +160,15 @@ def test_report_exit_contract_matches_passed_flag(tmp_path):
     code = main(["run", "--config", str(config), "--out", str(out)])
     body = json.loads(out.read_text())
     assert (code == 0) == all(a["pass"] for a in body["assertions"])
+
+
+def test_nonpositive_samples_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, FAST_FUBINI)
+    assert main(["run", "--config", str(config), "--samples", "0"]) == 2
+    assert "'samples'" in capsys.readouterr().err
+
+
+def test_non_integer_seed_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, {**FAST_FUBINI, "seed": "abc"})
+    assert main(["run", "--config", str(config)]) == 2
+    assert "'seed'" in capsys.readouterr().err

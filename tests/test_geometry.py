@@ -148,3 +148,25 @@ def test_contains_rejects_wrong_length(extra):
     domain = Ball(1.0, 2)
     with pytest.raises(DimensionMismatchError):
         domain.contains(np.zeros(2 + extra))
+
+
+SCALAR_BATCH_DOMAINS = [
+    Ball(1.0, 2),
+    Polydisc((0.5, 2.0)),
+    HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1),
+    HartogsLift(Ball(1.0, 2), BallStandardWeight(2), 2),
+]
+
+
+@settings(max_examples=100)
+@given(
+    coords=st.lists(
+        st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_scalar_contains_is_the_batch_row(coords):
+    for domain in SCALAR_BATCH_DOMAINS:
+        p = np.asarray(coords[: domain.ambient_dim])
+        assert domain.contains(p) == domain.contains_batch(p[None, :])[0]

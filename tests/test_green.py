@@ -302,3 +302,12 @@ def test_sublevel_scaling_counts_non_finite_integrand():
 def test_sublevel_scaling_requires_negative_t():
     with pytest.raises(ValueError):
         sublevel_scaling(BallPointModel(1), lambda p: np.ones(len(p)), 0.5, 100, 0)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
+def test_scalar_green_is_the_batch_row(model):
+    rng = np.random.default_rng(103)
+    pts = _interior_points(model, 200, rng)
+    pts[:20, : model.pole_dim] = 0.0  # points on the pole set, where G = -inf
+    for p in pts:
+        assert model.green(p) == model.green_batch(p[None, :])[0]

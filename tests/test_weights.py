@@ -12,6 +12,7 @@ from holoext.weights import (
     LogSingularProfile,
     RadialWeight,
     ScaledLogProfile,
+    EpsilonRegularizedWeight,
     ShiftedProfile,
     TrivialWeight,
     epsilon_regularize,
@@ -209,3 +210,38 @@ def test_radial_weight_matches_profile_composition(r, k):
     point[0] = r
     expected = k * float(prof.value(math.log(r * r)))
     assert w.value(point) == pytest.approx(expected, rel=1e-14)
+
+
+SCALAR_BATCH_WEIGHTS = [
+    TrivialWeight(),
+    BallStandardWeight(2),
+    *(RadialWeight(profile, 1) for profile in CATALOG),
+    RadialWeight(ShiftedProfile(LogSingularProfile(), math.log(1 - 0.09)), 2),
+    EpsilonRegularizedWeight(RadialWeight(ScaledLogProfile(a=0.5), 1), 0.3),
+]
+
+
+@settings(max_examples=100)
+@given(
+    coords=st.lists(
+        st.complex_numbers(max_magnitude=1.2, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_scalar_value_is_the_batch_row(coords):
+    p = np.asarray(coords)
+    for weight in SCALAR_BATCH_WEIGHTS:
+        batch = weight.value_batch(p[None, :])[0]
+        if batch == np.inf:
+            with pytest.raises(DomainError):
+                weight.value(p)
+        else:
+            assert weight.value(p) == batch
+
+
+def test_epsilon_regularized_weight_outside_ball_raises():
+    w = EpsilonRegularizedWeight(TrivialWeight(), 0.1)
+    for p in ([1.0], [0.8, 0.8j], [0.0, 1.5]):
+        with pytest.raises(DomainError):
+            w.value(p)
