@@ -8,6 +8,9 @@ Gram matrix of the weighted inner product
 is assembled either exactly (for weights invariant under the diagonal torus
 the matrix is diagonal, and each diagonal entry reduces to a 1D radial
 integral against exact angular moments) or by shared-sample Monte Carlo.
+The radial integral depends on alpha only through (|alpha'|, |alpha''|), so
+an exact assembly runs one quadrature per distinct pair, and the coarse solve
+of ``radial_minimal`` runs on the degree <= d - 2 block of the degree-d Gram.
 
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
@@ -154,8 +157,9 @@ def _radial_reduction(weight, n):
     raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
 
 
-def _diag_entry(weight, n, kb, radial_factor, alpha):
-    """Exact diagonal Gram entry by angular moments and 1D quadrature."""
+def _diag_entry(n, kb, radial_factor, alpha, quads):
+    """Exact diagonal Gram entry by angular moments and 1D quadrature; the
+    quadrature is kept in ``quads`` per (|alpha'|, |alpha''|)."""
     a1, a2 = alpha[:kb], alpha[kb:]
     m1, m2 = sum(a1), sum(a2)
     nk = n - kb
@@ -169,11 +173,13 @@ def _diag_entry(weight, n, kb, radial_factor, alpha):
         * math.prod(math.factorial(a) for a in a2)
         / math.factorial(nk + m2)
     )
+    if (m1, m2) not in quads:
 
-    def g(r):
-        return r ** (2 * m1) * (1.0 - r * r) ** (nk + m2) * radial_factor(r)
+        def g(r):
+            return r ** (2 * m1) * (1.0 - r * r) ** (nk + m2) * radial_factor(r)
 
-    quad = radial_integrate(g, kb, 1.0)
+        quads[m1, m2] = radial_integrate(g, kb, 1.0)
+    quad = quads[m1, m2]
     return angular * slice_moment * quad.value, quad
 
 
@@ -188,10 +194,13 @@ def gram_matrix(
     """Assemble the Gram matrix of the truncated weighted Bergman space.
 
     ``radial_exact`` applies to torus-invariant weights on the unit ball: the
-    matrix is exactly diagonal and each entry is a 1D radial quadrature.
-    Monomials whose quadrature diverges or fails to converge are excluded and
-    reported.  ``monte_carlo`` estimates the full matrix from shared samples
-    and records per-entry 99% half-widths.
+    matrix is exactly diagonal and each entry is an exact angular moment times
+    a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
+    the call.  Monomials whose quadrature diverges or fails to converge are
+    excluded and reported; the sub-block on the monomials of a lower degree
+    (``_leading_block``) equals a fresh assembly at that degree.
+    ``monte_carlo`` estimates the full matrix from shared samples and records
+    per-entry 99% half-widths.
     """
     n = basis.ambient_dim
     if domain.ambient_dim != n:
@@ -200,10 +209,11 @@ def gram_matrix(
         if not (isinstance(domain, Ball) and domain.radius == 1.0):
             raise ValueError("radial_exact requires the unit ball")
         kb, radial_factor = _radial_reduction(weight, n)
+        quads = {}
         diag = np.zeros(len(basis))
         bad = []
         for i, alpha in enumerate(basis.indices):
-            value, quad = _diag_entry(weight, n, kb, radial_factor, alpha)
+            value, quad = _diag_entry(n, kb, radial_factor, alpha, quads)
             if quad.converged and np.isfinite(value) and value > 0.0:
                 diag[i] = value
             else:
@@ -244,6 +254,26 @@ def gram_matrix(
             "sampled Gram matrix is not positive definite; increase samples"
         )
     return result
+
+
+def _leading_block(gram: GramMatrix, degree: int) -> GramMatrix:
+    """The sub-block of a ``radial_exact`` Gram matrix on the monomials of
+    degree <= ``degree``.
+
+    It equals a fresh assembly at that degree: entries, basis order and
+    excluded set alike, since each entry depends on its monomial alone.
+    """
+    basis = gram.basis
+    keep = [i for i, a in enumerate(basis.indices) if sum(a) <= degree]
+    excluded = tuple(e for e in gram.excluded if sum(e[0]) <= degree)
+    dropped = {a for a, _ in excluded}
+    full = MultiIndexBasis(basis.ambient_dim, degree, basis.pole_dim)
+    return GramMatrix(
+        basis=full.without(i for i, a in enumerate(full.indices) if a in dropped),
+        matrix=gram.matrix[np.ix_(keep, keep)],
+        domain=gram.domain,
+        excluded=excluded,
+    )
 
 
 @dataclass

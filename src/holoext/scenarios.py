@@ -18,20 +18,21 @@ from fractions import Fraction
 import numpy as np
 
 from ._version import __version__
+from .bergman import _leading_block, min_norm_extension
 from .bounds import (
     ExtensionScenario,
     _fiber_integral,
+    _scenario_gram,
     build_bound_report,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
     lift_route_rhs,
-    minimal_norm_squared,
 )
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
 from .integrate import fubini_mc_oracle, fubini_sides, sigma_mu
-from .weights import LogSingularProfile, make_profile
+from .weights import LogSingularProfile, RadialProfile, make_profile
 
 __all__ = [
     "ScenarioConfig",
@@ -218,13 +219,22 @@ def _tol(config: ScenarioConfig, name: str, default: float) -> float:
     return float(config.tolerances.get(name, default))
 
 
+def _profile(spec):
+    if not isinstance(spec, (str, dict, RadialProfile)):
+        raise ConfigError(f"parameter 'profile' must be a name or a mapping, got {spec!r}")
+    try:
+        return make_profile(spec)
+    except ValueError as exc:
+        raise ConfigError(f"parameter 'profile': {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Scenario bodies
 # ---------------------------------------------------------------------------
 
 
 def _run_fubini(config, params, samples, seed):
-    profile = make_profile(params["profile"])
+    profile = _profile(params["profile"])
     k = int(params["k"])
     z2 = float(params["z2_norm"])
     lhs, rhs = fubini_sides(profile, k, z2)
@@ -271,14 +281,19 @@ def _run_bound_ratio(config, params, samples, seed):
 
 
 def _scenario_from_params(params) -> ExtensionScenario:
-    n, k = int(params["n"]), int(params["k"])
-    profile = make_profile(params["profile"])
+    n, k, degree = params["n"], params["k"], params["degree"]
+    if not (_is_int(n) and _is_int(k) and 1 <= k <= n):
+        raise ConfigError(
+            f"parameters 'n' and 'k' must be integers with 1 <= k <= n, got n={n!r}, k={k!r}"
+        )
+    if not (_is_int(degree) and degree >= 0):
+        raise ConfigError(f"parameter 'degree' must be an integer >= 0, got {degree!r}")
     return ExtensionScenario(
         name=f"ball{n}_codim{k}",
-        ambient_dim=n,
-        codim=k,
-        profile=profile,
-        degree=int(params["degree"]),
+        ambient_dim=int(n),
+        codim=int(k),
+        profile=_profile(params["profile"]),
+        degree=int(degree),
     )
 
 
@@ -291,9 +306,10 @@ _CLOSED_MINIMAL = {
 
 def _run_radial_minimal(config, params, samples, seed):
     scenario = _scenario_from_params(params)
-    d = scenario.degree
-    result = minimal_norm_squared(scenario)
-    coarse = minimal_norm_squared(scenario, max(d - 2, 0))
+    gram = _scenario_gram(scenario, scenario.degree)
+    result = min_norm_extension(scenario.f_coeffs, gram)
+    coarse_gram = _leading_block(gram, max(scenario.degree - 2, 0))
+    coarse = min_norm_extension(scenario.f_coeffs, coarse_gram)
     lift = lift_route_rhs(scenario)
     values = [
         ValueRecord("minimal_norm_squared", result.norm_squared, 0.0, "cholesky-elimination"),
@@ -397,7 +413,7 @@ def _scaling_model(params):
         return model, limit, "limit of the rescaled sublevel volumes"
     if kind == "radial_lift":
         k = int(params.get("k", 1))
-        profile = make_profile(params.get("profile", "log_singular"))
+        profile = _profile(params.get("profile", "log_singular"))
         model = RadialLiftModel(profile=profile, pole_dim=k, base_dim=n)
         sigma_k, _ = sigma_mu(k)
         base_factor = math.pi ** (n - k) / math.factorial(n - k)

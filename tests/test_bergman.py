@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from holoext.bergman import (
     GramMatrix,
     MultiIndexBasis,
+    _leading_block,
     gram_matrix,
     kernel_diag_at,
     min_norm_extension,
@@ -321,3 +323,80 @@ def test_min_norm_indefinite_free_block_raises():
     g = GramMatrix(basis=basis, matrix=np.diag([1.0, -1.0]).astype(complex), domain=DISC)
     with pytest.raises(GramConditioningError):
         min_norm_extension({(): 1.0}, g)
+
+
+def _beta(a, b):
+    return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+
+
+@pytest.mark.parametrize("n, d, k", [(3, 6, 1), (3, 6, 2), (2, 8, 1), (3, 10, 3)])
+def test_radial_gram_entries_closed_form(n, d, k):
+    # log-singular weight: e^(-phi) = (1 - |z'|^2)^k, so each entry is
+    # angular * slice * (mu_k / 2) B(|a'| + k, n - k + |a''| + k + 1)
+    basis = MultiIndexBasis(n, d, k)
+    g = gram_matrix(Ball(1.0, n), RadialWeight(U, k), basis)
+    assert g.basis.indices == basis.indices
+    mu_k = 2.0 * PI**k / math.factorial(k - 1)
+    for i, alpha in enumerate(basis.indices):
+        a1, a2 = alpha[:k], alpha[k:]
+        m1, m2 = sum(a1), sum(a2)
+        angular = Fraction(
+            math.factorial(k - 1) * math.prod(math.factorial(a) for a in a1),
+            math.factorial(k - 1 + m1),
+        )
+        slice_moment = Fraction(
+            math.prod(math.factorial(a) for a in a2), math.factorial(n - k + m2)
+        )
+        exact = (
+            float(angular * slice_moment * _beta(m1 + k, n - k + m2 + k + 1))
+            * PI ** (n - k)
+            * mu_k
+            / 2.0
+        )
+        assert g.matrix[i, i].real == pytest.approx(exact, rel=1e-12), alpha
+
+
+@pytest.mark.parametrize("n, d, k, calls", [(3, 12, 3, 13), (3, 6, 1, 28)])
+def test_radial_gram_one_quadrature_per_degree_pair(monkeypatch, n, d, k, calls):
+    import holoext.bergman as bergman
+
+    seen = []
+    inner = bergman.radial_integrate
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bergman, "radial_integrate", counted)
+    g = gram_matrix(Ball(1.0, n), RadialWeight(U, k), MultiIndexBasis(n, d, k))
+    assert len(seen) == calls
+    assert len(g.basis) == math.comb(n + d, d)
+
+
+def _solve_or_message(data, gram):
+    try:
+        res = min_norm_extension(data, gram)
+    except InfeasibleConstraintError as exc:
+        return None, str(exc)
+    return res.coefficients, res.norm_squared
+
+
+@pytest.mark.parametrize("profile", [U, _DivergentProfile()], ids=["log_singular", "divergent"])
+@pytest.mark.parametrize("n, d, k", [(2, 8, 2), (3, 10, 3), (3, 8, 1)])
+def test_leading_block_equals_fresh_assembly(profile, n, d, k):
+    ball, weight = Ball(1.0, n), RadialWeight(profile, k)
+    fine = gram_matrix(ball, weight, MultiIndexBasis(n, d, k))
+    block = _leading_block(fine, d - 2)
+    fresh = gram_matrix(ball, weight, MultiIndexBasis(n, d - 2, k))
+    assert block.basis.indices == fresh.basis.indices
+    assert block.basis.degree == fresh.basis.degree == d - 2
+    assert block.excluded == fresh.excluded
+    assert np.array_equal(block.matrix, fresh.matrix)
+    data = {(0,) * (n - k): 1.0}
+    if n > k:
+        data[(1,) + (0,) * (n - k - 1)] = 0.5 - 0.25j
+    coeffs_b, norm_b = _solve_or_message(data, block)
+    coeffs_f, norm_f = _solve_or_message(data, fresh)
+    assert norm_b == norm_f
+    if coeffs_f is not None:
+        assert np.array_equal(coeffs_b, coeffs_f)

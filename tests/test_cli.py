@@ -172,3 +172,30 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
     config = write_config(tmp_path, {**FAST_FUBINI, "seed": "abc"})
     assert main(["run", "--config", str(config)]) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, field",
+    [
+        ("radial_minimal", {"degree": "abc"}, "'degree'"),
+        ("radial_minimal", {"degree": -1}, "'degree'"),
+        ("radial_minimal", {"degree": 2.7}, "'degree'"),
+        ("bound_comparison", {"n": 2, "k": 3}, "'k'"),
+        ("bound_comparison", {"n": 2.0, "k": 1}, "'n'"),
+        ("radial_minimal", {"profile": "nope"}, "'profile'"),
+        ("bound_comparison", {"profile": 5}, "'profile'"),
+    ],
+    ids=[
+        "degree_str",
+        "degree_negative",
+        "degree_float",
+        "k_above_n",
+        "n_float",
+        "profile_unknown",
+        "profile_not_a_mapping",
+    ],
+)
+def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
+    config = write_config(tmp_path, {"scenario": scenario, "params": params})
+    assert main(["run", "--config", str(config)]) == 2
+    assert field in capsys.readouterr().err
