@@ -9,8 +9,7 @@ is assembled either exactly (for weights invariant under the diagonal torus
 the matrix is diagonal, and each diagonal entry reduces to a 1D radial
 integral against exact angular moments) or by shared-sample Monte Carlo.
 The radial integral depends on alpha only through (|alpha'|, |alpha''|), so
-an exact assembly runs one quadrature per distinct pair, and the coarse solve
-of ``radial_minimal`` runs on the degree <= d - 2 block of the degree-d Gram.
+an exact assembly runs one quadrature per distinct pair.
 
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
@@ -197,10 +196,8 @@ def gram_matrix(
     matrix is exactly diagonal and each entry is an exact angular moment times
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
     the call.  Monomials whose quadrature diverges or fails to converge are
-    excluded and reported; the sub-block on the monomials of a lower degree
-    (``_leading_block``) equals a fresh assembly at that degree.
-    ``monte_carlo`` estimates the full matrix from shared samples and records
-    per-entry 99% half-widths.
+    excluded and reported.  ``monte_carlo`` estimates the full matrix from
+    shared samples and records per-entry 99% half-widths.
     """
     n = basis.ambient_dim
     if domain.ambient_dim != n:
@@ -254,26 +251,6 @@ def gram_matrix(
             "sampled Gram matrix is not positive definite; increase samples"
         )
     return result
-
-
-def _leading_block(gram: GramMatrix, degree: int) -> GramMatrix:
-    """The sub-block of a ``radial_exact`` Gram matrix on the monomials of
-    degree <= ``degree``.
-
-    It equals a fresh assembly at that degree: entries, basis order and
-    excluded set alike, since each entry depends on its monomial alone.
-    """
-    basis = gram.basis
-    keep = [i for i, a in enumerate(basis.indices) if sum(a) <= degree]
-    excluded = tuple(e for e in gram.excluded if sum(e[0]) <= degree)
-    dropped = {a for a, _ in excluded}
-    full = MultiIndexBasis(basis.ambient_dim, degree, basis.pole_dim)
-    return GramMatrix(
-        basis=full.without(i for i, a in enumerate(full.indices) if a in dropped),
-        matrix=gram.matrix[np.ix_(keep, keep)],
-        domain=gram.domain,
-        excluded=excluded,
-    )
 
 
 @dataclass

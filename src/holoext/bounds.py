@@ -196,16 +196,12 @@ def ball_bound_integral_mc(n: int, samples: int, seed: int) -> QuadratureResult:
     )
 
 
-def _scenario_gram(scenario: ExtensionScenario, degree: int):
-    """Radial Gram matrix of the scenario's weight at the given degree."""
-    basis = MultiIndexBasis(scenario.ambient_dim, degree, scenario.codim)
-    return gram_matrix(scenario.domain(), scenario.weight(), basis)
-
-
 def minimal_norm_squared(scenario: ExtensionScenario, degree: int | None = None):
     """Least norm-squared of an extension of f in the truncated space."""
     d = scenario.degree if degree is None else degree
-    return min_norm_extension(scenario.f_coeffs, _scenario_gram(scenario, d))
+    basis = MultiIndexBasis(scenario.ambient_dim, d, scenario.codim)
+    gram = gram_matrix(scenario.domain(), scenario.weight(), basis)
+    return min_norm_extension(scenario.f_coeffs, gram)
 
 
 @dataclass(frozen=True)

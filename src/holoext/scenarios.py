@@ -18,16 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from ._version import __version__
-from .bergman import _leading_block, min_norm_extension
 from .bounds import (
     ExtensionScenario,
     _fiber_integral,
-    _scenario_gram,
     build_bound_report,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
     lift_route_rhs,
+    minimal_norm_squared,
 )
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
@@ -224,7 +223,7 @@ def _profile(spec):
         raise ConfigError(f"parameter 'profile' must be a name or a mapping, got {spec!r}")
     try:
         return make_profile(spec)
-    except ValueError as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"parameter 'profile': {exc}")
 
 
@@ -306,10 +305,9 @@ _CLOSED_MINIMAL = {
 
 def _run_radial_minimal(config, params, samples, seed):
     scenario = _scenario_from_params(params)
-    gram = _scenario_gram(scenario, scenario.degree)
-    result = min_norm_extension(scenario.f_coeffs, gram)
-    coarse_gram = _leading_block(gram, max(scenario.degree - 2, 0))
-    coarse = min_norm_extension(scenario.f_coeffs, coarse_gram)
+    d = scenario.degree
+    result = minimal_norm_squared(scenario)
+    coarse = minimal_norm_squared(scenario, max(d - 2, 0))
     lift = lift_route_rhs(scenario)
     values = [
         ValueRecord("minimal_norm_squared", result.norm_squared, 0.0, "cholesky-elimination"),

@@ -7,7 +7,6 @@ import pytest
 from holoext.bergman import (
     GramMatrix,
     MultiIndexBasis,
-    _leading_block,
     gram_matrix,
     kernel_diag_at,
     min_norm_extension,
@@ -371,32 +370,3 @@ def test_radial_gram_one_quadrature_per_degree_pair(monkeypatch, n, d, k, calls)
     g = gram_matrix(Ball(1.0, n), RadialWeight(U, k), MultiIndexBasis(n, d, k))
     assert len(seen) == calls
     assert len(g.basis) == math.comb(n + d, d)
-
-
-def _solve_or_message(data, gram):
-    try:
-        res = min_norm_extension(data, gram)
-    except InfeasibleConstraintError as exc:
-        return None, str(exc)
-    return res.coefficients, res.norm_squared
-
-
-@pytest.mark.parametrize("profile", [U, _DivergentProfile()], ids=["log_singular", "divergent"])
-@pytest.mark.parametrize("n, d, k", [(2, 8, 2), (3, 10, 3), (3, 8, 1)])
-def test_leading_block_equals_fresh_assembly(profile, n, d, k):
-    ball, weight = Ball(1.0, n), RadialWeight(profile, k)
-    fine = gram_matrix(ball, weight, MultiIndexBasis(n, d, k))
-    block = _leading_block(fine, d - 2)
-    fresh = gram_matrix(ball, weight, MultiIndexBasis(n, d - 2, k))
-    assert block.basis.indices == fresh.basis.indices
-    assert block.basis.degree == fresh.basis.degree == d - 2
-    assert block.excluded == fresh.excluded
-    assert np.array_equal(block.matrix, fresh.matrix)
-    data = {(0,) * (n - k): 1.0}
-    if n > k:
-        data[(1,) + (0,) * (n - k - 1)] = 0.5 - 0.25j
-    coeffs_b, norm_b = _solve_or_message(data, block)
-    coeffs_f, norm_f = _solve_or_message(data, fresh)
-    assert norm_b == norm_f
-    if coeffs_f is not None:
-        assert np.array_equal(coeffs_b, coeffs_f)

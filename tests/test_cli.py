@@ -184,6 +184,8 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
         ("bound_comparison", {"n": 2.0, "k": 1}, "'n'"),
         ("radial_minimal", {"profile": "nope"}, "'profile'"),
         ("bound_comparison", {"profile": 5}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": None}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "epsilon_regularized", "inner": 5}}, "'profile'"),
     ],
     ids=[
         "degree_str",
@@ -193,6 +195,8 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
         "n_float",
         "profile_unknown",
         "profile_not_a_mapping",
+        "profile_parameter_none",
+        "profile_inner_not_a_mapping",
     ],
 )
 def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
