@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import DomainError, GramConditioningError, InfeasibleConstraintError
 from .geometry import Ball
-from .integrate import _box_shards, _box_volume, _Z99, radial_integrate
+from .integrate import _box_blocks, _box_volume, _Z99, radial_integrate
 from .weights import (
     BallStandardWeight,
     EpsilonRegularizedWeight,
@@ -197,7 +197,9 @@ def gram_matrix(
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
     the call.  Monomials whose quadrature diverges or fails to converge are
     excluded and reported.  ``monte_carlo`` estimates the full matrix from
-    shared samples and records per-entry 99% half-widths.
+    shared samples and records per-entry 99% half-widths; the first and
+    second moments are accumulated block by block of the sampler, so memory
+    stays at one block of points and monomial values whatever ``samples``.
     """
     n = basis.ambient_dim
     if domain.ambient_dim != n:
@@ -224,13 +226,15 @@ def gram_matrix(
         )
     if method != "monte_carlo":
         raise ValueError("method must be 'radial_exact' or 'monte_carlo'")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
     radii = domain.bounding_radii()
     boxvol = _box_volume(radii)
     width = len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
-    for pts in _box_shards(radii, samples, seed):
+    for _, _, pts in _box_blocks(radii, samples, seed):
         mask = domain.contains_batch(pts)
         if mask.any():
             inside = pts[mask]

@@ -214,6 +214,13 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _positive_int(params, name: str, default=None) -> int:
+    value = params.get(name, default)
+    if not (_is_int(value) and value >= 1):
+        raise ConfigError(f"parameter {name!r} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _tol(config: ScenarioConfig, name: str, default: float) -> float:
     return float(config.tolerances.get(name, default))
 
@@ -234,7 +241,7 @@ def _profile(spec):
 
 def _run_fubini(config, params, samples, seed):
     profile = _profile(params["profile"])
-    k = int(params["k"])
+    k = _positive_int(params, "k")
     z2 = float(params["z2_norm"])
     lhs, rhs = fubini_sides(profile, k, z2)
     oracle = fubini_mc_oracle(profile, k, z2, samples, seed)
@@ -257,7 +264,7 @@ def _run_fubini(config, params, samples, seed):
 
 
 def _run_bound_ratio(config, params, samples, seed):
-    n = int(params["n"])
+    n = _positive_int(params, "n")
     ratio = ball_bound_ratio(n)
     exact = float(Fraction(math.factorial(n), math.factorial(2 * n))) * math.pi**n
     quad = ball_bound_integral(n)
@@ -394,12 +401,12 @@ def _run_bound_comparison(config, params, samples, seed):
 
 def _scaling_model(params):
     kind = params["model"]
-    n = int(params["n"])
+    n = _positive_int(params, "n")
     if kind == "ball_point":
         model = BallPointModel(n)
         return model, sigma_mu(n)[0], "exact at every level"
     if kind == "ball_pair":
-        k = int(params.get("k", n))
+        k = _positive_int(params, "k", n)
         model = BallPairModel(pole_dim=k, base_dim=n)
         sigma_k, _ = sigma_mu(k)
         limit = (
@@ -410,9 +417,12 @@ def _scaling_model(params):
         )
         return model, limit, "limit of the rescaled sublevel volumes"
     if kind == "radial_lift":
-        k = int(params.get("k", 1))
+        k = _positive_int(params, "k", 1)
         profile = _profile(params.get("profile", "log_singular"))
-        model = RadialLiftModel(profile=profile, pole_dim=k, base_dim=n)
+        try:
+            model = RadialLiftModel(profile=profile, pole_dim=k, base_dim=n)
+        except ValueError as exc:
+            raise ConfigError(f"parameters 'n' and 'k' of radial_lift: {exc}")
         sigma_k, _ = sigma_mu(k)
         base_factor = math.pi ** (n - k) / math.factorial(n - k)
         limit = base_factor * sigma_k * _fiber_integral(profile, k)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from holoext import integrate
 from holoext.bergman import (
     GramMatrix,
     MultiIndexBasis,
@@ -18,6 +20,7 @@ from holoext.errors import (
     InfeasibleConstraintError,
 )
 from holoext.geometry import Ball
+from holoext.integrate import _BLOCK, _box_volume, _Z99, rng_stream
 from holoext.weights import (
     BallStandardWeight,
     EpsilonRegularizedWeight,
@@ -98,6 +101,52 @@ def test_gram_monte_carlo_agrees_with_exact():
     assert np.all(diff <= 3.0 * sampled.half_widths + 1e-12)
 
 
+def _whole_shard_gram(domain, weight, basis, samples, seed):
+    """Reference Monte Carlo Gram: each shard drawn and reduced in one GEMM."""
+    radii = domain.bounding_radii()
+    m, width = len(radii), len(basis)
+    acc = np.zeros((width, width), dtype=complex)
+    acc2 = np.zeros((width, width))
+    for shard, done in enumerate(range(0, samples, integrate._SHARD_SIZE)):
+        size = min(integrate._SHARD_SIZE, samples - done)
+        u = 2.0 * rng_stream(seed, shard).random((size, 2 * m)) - 1.0
+        pts = (u[:, :m] + 1j * u[:, m:]) * radii
+        inside = pts[domain.contains_batch(pts)]
+        vals = monomial_values(basis, inside)
+        wts = np.exp(-weight.value_batch(inside))
+        acc += (vals * wts[:, None]).conj().T @ vals
+        p2 = np.abs(vals) ** 2
+        acc2 += (p2 * (wts**2)[:, None]).T @ p2
+    boxvol = _box_volume(radii)
+    mean = acc / samples
+    var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)
+    return boxvol * 0.5 * (mean + mean.conj().T), _Z99 * boxvol * np.sqrt(var / samples)
+
+
+def test_gram_monte_carlo_matches_whole_shard_reference(monkeypatch):
+    # a short shard puts shard boundaries and ragged blocks in a small budget
+    monkeypatch.setattr(integrate, "_SHARD_SIZE", 2 * _BLOCK + 3)
+    basis, weight = MultiIndexBasis(2, 8, 2), RadialWeight(U, 2)
+    samples = 5 * _BLOCK + 11
+    got = gram_matrix(BALL2, weight, basis, method="monte_carlo", samples=samples, seed=9)
+    matrix, half = _whole_shard_gram(BALL2, weight, basis, samples, 9)
+    scale = np.max(np.abs(matrix))
+    assert np.max(np.abs(got.matrix - matrix)) <= 1e-13 * scale
+    np.testing.assert_allclose(got.half_widths, half, rtol=1e-13, atol=0.0)
+    assert np.all(np.diag(got.cholesky_factor()).real > 0)
+
+
+def test_gram_monte_carlo_memory_is_one_block():
+    basis, weight = MultiIndexBasis(2, 8, 2), RadialWeight(U, 2)
+    tracemalloc.start()
+    try:
+        gram_matrix(BALL2, weight, basis, method="monte_carlo", samples=500_000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_gram_monte_carlo_rank_deficient_raises():
     # four interior samples cannot span a nine-dimensional monomial space
     with pytest.raises(GramConditioningError, match="samples"):
@@ -119,6 +168,9 @@ def test_gram_rejects_unknown_method_and_domain():
         gram_matrix(Ball(0.5, 1), TrivialWeight(), basis)
     with pytest.raises(ValueError):
         gram_matrix(BALL2, TrivialWeight(), basis)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            gram_matrix(DISC, TrivialWeight(), basis, method="monte_carlo", samples=samples)
 
 
 class _DivergentProfile(RadialProfile):

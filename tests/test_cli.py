@@ -203,3 +203,33 @@ def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, param
     config = write_config(tmp_path, {"scenario": scenario, "params": params})
     assert main(["run", "--config", str(config)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, field",
+    [
+        ("fubini_identity", {"k": 1.7}, "'k'"),
+        ("fubini_identity", {"k": 0}, "'k'"),
+        ("bound_ratio", {"n": 2.9}, "'n'"),
+        ("bound_ratio", {"n": 0}, "'n'"),
+        ("scaling_limit", {"model": "ball_pair", "n": 2.5, "k": 1.2}, "'n'"),
+        ("scaling_limit", {"model": "ball_pair", "n": 2, "k": 1.2}, "'k'"),
+        ("scaling_limit", {"model": "ball_point", "n": True}, "'n'"),
+        ("scaling_limit", {"model": "radial_lift", "n": 1, "k": 2}, "'k'"),
+    ],
+    ids=[
+        "fubini_k_float",
+        "fubini_k_zero",
+        "bound_ratio_n_float",
+        "bound_ratio_n_zero",
+        "ball_pair_n_float",
+        "ball_pair_k_float",
+        "ball_point_n_bool",
+        "radial_lift_k_above_n",
+    ],
+)
+def test_bad_sampled_integer_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
+    payload = {"scenario": scenario, "params": params, "seed": 1, "samples": 1000}
+    config = write_config(tmp_path, payload)
+    assert main(["run", "--config", str(config)]) == 2
+    assert field in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from holoext.errors import DegenerateDomainError
 from holoext.geometry import Ball, HartogsLift
 from holoext.integrate import (
+    _BLOCK,
+    _SHARD_SIZE,
+    _box_blocks,
+    _box_moments,
     adaptive_gauss,
     fubini_mc_oracle,
     fubini_sides,
@@ -205,3 +210,85 @@ def test_invalid_arguments():
         fubini_sides(LogSingularProfile(), 0, 0.0)
     with pytest.raises(ValueError):
         mc_integrate(Ball(1.0, 1), lambda pts: np.ones(len(pts)), 0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The blocked sampler against a whole-shard reference
+# ---------------------------------------------------------------------------
+
+
+def _whole_shard_draw(radii, size, seed, shard):
+    """One shard drawn in a single call, as before blocking."""
+    m = len(radii)
+    u = 2.0 * rng_stream(seed, shard).random((size, 2 * m)) - 1.0
+    return (u[:, :m] + 1j * u[:, m:]) * radii
+
+
+def _whole_shard_moments(radii, inside, integrand, samples, seed):
+    """Reference for _box_moments: each shard drawn, masked and reduced whole."""
+    s1 = s2 = 0.0
+    n_inside = n_bad = 0
+    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
+        pts = _whole_shard_draw(radii, min(_SHARD_SIZE, samples - done), seed, shard)
+        mask = inside(pts)
+        y = np.zeros(len(pts))
+        if mask.any():
+            vals = np.asarray(integrand(pts[mask]), dtype=float)
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                n_bad += int(bad.sum())
+                vals = np.where(bad, 0.0, vals)
+            y[mask] = vals
+        n_inside += int(mask.sum())
+        s1 += float(y.sum())
+        s2 += float(np.dot(y, y))
+    mean = s1 / samples
+    var = max(s2 / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples), n_inside, n_bad
+
+
+def _nan_on_left_half(pts):
+    vals = np.sum(np.abs(pts) ** 2, axis=1)
+    vals[pts[:, 0].real < -0.5] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [1, _BLOCK - 1, _BLOCK + 1, _SHARD_SIZE + 3 * _BLOCK + 5],
+    ids=["one", "block_minus_one", "block_plus_one", "two_shards"],
+)
+def test_box_moments_bit_identical_to_whole_shard_loop(samples):
+    domain = Ball(1.0, 2)
+    radii = domain.bounding_radii()
+    args = (radii, domain.contains_batch, _nan_on_left_half, samples, 2029)
+    got = _box_moments(*args)
+    want = _whole_shard_moments(*args)
+    assert got == want
+    if samples > 1000:
+        assert got[3] > 0
+
+
+def test_box_blocks_concatenate_to_the_whole_shard_draw():
+    radii = Ball(1.0, 3).bounding_radii()
+    samples = _SHARD_SIZE + _BLOCK + 5
+    blocks = {0: [], 1: []}
+    starts = {0: [], 1: []}
+    for shard, lo, pts in _box_blocks(radii, samples, 11):
+        assert len(pts) <= _BLOCK
+        starts[shard].append(lo)
+        blocks[shard].append(pts.copy())
+    for shard, size in ((0, _SHARD_SIZE), (1, _BLOCK + 5)):
+        drawn = np.concatenate(blocks[shard])
+        assert starts[shard] == list(range(0, size, _BLOCK))
+        assert drawn.tobytes() == _whole_shard_draw(radii, size, 11, shard).tobytes()
+
+
+def test_volume_memory_stays_at_one_shard_and_one_block():
+    tracemalloc.start()
+    try:
+        volume(Ball(1.0, 4), 2_000_000, seed=2030)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
