@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from holoext.scenarios import ScenarioConfig, run_scenario  # noqa: E402
+from holoext.scenarios import SCENARIO_SPECS, ScenarioConfig, run_scenario  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
@@ -37,8 +37,10 @@ def main() -> int:
         if args.fast and config.samples:
             # smaller budgets need matching Monte Carlo tolerances
             config.samples = max(config.samples // 20, 50_000)
-            config.tolerances.setdefault("mc", 0.05)
-            config.tolerances.setdefault("each_level", 0.03)
+            known = SCENARIO_SPECS[config.scenario]["tolerances"]
+            for name, value in (("mc", 0.05), ("each_level", 0.03)):
+                if name in known:
+                    config.tolerances.setdefault(name, value)
         report = run_scenario(config)
         all_passed &= report.passed
         report_path = out_dir / f"{config_path.stem}_report.json"

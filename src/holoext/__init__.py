@@ -25,16 +25,12 @@ from .bounds import (
     ball_bound_ratio,
     lift_route_rhs,
     strictness_gap,
-    generator_bound_rhs,
     indicatrix_bound_rhs,
-    weighted_trace_direct,
 )
 from .geometry import (
     Ball,
     HartogsLift,
     Polydisc,
-    SubvarietySpec,
-    lift_generators,
 )
 from .green import (
     AzukawaForm,
@@ -64,6 +60,5 @@ from .weights import (
     RadialWeight,
     ScaledLogProfile,
     TrivialWeight,
-    epsilon_regularize,
     fiber_psi,
 )

@@ -2,10 +2,9 @@
 
 A scenario fixes the pair (unit ball of C^n, V = {z' = 0}), a radial weight
 phi = k u(log |z'|^2) built from a catalog profile (or the trivial weight),
-and polynomial boundary data f on V.  Three upper bounds for the weighted
+and polynomial boundary data f on V.  Two upper bounds for the weighted
 norm of the least-norm extension are evaluated:
 
-  * the direct generator bound: sigma_k * integral_V |f|^2 e^(-phi + 2kB),
   * the lift route: apply the generator bound on the Hartogs lift with the
     trivial weight, then descend by the mean value inequality, dividing by
     sigma_k.  On the lift the gap is B~ = -psi and the indicatrix at w is the
@@ -15,8 +14,7 @@ norm of the least-norm extension are evaluated:
   * the indicatrix bound: integral_V vol(I_w) |f|^2 e^(-phi).
 
 All closed-form constants come from exact integer factorials times powers of
-pi.  The Jacobian constant is pinned to 1 throughout: the subvarieties are
-linear coordinate slices.
+pi.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from .weights import RadialProfile, RadialWeight, TrivialWeight, _fiber_psi_batc
 __all__ = [
     "ExtensionScenario",
     "BoundReport",
-    "generator_bound_rhs",
-    "weighted_trace_direct",
     "lift_route_rhs",
     "indicatrix_bound_rhs",
     "strictness_gap",
@@ -104,26 +100,6 @@ class ExtensionScenario:
             abs(c) ** 2 * _ball_moment(m, beta, extra_power)
             for beta, c in self.f_coeffs.items()
         )
-
-
-def generator_bound_rhs(c_jac: float, k: int, weighted_trace: float) -> float:
-    """Generator bound C sigma_k * integral_V |f|^2 e^(-phi + 2kB)."""
-    if c_jac < 1.0:
-        raise ValueError("the Jacobian constant satisfies C >= 1")
-    if weighted_trace < 0.0:
-        raise ValueError("weighted trace must be nonnegative")
-    sigma_k, _ = sigma_mu(k)
-    return c_jac * sigma_k * weighted_trace
-
-
-def weighted_trace_direct(scenario: ExtensionScenario) -> float:
-    """integral_V |f|^2 e^(-phi + 2kB) for the direct pair.
-
-    The weight vanishes on V and the gap function there is
-    B(0, z'') = log(1 - |z''|^2) / 2, so e^(2kB) = (1 - |z''|^2)^k and the
-    trace reduces to exact ball moments of f.
-    """
-    return scenario._f_norm_factor(scenario.codim)
 
 
 def _fiber_integral(profile: RadialProfile, k: int) -> float:
@@ -206,13 +182,9 @@ def minimal_norm_squared(scenario: ExtensionScenario, degree: int | None = None)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bounds for one scenario, with the constants used."""
+    """Both bounds for one scenario next to the truncated least norm."""
 
     scenario: str
-    sigma_k: float
-    mu_k: float
-    weighted_trace: float
-    generator_bound: float
     lift_route_bound: float
     indicatrix_bound: float
     minimal_norm_squared: float
@@ -222,18 +194,12 @@ class BoundReport:
 
 def build_bound_report(scenario: ExtensionScenario, degree: int | None = None) -> BoundReport:
     """Evaluate every bound plus the truncated least-norm solve."""
-    sigma_k, mu_k = sigma_mu(scenario.codim)
-    trace = weighted_trace_direct(scenario)
     lift_bound = lift_route_rhs(scenario)
     direct_bound = indicatrix_bound_rhs(scenario)
     extension = minimal_norm_squared(scenario, degree)
     margin = direct_bound - lift_bound
     return BoundReport(
         scenario=scenario.name,
-        sigma_k=sigma_k,
-        mu_k=mu_k,
-        weighted_trace=trace,
-        generator_bound=generator_bound_rhs(1.0, scenario.codim, trace),
         lift_route_bound=lift_bound,
         indicatrix_bound=direct_bound,
         minimal_norm_squared=extension.norm_squared,

@@ -1,4 +1,4 @@
-"""Model domains, linear coordinate subvarieties, and Hartogs lifts.
+"""Model domains and Hartogs lifts.
 
 All domains are open; boundary points test negative.  Values are immutable
 after construction and safe to share across integration workers.
@@ -6,7 +6,7 @@ after construction and safe to share across integration workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,7 @@ __all__ = [
     "Ball",
     "Polydisc",
     "HartogsLift",
-    "SubvarietySpec",
     "as_point",
-    "lift_generators",
 ]
 
 
@@ -91,9 +89,9 @@ class Polydisc(_Domain):
 class HartogsLift(_Domain):
     """Lift {(z, w) : z in base, |w|^2 < e^(-phi(z)/k)} with fiber w in C^k.
 
-    The weight is evaluated lazily per membership query; the fiber radius is
-    bounded by e^(-inf(phi)/(2k)), which is 1 for the normalized weights in
-    the catalog.
+    The weight is evaluated lazily per membership query.  Every catalog
+    weight satisfies phi >= 0, so |w|^2 < e^(-phi/k) <= 1 and the fiber
+    lies in the unit ball of C^k.
     """
 
     base: Ball | Polydisc
@@ -119,42 +117,5 @@ class HartogsLift(_Domain):
         return out
 
     def bounding_radii(self):
-        fiber_radius = np.exp(-self.weight.lower_bound / (2.0 * self.fiber_dim))
-        return np.concatenate(
-            [self.base.bounding_radii(), np.full(self.fiber_dim, fiber_radius)]
-        )
-
-
-@dataclass(frozen=True)
-class SubvarietySpec:
-    """V = {z_1 = ... = z_k = 0} with generators psi_i(z) = z_i.
-
-    The generators are linear coordinates, so their Jacobian is identically 1
-    and the generator tuple of a lifted copy ignores the fiber variables.
-    """
-
-    codim: int
-    ambient_dim: int
-    lifted: bool = False
-    jacobian: float = field(default=1.0, init=False)
-
-    def __post_init__(self):
-        if self.codim < 1 or self.codim > self.ambient_dim:
-            raise ValueError("codimension must satisfy 1 <= k <= ambient_dim")
-
-    def generator_values(self, p):
-        p = as_point(p, self.ambient_dim)
-        return p[: self.codim]
-
-    def generator_norm(self, p):
-        return float(np.linalg.norm(self.generator_values(p)))
-
-    def contains(self, p):
-        return self.generator_norm(p) == 0.0
-
-
-def lift_generators(v: SubvarietySpec) -> SubvarietySpec:
-    """Lifted subvariety: same codimension, generators independent of w."""
-    return SubvarietySpec(
-        codim=v.codim, ambient_dim=v.ambient_dim + v.codim, lifted=True
-    )
+        """Base box times the unit fiber box; valid because phi >= 0."""
+        return np.concatenate([self.base.bounding_radii(), np.ones(self.fiber_dim)])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Ball, HartogsLift, SubvarietySpec, as_point
+from .geometry import Ball, HartogsLift, as_point
 from .integrate import QuadratureResult, _box_moments, _box_volume, _Z99, sigma_mu, volume
 from .weights import RadialProfile, RadialWeight, _fiber_psi_batch, fiber_psi
 
@@ -48,7 +48,6 @@ class AzukawaForm:
 
     pole_dim: int
     log_shift: float
-    base_point: tuple = ()
 
     def evaluate(self, direction):
         x = np.asarray(direction, dtype=complex).ravel()
@@ -102,9 +101,6 @@ class BallPointModel(_GreenModel):
     def domain(self):
         return Ball(radius=1.0, dim=self.n)
 
-    def subvariety(self):
-        return SubvarietySpec(codim=self.n, ambient_dim=self.n)
-
     def green_batch(self, pts):
         with np.errstate(divide="ignore"):
             return np.log(np.linalg.norm(pts, axis=1))
@@ -142,9 +138,6 @@ class BallPairModel(_GreenModel):
     def domain(self):
         return Ball(radius=1.0, dim=self.ambient_dim)
 
-    def subvariety(self):
-        return SubvarietySpec(codim=self.pole_dim, ambient_dim=self.ambient_dim)
-
     def green_batch(self, pts):
         r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
         w2 = np.sum(np.abs(pts[:, self.pole_dim :]) ** 2, axis=1)
@@ -162,11 +155,7 @@ class BallPairModel(_GreenModel):
         w2 = float(np.sum(np.abs(w) ** 2))
         if w2 >= 1.0:
             raise DomainError("base point must lie inside the unit ball of V")
-        return AzukawaForm(
-            pole_dim=self.pole_dim,
-            log_shift=-0.5 * math.log1p(-w2),
-            base_point=tuple(w),
-        )
+        return AzukawaForm(pole_dim=self.pole_dim, log_shift=-0.5 * math.log1p(-w2))
 
 
 @dataclass(frozen=True)
@@ -201,11 +190,6 @@ class RadialLiftModel(_GreenModel):
             fiber_dim=self.pole_dim,
         )
 
-    def subvariety(self):
-        return SubvarietySpec(
-            codim=self.pole_dim, ambient_dim=self.ambient_dim, lifted=True
-        )
-
     def green_batch(self, pts):
         r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
         w2 = np.sum(np.abs(pts[:, self.base_dim :]) ** 2, axis=1)
@@ -222,11 +206,7 @@ class RadialLiftModel(_GreenModel):
                 f"base point must have {self.base_dim} coordinates (z'' then w)"
             )
         w = v[self.base_dim - self.pole_dim :]
-        return AzukawaForm(
-            pole_dim=self.pole_dim,
-            log_shift=fiber_psi(self.profile, w),
-            base_point=tuple(v),
-        )
+        return AzukawaForm(pole_dim=self.pole_dim, log_shift=fiber_psi(self.profile, w))
 
 
 def eval_green(model, p) -> float:

@@ -78,8 +78,11 @@ class ScenarioConfig:
         unknown = set(data) - {"scenario", "params", "samples", "seed", "tolerances"}
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-        if "scenario" not in data:
-            raise ConfigError("config field 'scenario' is required")
+        if not isinstance(data.get("scenario"), str):
+            raise ConfigError("config field 'scenario' is required and must be a name")
+        for name in ("params", "tolerances"):
+            if not isinstance(data.get(name, {}), dict):
+                raise ConfigError(f"config field {name!r} must be a mapping")
         return cls(
             scenario=data["scenario"],
             params=dict(data.get("params", {})),
@@ -207,11 +210,22 @@ def _resolve(config: ScenarioConfig):
             raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
         if not (_is_int(samples) and samples >= 1):
             raise ConfigError(f"field 'samples' must be an integer >= 1, got {samples!r}")
-    return params, samples, seed
+    tol = dict(entry["tolerances"])
+    for name, value in config.tolerances.items():
+        if name not in tol:
+            raise ConfigError(f"unknown tolerance {name!r}; supported: {sorted(tol)}")
+        if not (_is_finite_real(value) and value >= 0):
+            raise ConfigError(f"tolerance {name!r} must be a finite real >= 0, got {value!r}")
+        tol[name] = float(value)
+    return params, samples, seed, tol
 
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    return _is_int(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
 
 
 def _positive_int(params, name: str, default=None) -> int:
@@ -219,10 +233,6 @@ def _positive_int(params, name: str, default=None) -> int:
     if not (_is_int(value) and value >= 1):
         raise ConfigError(f"parameter {name!r} must be an integer >= 1, got {value!r}")
     return int(value)
-
-
-def _tol(config: ScenarioConfig, name: str, default: float) -> float:
-    return float(config.tolerances.get(name, default))
 
 
 def _profile(spec):
@@ -239,10 +249,13 @@ def _profile(spec):
 # ---------------------------------------------------------------------------
 
 
-def _run_fubini(config, params, samples, seed):
+def _run_fubini(params, samples, seed, tol):
     profile = _profile(params["profile"])
     k = _positive_int(params, "k")
-    z2 = float(params["z2_norm"])
+    z2 = params["z2_norm"]
+    if not (_is_finite_real(z2) and 0 <= z2 < 1):
+        raise ConfigError(f"parameter 'z2_norm' must be a finite real in [0, 1), got {z2!r}")
+    z2 = float(z2)
     lhs, rhs = fubini_sides(profile, k, z2)
     oracle = fubini_mc_oracle(profile, k, z2, samples, seed)
     values = [
@@ -251,19 +264,19 @@ def _run_fubini(config, params, samples, seed):
         ValueRecord("lift_volume_over_sigma_k", oracle.value, oracle.error_estimate, "monte-carlo"),
     ]
     assertions = [
-        _close("identity_relative", rhs.value, lhs.value, _tol(config, "identity", 1e-5)),
-        _close("mc_oracle_relative", oracle.value, lhs.value, _tol(config, "mc", 1e-2)),
+        _close("identity_relative", rhs.value, lhs.value, tol["identity"]),
+        _close("mc_oracle_relative", oracle.value, lhs.value, tol["mc"]),
     ]
     if isinstance(profile, LogSingularProfile):
         closed = (1.0 - z2**2) ** k * math.pi**k * math.factorial(k) / math.factorial(2 * k)
         values.append(ValueRecord("closed_form", closed, 0.0, "closed-form"))
         assertions.insert(
-            1, _close("closed_form_relative", lhs.value, closed, _tol(config, "closed_form", 1e-6))
+            1, _close("closed_form_relative", lhs.value, closed, tol["closed_form"])
         )
     return values, assertions
 
 
-def _run_bound_ratio(config, params, samples, seed):
+def _run_bound_ratio(params, samples, seed, tol):
     n = _positive_int(params, "n")
     ratio = ball_bound_ratio(n)
     exact = float(Fraction(math.factorial(n), math.factorial(2 * n))) * math.pi**n
@@ -275,9 +288,9 @@ def _run_bound_ratio(config, params, samples, seed):
         ValueRecord("ball_weight_integral_mc", mc.value, mc.error_estimate, "monte-carlo"),
     ]
     assertions = [
-        _close("ratio_exact_arithmetic", ratio, exact, _tol(config, "exact", 1e-12)),
-        _close("ratio_equals_integral", quad.value, ratio, _tol(config, "quadrature", 1e-9)),
-        _close("mc_vs_quadrature", mc.value, quad.value, _tol(config, "mc", 1e-2)),
+        _close("ratio_exact_arithmetic", ratio, exact, tol["exact"]),
+        _close("ratio_equals_integral", quad.value, ratio, tol["quadrature"]),
+        _close("mc_vs_quadrature", mc.value, quad.value, tol["mc"]),
     ]
     if n >= 2:
         assertions.append(_below("ratio_below_one", ratio, 1.0))
@@ -310,7 +323,7 @@ _CLOSED_MINIMAL = {
 }
 
 
-def _run_radial_minimal(config, params, samples, seed):
+def _run_radial_minimal(params, samples, seed, tol):
     scenario = _scenario_from_params(params)
     d = scenario.degree
     result = minimal_norm_squared(scenario)
@@ -324,20 +337,15 @@ def _run_radial_minimal(config, params, samples, seed):
         ValueRecord("constraint_residual", result.constraint_residual, 0.0, "cholesky-elimination"),
     ]
     assertions = [
-        _below("flat_extension", result.max_pole_coefficient, _tol(config, "pole_coeff", 1e-8)),
-        _below("constraints_satisfied", result.constraint_residual, _tol(config, "residual", 1e-10)),
-        _close(
-            "truncation_converged",
-            coarse.norm_squared,
-            result.norm_squared,
-            _tol(config, "truncation", 1e-6),
-        ),
+        _below("flat_extension", result.max_pole_coefficient, tol["pole_coeff"]),
+        _below("constraints_satisfied", result.constraint_residual, tol["residual"]),
+        _close("truncation_converged", coarse.norm_squared, result.norm_squared, tol["truncation"]),
     ]
     if scenario.codim == scenario.ambient_dim:
         # V is a point: the lift-route bound is attained by the flat extension
         assertions.insert(
             2,
-            _close("norm_equals_lift_route", result.norm_squared, lift, _tol(config, "lift", 1e-6)),
+            _close("norm_equals_lift_route", result.norm_squared, lift, tol["lift"]),
         )
     else:
         assertions.insert(
@@ -346,7 +354,7 @@ def _run_radial_minimal(config, params, samples, seed):
                 "norm_below_lift_route",
                 result.norm_squared,
                 lift,
-                slack=_tol(config, "lift", 1e-6) * lift,
+                slack=tol["lift"] * lift,
             ),
         )
     key = (scenario.ambient_dim, scenario.codim)
@@ -354,22 +362,21 @@ def _run_radial_minimal(config, params, samples, seed):
         target = _CLOSED_MINIMAL[key]
         values.append(ValueRecord("closed_form", target, 0.0, "closed-form"))
         assertions.append(
-            _close("norm_closed_form", result.norm_squared, target, _tol(config, "closed_form", 1e-6))
+            _close("norm_closed_form", result.norm_squared, target, tol["closed_form"])
         )
     return values, assertions
 
 
-def _run_bound_comparison(config, params, samples, seed):
+def _run_bound_comparison(params, samples, seed, tol):
     scenario = _scenario_from_params(params)
     report = build_bound_report(scenario)
     values = [
         ValueRecord("minimal_norm_squared", report.minimal_norm_squared, 0.0, "cholesky-elimination"),
         ValueRecord("lift_route_bound", report.lift_route_bound, 0.0, "adaptive-quadrature"),
-        ValueRecord("generator_bound", report.generator_bound, 0.0, "closed-form"),
         ValueRecord("indicatrix_bound", report.indicatrix_bound, 0.0, "closed-form"),
         ValueRecord("strictness_margin", report.strictness_margin, 0.0, "closed-form"),
     ]
-    rel = _tol(config, "ordering", 1e-6)
+    rel = tol["ordering"]
     assertions = [
         _below(
             "minimal_below_lift_route",
@@ -393,7 +400,7 @@ def _run_bound_comparison(config, params, samples, seed):
                 "improvement_factor",
                 report.indicatrix_bound / report.lift_route_bound,
                 factor,
-                _tol(config, "factor", 1e-9),
+                tol["factor"],
             )
         )
     return values, assertions
@@ -404,7 +411,7 @@ def _scaling_model(params):
     n = _positive_int(params, "n")
     if kind == "ball_point":
         model = BallPointModel(n)
-        return model, sigma_mu(n)[0], "exact at every level"
+        return model, sigma_mu(n)[0]
     if kind == "ball_pair":
         k = _positive_int(params, "k", n)
         model = BallPairModel(pole_dim=k, base_dim=n)
@@ -415,7 +422,7 @@ def _scaling_model(params):
             * math.factorial(k)
             / math.factorial(n + k)
         )
-        return model, limit, "limit of the rescaled sublevel volumes"
+        return model, limit
     if kind == "radial_lift":
         k = _positive_int(params, "k", 1)
         profile = _profile(params.get("profile", "log_singular"))
@@ -425,18 +432,22 @@ def _scaling_model(params):
             raise ConfigError(f"parameters 'n' and 'k' of radial_lift: {exc}")
         sigma_k, _ = sigma_mu(k)
         base_factor = math.pi ** (n - k) / math.factorial(n - k)
-        limit = base_factor * sigma_k * _fiber_integral(profile, k)
-        return model, limit, "limit of the rescaled sublevel volumes"
+        return model, base_factor * sigma_k * _fiber_integral(profile, k)
     raise ConfigError(
         f"unknown model {kind!r}; choose ball_point, ball_pair or radial_lift"
     )
 
 
-def _run_scaling(config, params, samples, seed):
-    model, limit, limit_note = _scaling_model(params)
-    ladder = [float(t) for t in params["t_ladder"]]
-    if not ladder or any(t >= 0 for t in ladder):
-        raise ConfigError("t_ladder must be a nonempty list of negative levels")
+def _run_scaling(params, samples, seed, tol):
+    model, limit = _scaling_model(params)
+    ladder = params["t_ladder"]
+    if not (isinstance(ladder, list) and all(_is_finite_real(t) and t < 0 for t in ladder)):
+        raise ConfigError(
+            f"parameter 't_ladder' must be a list of finite negative reals, got {ladder!r}"
+        )
+    if not ladder:
+        raise ConfigError("parameter 't_ladder' must not be empty")
+    ladder = [float(t) for t in ladder]
     ones = lambda pts: np.ones(len(pts))
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
     results = []
@@ -447,8 +458,8 @@ def _run_scaling(config, params, samples, seed):
             ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, "monte-carlo")
         )
     exact_every_level = isinstance(model, BallPointModel)
-    tol_each = _tol(config, "each_level", 1e-2)
-    tol_limit = _tol(config, "limit", 5e-2)
+    tol_each = tol["each_level"]
+    tol_limit = tol["limit"]
     assertions = []
     if exact_every_level:
         for t, r in results:
@@ -473,6 +484,7 @@ SCENARIO_SPECS = {
             "z2_norm": "slice offset |z''| in [0, 1)",
         },
         "defaults": {"profile": "log_singular", "k": 1, "z2_norm": 0.0},
+        "tolerances": {"identity": 1e-5, "closed_form": 1e-6, "mc": 1e-2},
         "default_samples": 2_000_000,
         "needs_seed": True,
     },
@@ -481,6 +493,7 @@ SCENARIO_SPECS = {
         "description": "lift-to-direct bound ratio pi^n n!/(2n)! on the standard ball",
         "params": {"n": "ball dimension, 1..6"},
         "defaults": {"n": 2},
+        "tolerances": {"exact": 1e-12, "quadrature": 1e-9, "mc": 1e-2},
         "default_samples": 1_000_000,
         "needs_seed": True,
     },
@@ -494,6 +507,13 @@ SCENARIO_SPECS = {
             "degree": "basis truncation degree",
         },
         "defaults": {"n": 1, "k": 1, "profile": "log_singular", "degree": 8},
+        "tolerances": {
+            "pole_coeff": 1e-8,
+            "residual": 1e-10,
+            "lift": 1e-6,
+            "truncation": 1e-6,
+            "closed_form": 1e-6,
+        },
         "default_samples": 0,
         "needs_seed": False,
     },
@@ -507,6 +527,7 @@ SCENARIO_SPECS = {
             "degree": "basis truncation degree",
         },
         "defaults": {"n": 2, "k": 2, "profile": "log_singular", "degree": 8},
+        "tolerances": {"ordering": 1e-6, "factor": 1e-9},
         "default_samples": 0,
         "needs_seed": False,
     },
@@ -521,6 +542,7 @@ SCENARIO_SPECS = {
             "t_ladder": "negative levels, e.g. [-4, -8, -12]",
         },
         "defaults": {"model": "ball_point", "n": 2, "t_ladder": [-4.0, -8.0, -12.0]},
+        "tolerances": {"each_level": 1e-2, "limit": 5e-2},
         "default_samples": 10_000_000,
         "needs_seed": True,
     },
@@ -529,9 +551,9 @@ SCENARIO_SPECS = {
 
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute one scenario and collect its report."""
-    params, samples, seed = _resolve(config)
+    params, samples, seed, tol = _resolve(config)
     start = time.perf_counter()
-    values, assertions = SCENARIO_SPECS[config.scenario]["run"](config, params, samples, seed)
+    values, assertions = SCENARIO_SPECS[config.scenario]["run"](params, samples, seed, tol)
     elapsed = time.perf_counter() - start
     return Report(
         scenario=config.scenario,
@@ -554,6 +576,8 @@ def catalog_text() -> str:
             default = entry["defaults"].get(pname)
             suffix = f" (default {default})" if default is not None else ""
             lines.append(f"      - {pname}: {doc}{suffix}")
+        tols = ", ".join(f"{name}={value:g}" for name, value in entry["tolerances"].items())
+        lines.append(f"      tolerances: {tols}")
         lines.append(
             f"      samples default: {entry['default_samples']}, "
             f"seed {'required' if entry['needs_seed'] else 'optional'}"

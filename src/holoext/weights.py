@@ -28,7 +28,6 @@ __all__ = [
     "BallStandardWeight",
     "RadialWeight",
     "EpsilonRegularizedWeight",
-    "epsilon_regularize",
     "make_profile",
 ]
 
@@ -93,8 +92,8 @@ class ScaledLogProfile(RadialProfile):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("scale parameter a must be positive")
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"scale parameter a must be positive and finite, got {self.a!r}")
 
     def value(self, t):
         self._check_scalar_t(t)
@@ -126,8 +125,8 @@ class EpsilonRegularizedProfile(RadialProfile):
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
     def value(self, t):
         self._check_scalar_t(t)
@@ -257,7 +256,6 @@ class TrivialWeight(_Weight):
     """phi identically 0."""
 
     pole_dim = None
-    lower_bound = 0.0
 
     def value_batch(self, pts):
         return np.zeros(len(pts))
@@ -268,7 +266,6 @@ class BallStandardWeight(_Weight):
     """phi(z) = -n * log(1 - |z|^2) on the unit ball."""
 
     n: int
-    lower_bound = 0.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -300,10 +297,6 @@ class RadialWeight(_Weight):
     def pole_dim(self):
         return self.k
 
-    @property
-    def lower_bound(self):
-        return 0.0
-
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts[:, : self.k]) ** 2, axis=1)
         out = np.full(len(pts), np.inf)
@@ -334,10 +327,6 @@ class EpsilonRegularizedWeight(_Weight):
     def pole_dim(self):
         return self.inner.pole_dim
 
-    @property
-    def lower_bound(self):
-        return 0.0
-
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -345,28 +334,28 @@ class EpsilonRegularizedWeight(_Weight):
         return np.where(r2 < 1.0, self.inner.value_batch(pts) + extra, np.inf)
 
 
-def epsilon_regularize(weight, eps: float):
-    """Return the weight phi(z) - eps * log(1 - |z|^2) over the unit ball."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return EpsilonRegularizedWeight(weight, eps)
-
-
-_PROFILE_KINDS = ("log_singular", "scaled_log", "epsilon_regularized")
+_PROFILE_PARAMS = {  # kind -> the parameters its config mapping may carry
+    "log_singular": (),
+    "scaled_log": ("a",),
+    "epsilon_regularized": ("inner", "eps"),
+}
 
 
 def make_profile(spec) -> RadialProfile:
-    """Build a catalog profile from a string or a small config mapping."""
+    """Build a catalog profile from a name or a mapping of a kind and its parameters."""
     if isinstance(spec, RadialProfile):
         return spec
     if isinstance(spec, str):
         spec = {"kind": spec}
     kind = spec.get("kind")
+    if kind not in _PROFILE_PARAMS:
+        raise ValueError(f"unknown profile kind {kind!r}; expected one of {tuple(_PROFILE_PARAMS)}")
+    unknown = set(spec) - {"kind", *_PROFILE_PARAMS[kind]}
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} for profile kind {kind!r}")
     if kind == "log_singular":
         return LogSingularProfile()
     if kind == "scaled_log":
         return ScaledLogProfile(a=float(spec.get("a", 1.0)))
-    if kind == "epsilon_regularized":
-        inner = make_profile(spec.get("inner", "log_singular"))
-        return EpsilonRegularizedProfile(inner=inner, eps=float(spec.get("eps", 0.1)))
-    raise ValueError(f"unknown profile kind {kind!r}; expected one of {_PROFILE_KINDS}")
+    inner = make_profile(spec.get("inner", "log_singular"))
+    return EpsilonRegularizedProfile(inner=inner, eps=float(spec.get("eps", 0.1)))

@@ -15,9 +15,7 @@ from holoext.bounds import (
     minimal_norm_squared,
     sigma_mu,
     strictness_gap,
-    generator_bound_rhs,
     indicatrix_bound_rhs,
-    weighted_trace_direct,
 )
 from holoext.errors import UnsupportedModelError
 from holoext.scenarios import ScenarioConfig, run_scenario
@@ -40,31 +38,6 @@ def test_sigma_mu_consistency():
 def test_sigma_mu_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma_mu(0)
-
-
-def test_generator_bound_rhs_is_a_scaled_trace():
-    assert generator_bound_rhs(1.0, 2, 1.0) == pytest.approx(PI**2 / 2)
-    assert generator_bound_rhs(1.0, 1, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        generator_bound_rhs(1.0, 1, -0.5)
-    with pytest.raises(ValueError):
-        generator_bound_rhs(0.5, 1, 1.0)
-
-
-def test_weighted_trace_point_slice():
-    assert weighted_trace_direct(disc_scenario()) == pytest.approx(1.0)
-    assert weighted_trace_direct(ball2_scenario()) == pytest.approx(1.0)
-
-
-def test_weighted_trace_lifted_pair_reproduces_beta_integral():
-    # the pair (B^4, {z' = 0}) with trivial weight: trace = int_(B^2) (1-|w|^2)^2
-    scenario = ExtensionScenario(
-        name="ball4_pair", ambient_dim=4, codim=2, profile=None
-    )
-    assert weighted_trace_direct(scenario) == pytest.approx(PI**2 / 12, rel=1e-14)
-    assert generator_bound_rhs(1.0, 2, weighted_trace_direct(scenario)) == pytest.approx(
-        PI**4 / 24, rel=1e-14
-    )
 
 
 def _beta(x, y):
@@ -198,9 +171,6 @@ def test_ball_bound_integral_mc_cross_check():
 
 def test_bound_report_disc():
     report = build_bound_report(disc_scenario())
-    assert report.sigma_k == pytest.approx(PI)
-    assert report.mu_k == pytest.approx(2 * PI)
-    assert report.generator_bound == pytest.approx(PI, rel=1e-14)
     assert report.indicatrix_bound == pytest.approx(PI, rel=1e-14)
     assert report.lift_route_bound == pytest.approx(PI / 2, rel=1e-9)
     assert report.minimal_norm_squared == pytest.approx(PI / 2, rel=1e-9)
@@ -259,7 +229,8 @@ def test_improvement_factors():
 
 
 def test_polynomial_data_moments():
-    # f(z_2) = z_2 on V = {z_1 = 0} in C^2: trace = int |z_2|^2 (1-|z_2|^2) dV
+    # f(z_2) = z_2 on V = {z_1 = 0} in C^2: the indicatrix bound is
+    # sigma_1 * int |z_2|^2 (1-|z_2|^2) dV = pi * pi/6
     scenario = ExtensionScenario(
         name="ball2_linear_data",
         ambient_dim=2,
@@ -267,7 +238,7 @@ def test_polynomial_data_moments():
         profile=LogSingularProfile(),
         f_coeffs={(1,): 1.0},
     )
-    assert weighted_trace_direct(scenario) == pytest.approx(PI / 6, rel=1e-14)
+    assert indicatrix_bound_rhs(scenario) == pytest.approx(PI**2 / 6, rel=1e-14)
     solved = minimal_norm_squared(scenario)
     assert solved.norm_squared == pytest.approx(PI**2 / 8, rel=1e-9)
     assert solved.norm_squared < lift_route_rhs(scenario)

@@ -186,6 +186,10 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
         ("bound_comparison", {"profile": 5}, "'profile'"),
         ("radial_minimal", {"profile": {"kind": "scaled_log", "a": None}}, "'profile'"),
         ("radial_minimal", {"profile": {"kind": "epsilon_regularized", "inner": 5}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "epsilon_regularized", "esp": 0.5}}, "'esp'"),
+        ("radial_minimal", {"profile": {"kind": "log_singular", "a": 2.0}}, "'a'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": float("inf")}}, "'profile'"),
+        ("bound_comparison", {"profile": {"kind": "epsilon_regularized", "eps": "inf"}}, "'profile'"),
     ],
     ids=[
         "degree_str",
@@ -197,6 +201,10 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
         "profile_not_a_mapping",
         "profile_parameter_none",
         "profile_inner_not_a_mapping",
+        "profile_misspelt_key",
+        "profile_key_of_another_kind",
+        "profile_a_inf",
+        "profile_eps_inf",
     ],
 )
 def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
@@ -216,6 +224,18 @@ def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, param
         ("scaling_limit", {"model": "ball_pair", "n": 2, "k": 1.2}, "'k'"),
         ("scaling_limit", {"model": "ball_point", "n": True}, "'n'"),
         ("scaling_limit", {"model": "radial_lift", "n": 1, "k": 2}, "'k'"),
+        ("fubini_identity", {"z2_norm": 1.5}, "'z2_norm'"),
+        ("fubini_identity", {"z2_norm": -0.1}, "'z2_norm'"),
+        ("fubini_identity", {"z2_norm": "nan"}, "'z2_norm'"),
+        ("fubini_identity", {"z2_norm": float("nan")}, "'z2_norm'"),
+        ("fubini_identity", {"z2_norm": "abc"}, "'z2_norm'"),
+        ("fubini_identity", {"z2_norm": None}, "'z2_norm'"),
+        ("scaling_limit", {"t_ladder": [float("nan")]}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": [-4, "-inf"]}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": [-4, float("-inf")]}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": "abc"}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": -4}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": []}, "'t_ladder'"),
     ],
     ids=[
         "fubini_k_float",
@@ -226,6 +246,18 @@ def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, param
         "ball_pair_k_float",
         "ball_point_n_bool",
         "radial_lift_k_above_n",
+        "z2_norm_above_one",
+        "z2_norm_negative",
+        "z2_norm_nan_str",
+        "z2_norm_nan",
+        "z2_norm_str",
+        "z2_norm_null",
+        "t_ladder_nan",
+        "t_ladder_inf_str",
+        "t_ladder_inf",
+        "t_ladder_str",
+        "t_ladder_scalar",
+        "t_ladder_empty",
     ],
 )
 def test_bad_sampled_integer_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
@@ -233,3 +265,43 @@ def test_bad_sampled_integer_params_are_usage_errors(tmp_path, capsys, scenario,
     config = write_config(tmp_path, payload)
     assert main(["run", "--config", str(config)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"scenario": 5}, "'scenario'"),
+        ({"scenario": ["bound_ratio"]}, "'scenario'"),
+        ({"scenario": "bound_ratio", "params": [["n", 2]]}, "'params'"),
+        ({"scenario": "bound_ratio", "params": None}, "'params'"),
+        ({"scenario": "bound_ratio", "tolerances": 0.5}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mcc": 0.5}}, "'mcc'"),
+        ({"scenario": "bound_ratio", "tolerances": {"each_level": 0.5}}, "'each_level'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": "0.5"}}, "'mc'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": float("nan")}}, "'mc'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": float("inf")}}, "'mc'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": -0.01}}, "'mc'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": True}}, "'mc'"),
+        ({"scenario": "radial_minimal", "tolerances": {"lift": None}}, "'lift'"),
+    ],
+    ids=[
+        "scenario_int",
+        "scenario_list",
+        "params_list",
+        "params_null",
+        "tolerances_scalar",
+        "tolerance_unknown",
+        "tolerance_of_another_scenario",
+        "tolerance_str",
+        "tolerance_nan",
+        "tolerance_inf",
+        "tolerance_negative",
+        "tolerance_bool",
+        "tolerance_null",
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, payload, field):
+    config = write_config(tmp_path, {"seed": 1, "samples": 1000, **payload})
+    assert main(["run", "--config", str(config)]) == 2
+    assert field in capsys.readouterr().err
+

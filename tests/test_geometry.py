@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoext.errors import DimensionMismatchError
-from holoext.geometry import (
-    Ball,
-    HartogsLift,
-    Polydisc,
-    SubvarietySpec,
-    lift_generators,
-)
+from holoext.geometry import Ball, HartogsLift, Polydisc
 from holoext.weights import (
     BallStandardWeight,
     LogSingularProfile,
@@ -100,46 +94,6 @@ def test_invalid_radii_rejected():
         Ball(0.0, 1)
     with pytest.raises(ValueError):
         Polydisc((1.0, -2.0))
-
-
-def test_generators_vanish_exactly_on_subvariety():
-    v = SubvarietySpec(codim=2, ambient_dim=3)
-    assert v.generator_norm([0, 0, 0.7]) == 0.0
-    assert v.contains([0, 0, 0.7])
-    assert v.generator_norm([1e-3, 0, 0.7]) > 0.0
-    assert not v.contains([1e-3, 0, 0.7])
-
-
-def test_lift_generators_ignore_fiber():
-    v = SubvarietySpec(codim=1, ambient_dim=1)
-    lifted = lift_generators(v)
-    assert lifted.ambient_dim == 2
-    assert lifted.codim == 1
-    assert lifted.lifted
-    assert lifted.generator_norm([0.3, 0.9]) == pytest.approx(0.3)
-
-
-def test_lifted_point_subvariety_contains_fiber():
-    v = SubvarietySpec(codim=2, ambient_dim=2)
-    lifted = lift_generators(v)
-    assert lifted.ambient_dim == 4
-    for w in ([0.1, 0.2], [0.5, -0.5j]):
-        assert lifted.contains([0, 0, *w])
-
-
-def test_jacobian_is_one():
-    assert SubvarietySpec(codim=3, ambient_dim=5).jacobian == 1.0
-
-
-@settings(max_examples=100)
-@given(
-    z=st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
-    w=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
-)
-def test_lifted_generator_norm_matches_base(z, w):
-    v = SubvarietySpec(codim=1, ambient_dim=1)
-    lifted = lift_generators(v)
-    assert lifted.generator_norm([z, w]) == v.generator_norm([z])
 
 
 @settings(max_examples=50)

@@ -15,7 +15,6 @@ from holoext.weights import (
     EpsilonRegularizedWeight,
     ShiftedProfile,
     TrivialWeight,
-    epsilon_regularize,
     fiber_psi,
     make_profile,
 )
@@ -118,7 +117,7 @@ def test_fiber_psi_monotone_in_radius(profile):
 
 
 def test_epsilon_regularize_of_trivial_weight():
-    w = epsilon_regularize(TrivialWeight(), 0.3)
+    w = EpsilonRegularizedWeight(TrivialWeight(), 0.3)
     for r in (0.1, 0.5, 0.9):
         assert w.value([r]) == pytest.approx(-0.3 * math.log(1 - r * r), abs=1e-13)
 
@@ -128,21 +127,21 @@ def test_epsilon_regularize_converges_pointwise():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.45, 0.45, (100, 4)).view(complex)
     for eps in (1e-1, 1e-2, 1e-3):
-        w = epsilon_regularize(base, eps)
+        w = EpsilonRegularizedWeight(base, eps)
         gaps = [abs(w.value(p) - base.value(p)) for p in pts]
         assert max(gaps) < eps * 3.0
 
 
 def test_epsilon_regularized_weight_diverges_at_boundary():
     eps = 0.2
-    w = epsilon_regularize(TrivialWeight(), eps)
+    w = EpsilonRegularizedWeight(TrivialWeight(), eps)
     r = math.sqrt(1.0 - 1e-6)
     assert w.value([r]) > 10.0 * eps
 
 
 def test_epsilon_regularize_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        epsilon_regularize(TrivialWeight(), 0.0)
+        EpsilonRegularizedWeight(TrivialWeight(), 0.0)
     with pytest.raises(ValueError):
         EpsilonRegularizedProfile(LogSingularProfile(), -0.1)
 
@@ -245,3 +244,28 @@ def test_epsilon_regularized_weight_outside_ball_raises():
     for p in ([1.0], [0.8, 0.8j], [0.0, 1.5]):
         with pytest.raises(DomainError):
             w.value(p)
+
+
+NONNEGATIVE_WEIGHTS = [
+    TrivialWeight(),
+    BallStandardWeight(2),
+    *(RadialWeight(profile, k) for profile in CATALOG for k in (1, 2)),
+    *(EpsilonRegularizedWeight(RadialWeight(profile, 1), 0.3) for profile in CATALOG),
+    EpsilonRegularizedWeight(TrivialWeight(), 0.1),
+    EpsilonRegularizedWeight(BallStandardWeight(2), 0.2),
+]
+
+
+@settings(max_examples=100)
+@given(
+    coords=st.lists(
+        st.complex_numbers(max_magnitude=0.707, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_weights_are_nonnegative_on_the_unit_ball(coords):
+    # phi >= 0 is what bounds the Hartogs lift's fiber by the unit ball
+    p = np.asarray(coords)[None, :]
+    for weight in NONNEGATIVE_WEIGHTS:
+        assert weight.value_batch(p)[0] >= 0.0
