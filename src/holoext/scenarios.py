@@ -576,8 +576,6 @@ def catalog_text() -> str:
             default = entry["defaults"].get(pname)
             suffix = f" (default {default})" if default is not None else ""
             lines.append(f"      - {pname}: {doc}{suffix}")
-        tols = ", ".join(f"{name}={value:g}" for name, value in entry["tolerances"].items())
-        lines.append(f"      tolerances: {tols}")
         lines.append(
             f"      samples default: {entry['default_samples']}, "
             f"seed {'required' if entry['needs_seed'] else 'optional'}"
