@@ -234,7 +234,7 @@ def gram_matrix(
     width = len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
-    for _, _, pts in _box_blocks(radii, samples, seed):
+    for pts in _box_blocks(radii, samples, seed):
         mask = domain.contains_batch(pts)
         if mask.any():
             inside = pts[mask]

@@ -1,7 +1,9 @@
 """Command line front end: run verification scenarios, list the catalog.
 
 Reports are written as JSON next to a plain-text table on stdout; the process
-exits 0 only when every assertion in the report passed.
+exits 0 only when every assertion in the report passed.  A reader that closes
+stdout early (``holoext list | head``) cuts the output short without changing
+the exit status.
 """
 
 from __future__ import annotations
@@ -52,10 +54,18 @@ def _load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_mapping(raw)
 
 
+def _print_out(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout is flushed again at exit; point it at devnull so that cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        print(catalog_text())
+        _print_out(catalog_text())
         return 0
 
     try:
@@ -80,10 +90,7 @@ def main(argv=None) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(report.to_json() + "\n")
 
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_table())
+    _print_out(report.to_json() if args.format == "json" else report.to_table())
     print(f"report written to {out_path}", file=sys.stderr)
     return 0 if report.passed else 1
 

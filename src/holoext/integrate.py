@@ -2,30 +2,40 @@
 
 Every Monte Carlo estimator in the package (``mc_integrate`` and ``volume``
 here, ``green.sublevel_scaling``, ``green.indicatrix_volume`` and the Monte
-Carlo ``bergman.gram_matrix``) draws through one sampler, ``_box_blocks``:
+Carlo ``bergman.gram_matrix``) draws through one kernel, ``_shard_blocks``:
 uniform points in a bounding box with plain rejection, in shards of
-``_SHARD_SIZE`` points.  The generator is counter-based (Philox) keyed by
-(seed, shard), and shards are reduced in fixed order, so every estimate is
-bit-reproducible for a given (samples, seed) pair regardless of how the
-shards are scheduled.
+``_SHARD_SIZE`` points.  Shard j is drawn from a counter-based (Philox)
+generator keyed by (seed, j), in consecutive blocks of ``_BLOCK`` points
+written into two buffers that are allocated once per shard and refilled in
+place, so the membership test and the integrand run on cache-sized arrays.
+``_box_blocks`` yields the blocks of shard 0, then of shard 1, and so on.
 
-Each shard is drawn in consecutive blocks of ``_BLOCK`` points into two
-buffers that are allocated once per call and refilled in place, so the
-membership test and the integrand run on cache-sized arrays.  The blocks of
-a shard concatenate to the same draw as one call for the whole shard.  An
-estimator built on ``_box_moments`` holds one shard's integrand values plus
-one block of points; the Monte Carlo Gram holds one block plus its
+Scheduling.  ``_box_moments`` (behind ``mc_integrate``, ``volume`` and
+``sublevel_scaling``) runs its shards on a thread pool of
+min(usable cores, shards) workers; with one shard or one usable core it
+runs inline.  Each shard returns its partial sums, which are added in
+shard order.  Inside a shard each block adds the sum of its inside values
+to s1, squares those values in place and adds their sum to s2.  No BLAS
+call takes part, so every estimate is a fixed function of
+(samples, seed, ``_SHARD_SIZE``, ``_BLOCK``): the same bits on any number
+of workers and any BLAS thread count.  Memory is one block per worker.
+The Monte Carlo Gram draws through ``_box_blocks`` on one thread, since its
+per-block GEMMs already use the BLAS threads; it holds one block plus its
 accumulators.
 
 Integrands are vectorized: they receive an (N, ambient_dim) complex array of
 points that already passed the membership test and return N real values.
-A non-finite integrand value counts as zero and is reported in the result's
-``rejected_infinite``.
+Membership tests and integrands may run on several threads at once, each
+under a copy of the caller's context.  A non-finite integrand value counts
+as zero and is reported in the result's ``rejected_infinite``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,62 +89,108 @@ def _box_volume(radii):
     return float(np.prod((2.0 * radii) ** 2))
 
 
-def _box_blocks(radii, samples: int, seed: int):
-    """Yield ``samples`` uniform draws from the box prod |z_i| < radii_i.
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Shard j holds the next min(_SHARD_SIZE, remaining) points, drawn from
-    rng_stream(seed, j) in consecutive blocks of at most ``_BLOCK`` rows.
-    Yields (shard, lo, pts) with pts the shard's rows lo, lo + 1, ...; pts is
-    a view of a reused buffer and is valid only until the next block.
+
+def _shards(samples: int):
+    """(shard, size) pairs: shard j holds the next min(_SHARD_SIZE, remaining) draws."""
+    return [
+        (shard, min(_SHARD_SIZE, samples - done))
+        for shard, done in enumerate(range(0, samples, _SHARD_SIZE))
+    ]
+
+
+def _shard_blocks(radii, seed: int, shard: int, size: int):
+    """Yield the ``size`` uniform draws of one shard from the box prod |z_i| < radii_i.
+
+    The draws come from rng_stream(seed, shard) in consecutive blocks of at
+    most ``_BLOCK`` rows.  Each block is a view of a buffer reused for the
+    whole shard and is valid only until the next block.
     """
     m = len(radii)
-    rows = min(_BLOCK, samples)
+    rows = min(_BLOCK, size)
     u = np.empty((rows, 2 * m))
     pts = np.empty((rows, m), dtype=complex)
-    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
-        rng = rng_stream(seed, shard)
-        size = min(_SHARD_SIZE, samples - done)
-        for lo in range(0, size, _BLOCK):
-            b = min(_BLOCK, size - lo)
-            ub, pb = u[:b], pts[:b]
-            rng.random(out=ub)
-            ub *= 2.0
-            ub -= 1.0
-            np.multiply(ub[:, :m], radii, out=pb.real)
-            np.multiply(ub[:, m:], radii, out=pb.imag)
-            yield shard, lo, pb
+    rng = rng_stream(seed, shard)
+    for lo in range(0, size, _BLOCK):
+        b = min(_BLOCK, size - lo)
+        ub, pb = u[:b], pts[:b]
+        rng.random(out=ub)
+        ub *= 2.0
+        ub -= 1.0
+        np.multiply(ub[:, :m], radii, out=pb.real)
+        np.multiply(ub[:, m:], radii, out=pb.imag)
+        yield pb
 
 
-def _box_moments(radii, inside, integrand, samples: int, seed: int):
-    """Moments of the masked integrand over the box draws, block by block.
+def _box_blocks(radii, samples: int, seed: int):
+    """Yield ``samples`` box draws: the blocks of shard 0, then of shard 1, ..."""
+    for shard, size in _shards(samples):
+        yield from _shard_blocks(radii, seed, shard, size)
 
-    ``inside`` maps a block of points to its membership mask and
-    ``integrand`` maps the inside points to real values.  Each shard's masked
-    values fill one array that is reduced when the shard is complete, so the
-    summation order, and with it every estimate, does not depend on
-    ``_BLOCK``.  Returns the sample mean, its standard error, the inside
-    count and the non-finite count.
+
+def _shard_moments(radii, inside, integrand, seed: int, shard: int, size: int):
+    """(sum, sum of squares, inside count, non-finite count) over one shard.
+
+    Each block adds the sum of its inside values, then the sum of their
+    squares; values outside the domain are zero and add nothing.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     s1 = s2 = 0.0
     n_inside = n_bad = 0
-    for shard, lo, pts in _box_blocks(radii, samples, seed):
-        if lo == 0:
-            y = np.zeros(min(_SHARD_SIZE, samples - shard * _SHARD_SIZE))
-        hi = lo + len(pts)
+    for pts in _shard_blocks(radii, seed, shard, size):
         mask = inside(pts)
-        if mask.any():
-            vals = np.asarray(integrand(pts[mask]), dtype=float)
+        hits = int(np.count_nonzero(mask))
+        if hits:
+            # a copy, so that squaring in place leaves the integrand's array alone
+            vals = np.array(integrand(pts[mask]), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
                 n_bad += int(bad.sum())
-                vals = np.where(bad, 0.0, vals)
-            y[lo:hi][mask] = vals
-        n_inside += int(mask.sum())
-        if hi == len(y):
-            s1 += float(y.sum())
-            s2 += float(np.dot(y, y))
+                vals[bad] = 0.0
+            s1 += float(vals.sum())
+            np.multiply(vals, vals, out=vals)
+            s2 += float(vals.sum())
+        n_inside += hits
+    return s1, s2, n_inside, n_bad
+
+
+def _box_moments(radii, inside, integrand, samples: int, seed: int):
+    """Moments of the masked integrand over the box draws.
+
+    ``inside`` maps a block of points to its membership mask and
+    ``integrand`` maps the inside points to real values.  The shards run
+    and are reduced as the module docstring describes; each worker runs
+    under a copy of the caller's context, so ``np.errstate`` carries over.
+    Returns the sample mean, its standard error, the inside count and the
+    non-finite count.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    shards = _shards(samples)
+    workers = min(_usable_cores(), len(shards))
+    args = (radii, inside, integrand, seed)
+    if workers == 1:
+        parts = [_shard_moments(*args, shard, size) for shard, size in shards]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, _shard_moments, *args, shard, size)
+                for shard, size in shards
+            ]
+            parts = [f.result() for f in futures]
+    # a plain loop: sum() of floats is compensated from Python 3.12 on
+    s1 = s2 = 0.0
+    n_inside = n_bad = 0
+    for p1, p2, p_inside, p_bad in parts:
+        s1 += p1
+        s2 += p2
+        n_inside += p_inside
+        n_bad += p_bad
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples), n_inside, n_bad

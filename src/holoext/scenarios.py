@@ -203,13 +203,13 @@ def _resolve(config: ScenarioConfig):
     params.update(config.params)
     samples = config.samples if config.samples is not None else entry["default_samples"]
     seed = config.seed
-    if entry["needs_seed"]:
-        if seed is None:
-            raise ConfigError(f"scenario {config.scenario!r} samples; field 'seed' is required")
-        if not _is_int(seed):
-            raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
-        if not (_is_int(samples) and samples >= 1):
-            raise ConfigError(f"field 'samples' must be an integer >= 1, got {samples!r}")
+    if seed is None and entry["needs_seed"]:
+        raise ConfigError(f"scenario {config.scenario!r} samples; field 'seed' is required")
+    if seed is not None and not _is_int(seed):
+        raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
+    least = 1 if entry["needs_seed"] else 0
+    if not (_is_int(samples) and samples >= least):
+        raise ConfigError(f"field 'samples' must be an integer >= {least}, got {samples!r}")
     tol = dict(entry["tolerances"])
     for name, value in config.tolerances.items():
         if name not in tol:

@@ -41,6 +41,26 @@ def test_list_prints_catalog():
         assert name in proc.stdout
 
 
+def test_list_into_a_closed_pipe_exits_without_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the catalog is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "holoext.cli", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_run_writes_report_and_exits_zero(tmp_path, monkeypatch):
     monkeypatch.setenv("HOLOEXT_OUT_DIR", str(tmp_path / "reports"))
     config = write_config(tmp_path, FAST_FUBINI)
@@ -172,6 +192,37 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
     config = write_config(tmp_path, {**FAST_FUBINI, "seed": "abc"})
     assert main(["run", "--config", str(config)]) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+RADIAL_QUICK = {"scenario": "radial_minimal", "params": {"n": 1, "k": 1, "degree": 2}}
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"seed": "abc", "samples": -5}, "'seed'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"samples": -5}, "'samples'"),
+        ({"samples": 2.5}, "'samples'"),
+        ({"samples": "10"}, "'samples'"),
+    ],
+    ids=["seed_str", "seed_float", "seed_bool", "samples_negative", "samples_float", "samples_str"],
+)
+def test_bad_seed_or_samples_of_an_unsampled_scenario_is_usage_error(
+    tmp_path, capsys, fields, field
+):
+    config = write_config(tmp_path, {**RADIAL_QUICK, **fields})
+    assert main(["run", "--config", str(config)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_unsampled_scenario_accepts_an_integer_seed_and_zero_samples(tmp_path):
+    config = write_config(tmp_path, {**RADIAL_QUICK, "seed": 7, "samples": 0})
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--samples", "-1"]) == 2
+    assert json.loads(out.read_text())["seed"] == 7
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,9 @@ are.  Any such change must regenerate the files on purpose:
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SAMPLES = 1_250_000
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 def _body(config_path):
@@ -33,6 +37,32 @@ def _body(config_path):
 def test_report_body_matches_golden(config_path):
     golden = json.loads((GOLDEN_DIR / f"{config_path.stem}.json").read_text())
     assert json.loads(json.dumps(_body(config_path))) == golden
+
+
+def test_bound_ratio_body_does_not_depend_on_blas_threads():
+    script = (
+        "import json, sys; from pathlib import Path; import test_golden; "
+        "print(json.dumps(test_golden._body(Path(sys.argv[1])), sort_keys=True))"
+    )
+    config = str(CONFIG_DIR / "bound_ratio.json")
+    bodies = {}
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC_ROOT), str(Path(__file__).parent)])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=300,
+        )
+        bodies[threads] = proc.stdout
+    assert bodies["1"] == bodies[None]
+    golden = json.loads((GOLDEN_DIR / "bound_ratio.json").read_text())
+    assert json.loads(bodies[None]) == golden
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from holoext import integrate
 from holoext.errors import DegenerateDomainError
 from holoext.geometry import Ball, HartogsLift
 from holoext.integrate import (
@@ -213,7 +215,7 @@ def test_invalid_arguments():
 
 
 # ---------------------------------------------------------------------------
-# The blocked sampler against a whole-shard reference
+# The blocked, threaded sampler against a whole-shard reference
 # ---------------------------------------------------------------------------
 
 
@@ -225,39 +227,46 @@ def _whole_shard_draw(radii, size, seed, shard):
 
 
 def _whole_shard_moments(radii, inside, integrand, samples, seed):
-    """Reference for _box_moments: each shard drawn, masked and reduced whole."""
+    """Reference for _box_moments: each shard drawn whole on one thread, then
+    masked and reduced in _BLOCK slices over the inside values, shards in order."""
     s1 = s2 = 0.0
     n_inside = n_bad = 0
     for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
         pts = _whole_shard_draw(radii, min(_SHARD_SIZE, samples - done), seed, shard)
-        mask = inside(pts)
-        y = np.zeros(len(pts))
-        if mask.any():
-            vals = np.asarray(integrand(pts[mask]), dtype=float)
-            bad = ~np.isfinite(vals)
-            if bad.any():
+        t1 = t2 = 0.0
+        for lo in range(0, len(pts), _BLOCK):
+            block = pts[lo : lo + _BLOCK]
+            mask = inside(block)
+            n_inside += int(mask.sum())
+            if mask.any():
+                vals = np.asarray(integrand(block[mask]), dtype=float)
+                bad = ~np.isfinite(vals)
                 n_bad += int(bad.sum())
                 vals = np.where(bad, 0.0, vals)
-            y[mask] = vals
-        n_inside += int(mask.sum())
-        s1 += float(y.sum())
-        s2 += float(np.dot(y, y))
+                t1 += float(vals.sum())
+                t2 += float((vals * vals).sum())
+        s1 += t1
+        s2 += t2
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples), n_inside, n_bad
 
 
 def _nan_on_left_half(pts):
-    vals = np.sum(np.abs(pts) ** 2, axis=1)
+    # 1/|z|^2 spans many magnitudes, so any change of summation order shows
+    vals = 1.0 / np.sum(np.abs(pts) ** 2, axis=1)
     vals[pts[:, 0].real < -0.5] = np.nan
     return vals
 
 
-@pytest.mark.parametrize(
+MOMENT_SAMPLES = pytest.mark.parametrize(
     "samples",
     [1, _BLOCK - 1, _BLOCK + 1, _SHARD_SIZE + 3 * _BLOCK + 5],
     ids=["one", "block_minus_one", "block_plus_one", "two_shards"],
 )
+
+
+@MOMENT_SAMPLES
 def test_box_moments_bit_identical_to_whole_shard_loop(samples):
     domain = Ball(1.0, 2)
     radii = domain.bounding_radii()
@@ -269,26 +278,55 @@ def test_box_moments_bit_identical_to_whole_shard_loop(samples):
         assert got[3] > 0
 
 
+@MOMENT_SAMPLES
+def test_box_moments_same_on_one_and_two_workers(samples, monkeypatch):
+    domain = Ball(1.0, 2)
+    threads = set()
+
+    def inside(pts):
+        threads.add(threading.get_ident())
+        return domain.contains_batch(pts)
+
+    args = (domain.bounding_radii(), inside, _nan_on_left_half, samples, 2031)
+    got = {}
+    for cores in (1, 2):
+        threads.clear()
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        got[cores] = _box_moments(*args)
+        # one shard or one core runs inline; two shards on two cores use the pool
+        inline = cores == 1 or samples <= _SHARD_SIZE
+        assert (threads == {threading.get_ident()}) == inline
+    assert got[1] == got[2]
+
+
+def test_box_moments_workers_run_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
+    domain = Ball(1.0, 1)
+
+    def sqrt_of_negative(pts):
+        return np.sqrt(np.abs(pts[:, 0]) ** 2 - 0.5)
+
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            mc_integrate(domain, sqrt_of_negative, _SHARD_SIZE + 1, seed=3)
+
+
 def test_box_blocks_concatenate_to_the_whole_shard_draw():
     radii = Ball(1.0, 3).bounding_radii()
-    samples = _SHARD_SIZE + _BLOCK + 5
-    blocks = {0: [], 1: []}
-    starts = {0: [], 1: []}
-    for shard, lo, pts in _box_blocks(radii, samples, 11):
-        assert len(pts) <= _BLOCK
-        starts[shard].append(lo)
-        blocks[shard].append(pts.copy())
-    for shard, size in ((0, _SHARD_SIZE), (1, _BLOCK + 5)):
-        drawn = np.concatenate(blocks[shard])
-        assert starts[shard] == list(range(0, size, _BLOCK))
-        assert drawn.tobytes() == _whole_shard_draw(radii, size, 11, shard).tobytes()
+    sizes = (_SHARD_SIZE, _BLOCK + 5)
+    blocks = [pts.copy() for pts in _box_blocks(radii, sum(sizes), 11)]
+    assert [len(b) for b in blocks] == (
+        [_BLOCK] * (_SHARD_SIZE // _BLOCK) + [_SHARD_SIZE % _BLOCK, _BLOCK, 5]
+    )
+    want = np.concatenate([_whole_shard_draw(radii, size, 11, j) for j, size in enumerate(sizes)])
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
-def test_volume_memory_stays_at_one_shard_and_one_block():
+def test_volume_memory_stays_at_one_block_per_worker():
     tracemalloc.start()
     try:
         volume(Ball(1.0, 4), 2_000_000, seed=2030)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
