@@ -59,7 +59,9 @@ def _print_out(text: str) -> None:
         print(text, flush=True)
     except BrokenPipeError:
         # stdout is flushed again at exit; point it at devnull so that cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
