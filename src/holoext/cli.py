@@ -89,8 +89,12 @@ def main(argv=None) -> int:
     else:
         out_dir = Path(os.environ.get(ENV_OUT_DIR, "."))
         out_path = out_dir / f"{report.scenario}_report.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(report.to_json() + "\n")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(report.to_json() + "\n")
+    except OSError as exc:
+        print(f"cannot write the report (--out or ${ENV_OUT_DIR}): {exc}", file=sys.stderr)
+        return 2
 
     _print_out(report.to_json() if args.format == "json" else report.to_table())
     print(f"report written to {out_path}", file=sys.stderr)

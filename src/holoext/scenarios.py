@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,7 @@ from .bounds import (
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
 from .integrate import fubini_mc_oracle, fubini_sides, sigma_mu
-from .weights import LogSingularProfile, RadialProfile, make_profile
+from .weights import LogSingularProfile, make_profile
 
 __all__ = [
     "ScenarioConfig",
@@ -186,38 +186,110 @@ def _below(name, value, limit, slack=0.0) -> AssertionRecord:
     )
 
 
+_ADMITS = {
+    "int": "an integer in {lo}..{hi}",
+    "real": "a finite real in [{lo}, {hi})",
+    "levels": "a non-empty list of finite reals in [{lo}, {hi})",
+    "choice": "one of {choices}",
+    "profile": "log_singular, {{kind: scaled_log, a > 0}} or "
+    "{{kind: epsilon_regularized, eps > 0, inner: a profile}}",
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One row of a scenario's parameter table; ``kind`` is a key of ``_ADMITS``.
+
+    A bound, or an int default, may name a parameter listed earlier.  A
+    parameter limited to some ``models`` stays out of the report's params
+    when it is not given, since its default depends on the model.
+    """
+
+    name: str
+    kind: str
+    doc: str
+    default: object
+    lo: object = None
+    hi: object = None
+    choices: tuple = ()
+    models: tuple = ()
+
+    def admits(self) -> str:
+        """The admitted values in words; a bound that names a parameter stays a name."""
+        return _ADMITS[self.kind].format(lo=self.lo, hi=self.hi, choices=", ".join(self.choices))
+
+
+def _admit(p: Param, value, args):
+    """The runner's value of ``p`` from a given or default value; ConfigError if not admitted."""
+    lo, hi = (args[b] if isinstance(b, str) else b for b in (p.lo, p.hi))
+    if p.kind == "profile":
+        if isinstance(value, (str, dict)):
+            try:
+                return make_profile(value)
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{p.name!r} is not a catalog profile: {exc}")
+    elif p.kind == "choice":
+        if value in p.choices:
+            return value
+    elif p.kind == "int":
+        if _is_int(value) and lo <= value <= hi:
+            return int(value)
+    elif p.kind == "real":
+        if _is_finite_real(value) and lo <= value < hi:
+            return float(value)
+    elif isinstance(value, list) and value and all(
+        _is_finite_real(t) and lo <= t < hi for t in value
+    ):
+        return [float(t) for t in value]
+    named = "".join(f" ({b} = {args[b]})" for b in (p.lo, p.hi) if isinstance(b, str))
+    raise ConfigError(f"{p.name!r} must be {p.admits()}{named}, got {value!r}")
+
+
 def _resolve(config: ScenarioConfig):
+    """Check a config against its scenario's table: the report's params (as
+    given, plus the defaults filled in), the runner's values, samples, seed, tolerances."""
     if config.scenario not in SCENARIO_SPECS:
         raise ConfigError(
             f"unknown scenario {config.scenario!r}; choose one of "
             f"{sorted(SCENARIO_SPECS)}"
         )
     entry = SCENARIO_SPECS[config.scenario]
-    params = dict(entry["defaults"])
-    unknown = set(config.params) - set(entry["params"])
-    if unknown:
+    params, args = {}, {}
+    for p in entry["params"]:
+        if p.models and args["model"] not in p.models:
+            continue
+        if p.name in config.params:
+            value = params[p.name] = config.params[p.name]
+        else:
+            value = args[p.default] if p.kind == "int" and isinstance(p.default, str) else p.default
+            if not p.models:
+                params[p.name] = value
+        args[p.name] = _admit(p, value, args)
+    unread = set(config.params) - set(args)
+    if unread:
+        model = f" with model {args['model']!r}" if "model" in args else ""
         raise ConfigError(
-            f"unknown parameter(s) {sorted(unknown)} for scenario "
-            f"{config.scenario!r}; supported: {sorted(entry['params'])}"
+            f"parameter(s) {sorted(unread)} not read by {config.scenario!r}{model}; "
+            f"it reads {sorted(args)}"
         )
-    params.update(config.params)
-    samples = config.samples if config.samples is not None else entry["default_samples"]
-    seed = config.seed
-    if seed is None and entry["needs_seed"]:
+    budget, seed = _budget(entry), config.seed
+    if seed is None and budget.lo:
         raise ConfigError(f"scenario {config.scenario!r} samples; field 'seed' is required")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
-    least = 1 if entry["needs_seed"] else 0
-    if not (_is_int(samples) and samples >= least):
-        raise ConfigError(f"field 'samples' must be an integer >= {least}, got {samples!r}")
+    samples = _admit(budget, budget.default if config.samples is None else config.samples, {})
     tol = dict(entry["tolerances"])
     for name, value in config.tolerances.items():
         if name not in tol:
             raise ConfigError(f"unknown tolerance {name!r}; supported: {sorted(tol)}")
-        if not (_is_finite_real(value) and value >= 0):
-            raise ConfigError(f"tolerance {name!r} must be a finite real >= 0, got {value!r}")
-        tol[name] = float(value)
-    return params, samples, seed, tol
+        tol[name] = _admit(Param(name, "real", "", None, 0, math.inf), value, {})
+    return params, args, samples, seed, tol
+
+
+def _budget(entry) -> Param:
+    """The ``samples`` field; a scenario that samples needs at least one draw and a seed."""
+    least = 1 if entry["default_samples"] else 0
+    return Param("samples", "int", "Monte Carlo draws", entry["default_samples"], least, math.inf)
 
 
 def _is_int(x) -> bool:
@@ -228,34 +300,13 @@ def _is_finite_real(x) -> bool:
     return _is_int(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
 
 
-def _positive_int(params, name: str, default=None) -> int:
-    value = params.get(name, default)
-    if not (_is_int(value) and value >= 1):
-        raise ConfigError(f"parameter {name!r} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _profile(spec):
-    if not isinstance(spec, (str, dict, RadialProfile)):
-        raise ConfigError(f"parameter 'profile' must be a name or a mapping, got {spec!r}")
-    try:
-        return make_profile(spec)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"parameter 'profile': {exc}")
-
-
 # ---------------------------------------------------------------------------
 # Scenario bodies
 # ---------------------------------------------------------------------------
 
 
-def _run_fubini(params, samples, seed, tol):
-    profile = _profile(params["profile"])
-    k = _positive_int(params, "k")
-    z2 = params["z2_norm"]
-    if not (_is_finite_real(z2) and 0 <= z2 < 1):
-        raise ConfigError(f"parameter 'z2_norm' must be a finite real in [0, 1), got {z2!r}")
-    z2 = float(z2)
+def _run_fubini(args, samples, seed, tol):
+    profile, k, z2 = args["profile"], args["k"], args["z2_norm"]
     lhs, rhs = fubini_sides(profile, k, z2)
     oracle = fubini_mc_oracle(profile, k, z2, samples, seed)
     values = [
@@ -276,8 +327,8 @@ def _run_fubini(params, samples, seed, tol):
     return values, assertions
 
 
-def _run_bound_ratio(params, samples, seed, tol):
-    n = _positive_int(params, "n")
+def _run_bound_ratio(args, samples, seed, tol):
+    n = args["n"]
     ratio = ball_bound_ratio(n)
     exact = float(Fraction(math.factorial(n), math.factorial(2 * n))) * math.pi**n
     quad = ball_bound_integral(n)
@@ -299,21 +350,9 @@ def _run_bound_ratio(params, samples, seed, tol):
     return values, assertions
 
 
-def _scenario_from_params(params) -> ExtensionScenario:
-    n, k, degree = params["n"], params["k"], params["degree"]
-    if not (_is_int(n) and _is_int(k) and 1 <= k <= n):
-        raise ConfigError(
-            f"parameters 'n' and 'k' must be integers with 1 <= k <= n, got n={n!r}, k={k!r}"
-        )
-    if not (_is_int(degree) and degree >= 0):
-        raise ConfigError(f"parameter 'degree' must be an integer >= 0, got {degree!r}")
-    return ExtensionScenario(
-        name=f"ball{n}_codim{k}",
-        ambient_dim=int(n),
-        codim=int(k),
-        profile=_profile(params["profile"]),
-        degree=int(degree),
-    )
+def _scenario_from_params(args) -> ExtensionScenario:
+    n, k = args["n"], args["k"]
+    return ExtensionScenario(f"ball{n}_codim{k}", n, k, args["profile"], degree=args["degree"])
 
 
 _CLOSED_MINIMAL = {
@@ -323,8 +362,8 @@ _CLOSED_MINIMAL = {
 }
 
 
-def _run_radial_minimal(params, samples, seed, tol):
-    scenario = _scenario_from_params(params)
+def _run_radial_minimal(args, samples, seed, tol):
+    scenario = _scenario_from_params(args)
     d = scenario.degree
     result = minimal_norm_squared(scenario)
     coarse = minimal_norm_squared(scenario, max(d - 2, 0))
@@ -336,27 +375,17 @@ def _run_radial_minimal(params, samples, seed, tol):
         ValueRecord("max_pole_coefficient", result.max_pole_coefficient, 0.0, "cholesky-elimination"),
         ValueRecord("constraint_residual", result.constraint_residual, 0.0, "cholesky-elimination"),
     ]
+    if scenario.codim == scenario.ambient_dim:
+        # V is a point: the lift-route bound is attained by the flat extension
+        lift_check = _close("norm_equals_lift_route", result.norm_squared, lift, tol["lift"])
+    else:
+        lift_check = _below("norm_below_lift_route", result.norm_squared, lift, tol["lift"] * lift)
     assertions = [
         _below("flat_extension", result.max_pole_coefficient, tol["pole_coeff"]),
         _below("constraints_satisfied", result.constraint_residual, tol["residual"]),
+        lift_check,
         _close("truncation_converged", coarse.norm_squared, result.norm_squared, tol["truncation"]),
     ]
-    if scenario.codim == scenario.ambient_dim:
-        # V is a point: the lift-route bound is attained by the flat extension
-        assertions.insert(
-            2,
-            _close("norm_equals_lift_route", result.norm_squared, lift, tol["lift"]),
-        )
-    else:
-        assertions.insert(
-            2,
-            _below(
-                "norm_below_lift_route",
-                result.norm_squared,
-                lift,
-                slack=tol["lift"] * lift,
-            ),
-        )
     key = (scenario.ambient_dim, scenario.codim)
     if isinstance(scenario.profile, LogSingularProfile) and key in _CLOSED_MINIMAL:
         target = _CLOSED_MINIMAL[key]
@@ -367,8 +396,8 @@ def _run_radial_minimal(params, samples, seed, tol):
     return values, assertions
 
 
-def _run_bound_comparison(params, samples, seed, tol):
-    scenario = _scenario_from_params(params)
+def _run_bound_comparison(args, samples, seed, tol):
+    scenario = _scenario_from_params(args)
     report = build_bound_report(scenario)
     values = [
         ValueRecord("minimal_norm_squared", report.minimal_norm_squared, 0.0, "cholesky-elimination"),
@@ -376,20 +405,10 @@ def _run_bound_comparison(params, samples, seed, tol):
         ValueRecord("indicatrix_bound", report.indicatrix_bound, 0.0, "closed-form"),
         ValueRecord("strictness_margin", report.strictness_margin, 0.0, "closed-form"),
     ]
-    rel = tol["ordering"]
+    lift, direct = report.lift_route_bound, report.indicatrix_bound
     assertions = [
-        _below(
-            "minimal_below_lift_route",
-            report.minimal_norm_squared,
-            report.lift_route_bound,
-            slack=rel * report.lift_route_bound,
-        ),
-        _below(
-            "lift_route_below_indicatrix",
-            report.lift_route_bound,
-            report.indicatrix_bound,
-            slack=1e-12 * report.indicatrix_bound,
-        ),
+        _below("minimal_below_lift_route", report.minimal_norm_squared, lift, tol["ordering"] * lift),
+        _below("lift_route_below_indicatrix", lift, direct, slack=1e-12 * direct),
         _below("strictly_sharper", 0.0, report.strictness_margin),
     ]
     key = (scenario.ambient_dim, scenario.codim)
@@ -406,48 +425,26 @@ def _run_bound_comparison(params, samples, seed, tol):
     return values, assertions
 
 
-def _scaling_model(params):
-    kind = params["model"]
-    n = _positive_int(params, "n")
-    if kind == "ball_point":
-        model = BallPointModel(n)
-        return model, sigma_mu(n)[0]
-    if kind == "ball_pair":
-        k = _positive_int(params, "k", n)
-        model = BallPairModel(pole_dim=k, base_dim=n)
-        sigma_k, _ = sigma_mu(k)
-        limit = (
-            sigma_k
-            * math.pi**n
-            * math.factorial(k)
-            / math.factorial(n + k)
-        )
-        return model, limit
-    if kind == "radial_lift":
-        k = _positive_int(params, "k", 1)
-        profile = _profile(params.get("profile", "log_singular"))
-        try:
-            model = RadialLiftModel(profile=profile, pole_dim=k, base_dim=n)
-        except ValueError as exc:
-            raise ConfigError(f"parameters 'n' and 'k' of radial_lift: {exc}")
-        sigma_k, _ = sigma_mu(k)
-        base_factor = math.pi ** (n - k) / math.factorial(n - k)
-        return model, base_factor * sigma_k * _fiber_integral(profile, k)
-    raise ConfigError(
-        f"unknown model {kind!r}; choose ball_point, ball_pair or radial_lift"
+def _scaling_model(args):
+    n = args["n"]
+    if args["model"] == "ball_point":
+        return BallPointModel(n), sigma_mu(n)[0]
+    k = args["k"]
+    sigma_k, _ = sigma_mu(k)
+    if args["model"] == "ball_pair":
+        limit = sigma_k * math.pi**n * math.factorial(k) / math.factorial(n + k)
+        return BallPairModel(pole_dim=k, base_dim=n), limit
+    profile = args["profile"]
+    base_factor = math.pi ** (n - k) / math.factorial(n - k)
+    return (
+        RadialLiftModel(profile=profile, pole_dim=k, base_dim=n),
+        base_factor * sigma_k * _fiber_integral(profile, k),
     )
 
 
-def _run_scaling(params, samples, seed, tol):
-    model, limit = _scaling_model(params)
-    ladder = params["t_ladder"]
-    if not (isinstance(ladder, list) and all(_is_finite_real(t) and t < 0 for t in ladder)):
-        raise ConfigError(
-            f"parameter 't_ladder' must be a list of finite negative reals, got {ladder!r}"
-        )
-    if not ladder:
-        raise ConfigError("parameter 't_ladder' must not be empty")
-    ladder = [float(t) for t in ladder]
+def _run_scaling(args, samples, seed, tol):
+    model, limit = _scaling_model(args)
+    ladder = args["t_ladder"]
     ones = lambda pts: np.ones(len(pts))
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
     results = []
@@ -474,39 +471,45 @@ def _run_scaling(params, samples, seed, tol):
     return values, assertions
 
 
+_PROFILE = Param("profile", "profile", "radial profile u", "log_singular")
+
+
+def _extension_params(n: int) -> tuple:
+    return (
+        Param("n", "int", "ambient dimension", n, lo=1, hi=3),
+        Param("k", "int", "codimension of V", n, lo=1, hi="n"),
+        _PROFILE,
+        Param("degree", "int", "basis truncation degree", 8, lo=0, hi=20),
+    )
+
+
+# Bounds: fubini k = 3 and bound_ratio n = 6 fall under the sampler's 0.1%
+# hit floor for the log-singular profile; radial degree 20 at n = k = 3 runs
+# in about a second; levels down to -100 keep e^(-3t) finite.
+_MODELS = ("ball_point", "ball_pair", "radial_lift")
 SCENARIO_SPECS = {
     "fubini_identity": {
         "run": _run_fubini,
         "description": "slice integral of e^(-phi) vs fiber integral of e^(-2k psi)",
-        "params": {
-            "profile": "log_singular | {kind: scaled_log, a} | {kind: epsilon_regularized, eps}",
-            "k": "codimension, 1..3",
-            "z2_norm": "slice offset |z''| in [0, 1)",
-        },
-        "defaults": {"profile": "log_singular", "k": 1, "z2_norm": 0.0},
+        "params": (
+            _PROFILE,
+            Param("k", "int", "codimension", 1, lo=1, hi=2),
+            Param("z2_norm", "real", "slice offset |z''|", 0.0, lo=0, hi=1),
+        ),
         "tolerances": {"identity": 1e-5, "closed_form": 1e-6, "mc": 1e-2},
         "default_samples": 2_000_000,
-        "needs_seed": True,
     },
     "bound_ratio": {
         "run": _run_bound_ratio,
         "description": "lift-to-direct bound ratio pi^n n!/(2n)! on the standard ball",
-        "params": {"n": "ball dimension, 1..6"},
-        "defaults": {"n": 2},
+        "params": (Param("n", "int", "ball dimension", 2, lo=1, hi=5),),
         "tolerances": {"exact": 1e-12, "quadrature": 1e-9, "mc": 1e-2},
         "default_samples": 1_000_000,
-        "needs_seed": True,
     },
     "radial_minimal": {
         "run": _run_radial_minimal,
         "description": "least-norm extension equals the flat extension for radial weights",
-        "params": {
-            "n": "ambient dimension",
-            "k": "codimension (k <= n)",
-            "profile": "radial profile id",
-            "degree": "basis truncation degree",
-        },
-        "defaults": {"n": 1, "k": 1, "profile": "log_singular", "degree": 8},
+        "params": _extension_params(1),
         "tolerances": {
             "pole_coeff": 1e-8,
             "residual": 1e-10,
@@ -515,45 +518,36 @@ SCENARIO_SPECS = {
             "closed_form": 1e-6,
         },
         "default_samples": 0,
-        "needs_seed": False,
     },
     "bound_comparison": {
         "run": _run_bound_comparison,
         "description": "minimal norm vs lift-route vs direct indicatrix bound",
-        "params": {
-            "n": "ambient dimension",
-            "k": "codimension (k <= n)",
-            "profile": "radial profile id",
-            "degree": "basis truncation degree",
-        },
-        "defaults": {"n": 2, "k": 2, "profile": "log_singular", "degree": 8},
+        "params": _extension_params(2),
         "tolerances": {"ordering": 1e-6, "factor": 1e-9},
         "default_samples": 0,
-        "needs_seed": False,
     },
     "scaling_limit": {
         "run": _run_scaling,
         "description": "e^(-kt) * volume of the Green sublevel set {G < t/2}",
-        "params": {
-            "model": "ball_point | ball_pair | radial_lift",
-            "n": "ball_point: ambient dim; ball_pair/radial_lift: base dim",
-            "k": "pole dimension (ball_pair, radial_lift)",
-            "profile": "radial profile id (radial_lift)",
-            "t_ladder": "negative levels, e.g. [-4, -8, -12]",
-        },
-        "defaults": {"model": "ball_point", "n": 2, "t_ladder": [-4.0, -8.0, -12.0]},
+        "params": (
+            Param("model", "choice", "Green function model", "ball_point", choices=_MODELS),
+            Param("n", "int", "ball_point: ambient dim; else base dim", 2, lo=1, hi=3),
+            Param("k", "int", "pole dimension", "n", lo=1, hi=3, models=("ball_pair",)),
+            Param("k", "int", "pole dimension", 1, lo=1, hi="n", models=("radial_lift",)),
+            replace(_PROFILE, models=("radial_lift",)),
+            Param("t_ladder", "levels", "sublevel levels t", [-4.0, -8.0, -12.0], lo=-100, hi=0),
+        ),
         "tolerances": {"each_level": 1e-2, "limit": 5e-2},
         "default_samples": 10_000_000,
-        "needs_seed": True,
     },
 }
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute one scenario and collect its report."""
-    params, samples, seed, tol = _resolve(config)
+    params, args, samples, seed, tol = _resolve(config)
     start = time.perf_counter()
-    values, assertions = SCENARIO_SPECS[config.scenario]["run"](params, samples, seed, tol)
+    values, assertions = SCENARIO_SPECS[config.scenario]["run"](args, samples, seed, tol)
     elapsed = time.perf_counter() - start
     return Report(
         scenario=config.scenario,
@@ -567,18 +561,13 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
 
 def catalog_text() -> str:
-    """Human-readable scenario catalog for the command line."""
+    """The scenario catalog for the command line, read from the parameter tables."""
     lines = ["available scenarios:", ""]
     for name, entry in SCENARIO_SPECS.items():
-        lines.append(f"  {name}")
-        lines.append(f"      {entry['description']}")
-        for pname, doc in entry["params"].items():
-            default = entry["defaults"].get(pname)
-            suffix = f" (default {default})" if default is not None else ""
-            lines.append(f"      - {pname}: {doc}{suffix}")
-        lines.append(
-            f"      samples default: {entry['default_samples']}, "
-            f"seed {'required' if entry['needs_seed'] else 'optional'}"
-        )
-        lines.append("")
+        lines += [f"  {name}", f"      {entry['description']}"]
+        for p in (*entry["params"], _budget(entry)):
+            only = f" [model {', '.join(p.models)}; reported only if given]" if p.models else ""
+            lines.append(f"      - {p.name}{only}: {p.admits()}; default {p.default} ({p.doc})")
+        need = "required" if entry["default_samples"] else "optional"
+        lines += [f"      - seed: an integer, {need}", ""]
     return "\n".join(lines)

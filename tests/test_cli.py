@@ -37,8 +37,12 @@ def test_list_prints_catalog():
         check=True,
         env=env,
     )
-    for name in SCENARIO_SPECS:
+    for name, entry in SCENARIO_SPECS.items():
         assert name in proc.stdout
+        for p in entry["params"]:
+            # the ranges printed are the ones _resolve enforces
+            assert f"- {p.name}" in proc.stdout
+            assert f": {p.admits()}; default {p.default} ({p.doc})" in proc.stdout
 
 
 def test_list_into_a_closed_pipe_exits_without_traceback():
@@ -197,6 +201,12 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
 RADIAL_QUICK = {"scenario": "radial_minimal", "params": {"n": 1, "k": 1, "degree": 2}}
 
 
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, RADIAL_QUICK)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields, field",
     [
@@ -241,6 +251,8 @@ def test_unsampled_scenario_accepts_an_integer_seed_and_zero_samples(tmp_path):
         ("radial_minimal", {"profile": {"kind": "log_singular", "a": 2.0}}, "'a'"),
         ("radial_minimal", {"profile": {"kind": "scaled_log", "a": float("inf")}}, "'profile'"),
         ("bound_comparison", {"profile": {"kind": "epsilon_regularized", "eps": "inf"}}, "'profile'"),
+        ("radial_minimal", {"degree": 40}, "'degree'"),
+        ("radial_minimal", {"n": 4}, "'n'"),
     ],
     ids=[
         "degree_str",
@@ -256,6 +268,8 @@ def test_unsampled_scenario_accepts_an_integer_seed_and_zero_samples(tmp_path):
         "profile_key_of_another_kind",
         "profile_a_inf",
         "profile_eps_inf",
+        "degree_above_20",
+        "n_above_3",
     ],
 )
 def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
@@ -287,6 +301,14 @@ def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, param
         ("scaling_limit", {"t_ladder": "abc"}, "'t_ladder'"),
         ("scaling_limit", {"t_ladder": -4}, "'t_ladder'"),
         ("scaling_limit", {"t_ladder": []}, "'t_ladder'"),
+        ("scaling_limit", {"t_ladder": [-800]}, "'t_ladder'"),
+        ("fubini_identity", {"k": 40}, "'k'"),
+        ("fubini_identity", {"k": 3}, "'k'"),
+        ("bound_ratio", {"n": 40}, "'n'"),
+        ("bound_ratio", {"n": 6}, "'n'"),
+        ("scaling_limit", {"model": "ball_point", "n": 2, "profile": "nope"}, "'profile'"),
+        ("scaling_limit", {"model": "ball_point", "n": 2, "k": 5}, "'k'"),
+        ("scaling_limit", {"model": "ball_pair", "n": 2, "profile": "log_singular"}, "'profile'"),
     ],
     ids=[
         "fubini_k_float",
@@ -309,6 +331,14 @@ def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, param
         "t_ladder_str",
         "t_ladder_scalar",
         "t_ladder_empty",
+        "t_ladder_overflows",
+        "fubini_k_40",
+        "fubini_k_3",
+        "bound_ratio_n_40",
+        "bound_ratio_n_6",
+        "ball_point_profile",
+        "ball_point_k",
+        "ball_pair_profile",
     ],
 )
 def test_bad_sampled_integer_params_are_usage_errors(tmp_path, capsys, scenario, params, field):
