@@ -10,6 +10,7 @@ identities downstream can be evaluated to near machine accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,17 @@ __all__ = [
     "EpsilonRegularizedWeight",
     "make_profile",
 ]
+
+
+def _log1mexp(x):
+    """log(1 - e^(-x)) for x >= 0, to full relative precision at both ends.
+
+    log(-expm1(-x)) below log 2 and log1p(-exp(-x)) above it (Maechler,
+    "Accurately computing log(1 - exp(-|a|))", 2012).
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x < math.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))[()]
 
 
 class RadialProfile:
@@ -80,9 +92,7 @@ class LogSingularProfile(RadialProfile):
 
     def inverse(self, s):
         self._check_scalar_s(s)
-        # log(1 - e^-s) via log1p to keep full precision for large s
-        with np.errstate(divide="ignore"):
-            return np.log1p(-np.exp(-np.asarray(s, dtype=float)))
+        return _log1mexp(s)
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class ScaledLogProfile(RadialProfile):
 
     def inverse(self, s):
         self._check_scalar_s(s)
-        with np.errstate(divide="ignore"):
-            return self.a * np.log1p(-np.exp(-np.asarray(s, dtype=float) / self.a))
+        return self.a * _log1mexp(np.asarray(s, dtype=float) / self.a)
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,10 @@ class EpsilonRegularizedProfile(RadialProfile):
 
     For a log-singular inner profile the sum collapses to a coefficient
     rescaling and the inverse stays in closed form.  Mixed-scale combinations
-    have no elementary inverse; those fall back to a safeguarded bisection
-    polished by Newton steps, converging to machine accuracy because the sum
-    is strictly increasing.
+    have no elementary inverse; those run Newton steps from the lower of the
+    two summands' closed-form inverses, which bounds the root from above.  The
+    sum is convex and increasing, so the iterates fall monotonically to the
+    root, and each node stops once its iterate stops moving.
     """
 
     inner: RadialProfile
@@ -142,39 +152,23 @@ class EpsilonRegularizedProfile(RadialProfile):
         self._check_scalar_s(s)
         if isinstance(self.inner, LogSingularProfile):
             # u(t) = -(1 + eps) log(1 - e^t)
-            with np.errstate(divide="ignore"):
-                return np.log1p(-np.exp(-np.asarray(s, dtype=float) / (1.0 + self.eps)))
+            return _log1mexp(np.asarray(s, dtype=float) / (1.0 + self.eps))
         return self._inverse_numeric(s)
 
     def _inverse_numeric(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
-        out[s_arr == 0.0] = -np.inf
-        out[np.isinf(s_arr)] = 0.0
-        work = np.isfinite(s_arr) & (s_arr > 0.0)
-        if work.any():
-            sv = s_arr[work]
-            # value(t) >= inner(t), so the root sits at or below inner's inverse
-            hi = np.minimum(self.inner.inverse(sv), -1e-300)
-            lo = hi - 1.0
-            for _ in range(90):
-                low_mask = self.value(lo) > sv
-                if not low_mask.any():
+        # value >= inner and value >= -eps log(1 - e^t): both inverses bound the root
+        t = np.minimum(self.inner.inverse(s_arr), _log1mexp(s_arr / self.eps))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while True:
+                nxt = t - (self.value(t) - s_arr) / self.derivative(t)
+                moving = nxt < t
+                if not moving.any():
                     break
-                lo[low_mask] -= 2.0 * (hi[low_mask] - lo[low_mask])
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                high_side = self.value(mid) >= sv
-                hi = np.where(high_side, mid, hi)
-                lo = np.where(high_side, lo, mid)
-            t = 0.5 * (lo + hi)
-            for _ in range(3):
-                t = t - (self.value(t) - sv) / self.derivative(t)
-                t = np.clip(t, lo, hi)
-            out[work] = t
+                t = np.where(moving, nxt, t)
         if np.isscalar(s):
-            return float(out[0])
-        return out.reshape(np.shape(s))
+            return float(t[0])
+        return t.reshape(np.shape(s))
 
 
 @dataclass(frozen=True)
@@ -339,8 +333,6 @@ _PROFILE_PARAMS = {  # kind -> the parameters its config mapping may carry
     "scaled_log": ("a",),
     "epsilon_regularized": ("inner", "eps"),
 }
-
-
 def make_profile(spec) -> RadialProfile:
     """Build a catalog profile from a name or a mapping of a kind and its parameters."""
     if isinstance(spec, RadialProfile):

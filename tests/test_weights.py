@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,61 @@ def test_profile_inverse_examples():
     u = LogSingularProfile()
     assert u.inverse(0.0) == -math.inf
     assert u.inverse(math.log(2)) == pytest.approx(math.log(0.5), abs=1e-14)
+
+
+def _mp_log1mexp(x):
+    """log(1 - e^(-x)) at 30 digits; each branch is well conditioned there."""
+    mpmath.mp.dps = 30
+    x = mpmath.mpf(x)
+    return mpmath.log(-mpmath.expm1(-x)) if x < 1 else mpmath.log1p(-mpmath.exp(-x))
+
+
+@pytest.mark.parametrize(
+    "profile, outer, inner",
+    [
+        (LogSingularProfile(), 1.0, 1.0),
+        (ScaledLogProfile(a=0.5), 0.5, 0.5),
+        (ScaledLogProfile(a=2.0), 2.0, 2.0),
+        (EpsilonRegularizedProfile(LogSingularProfile(), eps=0.25), 1.0, 1.25),
+    ],
+    ids=["log_singular", "scaled_a0.5", "scaled_a2", "regularized_log"],
+)
+def test_closed_form_inverse_keeps_relative_precision(profile, outer, inner):
+    # u^(-1)(s) = outer * log(1 - e^(-s/inner))
+    s = np.geomspace(1e-300, 700.0, 200)
+    exact = [float(outer * _mp_log1mexp(x / inner)) for x in s]
+    np.testing.assert_allclose(profile.inverse(s), exact, rtol=1e-15, atol=0.0)
+    assert profile.inverse(1e-17) == pytest.approx(outer * math.log(1e-17 / inner), rel=1e-15)
+
+
+def _mixed_root(a, eps, s):
+    """30-digit root t of -a log(1 - e^(t/a)) - eps log(1 - e^t) = s, bisected in log(-t)."""
+    mpmath.mp.dps = 30
+    a, eps, s = mpmath.mpf(a), mpmath.mpf(eps), mpmath.mpf(s)
+
+    def excess(x):
+        t = -mpmath.exp(x)
+        return -a * mpmath.log(-mpmath.expm1(t / a)) - eps * mpmath.log(-mpmath.expm1(t)) - s
+
+    lo, hi = mpmath.mpf(-2000), mpmath.mpf(10)  # excess falls as x = log(-t) grows
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return -mpmath.exp((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("a, eps", [(0.5, 0.1), (2.0, 0.1)])
+def test_mixed_profile_inverse_against_mpmath(a, eps):
+    profile = EpsilonRegularizedProfile(ScaledLogProfile(a), eps)
+    s = np.geomspace(1e-2, 300.0, 25)
+    exact = [float(_mixed_root(a, eps, x)) for x in s]
+    np.testing.assert_allclose(profile.inverse(s), exact, rtol=1e-13, atol=0.0)
+    wide = np.geomspace(1e-300, 700.0, 400)
+    assert np.all(np.isfinite(profile.inverse(wide)))
+    assert profile.inverse(0.0) == -math.inf
 
 
 def test_profile_inverse_rejects_negative():
