@@ -9,12 +9,16 @@ is assembled either exactly (for weights invariant under the diagonal torus
 the matrix is diagonal, and each diagonal entry reduces to a 1D radial
 integral against exact angular moments) or by shared-sample Monte Carlo.
 The radial integral depends on alpha only through (|alpha'|, |alpha''|), so
-an exact assembly runs one quadrature per distinct pair.
+an exact assembly runs one quadrature per distinct pair.  Those quadratures
+all bisect [0, 1] and meet the same node arrays, so within one assembly the
+weight's radial factor is evaluated once per node array.
 
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
 coefficient of f.  The constraint fixes coordinates, so the pinned block is
-eliminated and the free block solves G_ff c_f = -G_fp b by Cholesky.
+eliminated and the free block solves G_ff c_f = -G_fp b by Cholesky.  On an
+exactly diagonal G, such as every radial Gram, G_fp = 0 and c_f = 0 with no
+factorisation.
 """
 
 from __future__ import annotations
@@ -156,6 +160,20 @@ def _radial_reduction(weight, n):
     raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
 
 
+def _once_per_node_array(factor):
+    """``factor`` evaluated once per distinct node array; the results are shared
+    and must not be written to."""
+    seen = {}
+
+    def memoised(r):
+        key = r.tobytes()
+        if key not in seen:
+            seen[key] = factor(r)
+        return seen[key]
+
+    return memoised
+
+
 def _diag_entry(n, kb, radial_factor, alpha, quads):
     """Exact diagonal Gram entry by angular moments and 1D quadrature; the
     quadrature is kept in ``quads`` per (|alpha'|, |alpha''|)."""
@@ -195,7 +213,8 @@ def gram_matrix(
     ``radial_exact`` applies to torus-invariant weights on the unit ball: the
     matrix is exactly diagonal and each entry is an exact angular moment times
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
-    the call.  Monomials whose quadrature diverges or fails to converge are
+    the call; the weight's radial factor is evaluated once per node array
+    within the call.  Monomials whose quadrature diverges or fails to converge are
     excluded and reported.  ``monte_carlo`` estimates the full matrix from
     shared samples and records per-entry 99% half-widths; the first and
     second moments are accumulated block by block of the sampler, so memory
@@ -208,6 +227,7 @@ def gram_matrix(
         if not (isinstance(domain, Ball) and domain.radius == 1.0):
             raise ValueError("radial_exact requires the unit ball")
         kb, radial_factor = _radial_reduction(weight, n)
+        radial_factor = _once_per_node_array(radial_factor)
         quads = {}
         diag = np.zeros(len(basis))
         bad = []
@@ -293,7 +313,9 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     coefficient is pinned to the matching coefficient of f (zero when f has
     none).  With the pinned values b fixed, the free coefficients minimize
     the quadratic form exactly when G_ff c_f = -G_fp b, solved through the
-    Cholesky factor of the free block.  Data outside the truncated basis is
+    Cholesky factor of the free block.  When G is exactly diagonal, G_fp = 0
+    and c_f = 0; the free diagonal entries must still be real, finite and
+    positive.  Data outside the truncated basis is
     rejected with the degree that would be needed; data on a monomial the
     Gram matrix excluded as non-integrable is rejected without one.
     """
@@ -326,11 +348,18 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     g = gram.matrix
     coeffs = np.zeros(len(basis), dtype=complex)
     coeffs[pinned] = b
-    try:
-        factor = cho_factor(g[np.ix_(free, free)])
-    except np.linalg.LinAlgError as exc:
-        raise GramConditioningError(str(exc))
-    coeffs[free] = -cho_solve(factor, g[np.ix_(free, pinned)] @ b)
+    if np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)):
+        d = np.diagonal(g)[free]
+        if not np.all(np.isfinite(d) & (d.imag == 0.0) & (d.real > 0.0)):
+            raise GramConditioningError(
+                "the free block of the diagonal Gram matrix is not positive definite"
+            )
+    else:
+        try:
+            factor = cho_factor(g[np.ix_(free, free)])
+        except np.linalg.LinAlgError as exc:
+            raise GramConditioningError(str(exc))
+        coeffs[free] = -cho_solve(factor, g[np.ix_(free, pinned)] @ b)
     residual = float(np.max(np.abs(coeffs[pinned] - b))) if pinned else 0.0
     return ExtensionResult(
         coefficients=coeffs,

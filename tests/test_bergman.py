@@ -23,10 +23,12 @@ from holoext.geometry import Ball
 from holoext.integrate import _BLOCK, _box_volume, _Z99, rng_stream
 from holoext.weights import (
     BallStandardWeight,
+    EpsilonRegularizedProfile,
     EpsilonRegularizedWeight,
     LogSingularProfile,
     RadialProfile,
     RadialWeight,
+    ScaledLogProfile,
     TrivialWeight,
 )
 
@@ -82,6 +84,48 @@ def test_gram_radial_weight_is_exactly_diagonal():
     g = gram_matrix(BALL2, RadialWeight(U, 1), basis)
     off = g.matrix - np.diag(np.diag(g.matrix))
     assert np.all(off == 0.0)
+
+
+@pytest.mark.parametrize(
+    "weight, basis",
+    [
+        (EpsilonRegularizedWeight(RadialWeight(ScaledLogProfile(0.5), 3), eps=0.1), (3, 6, 3)),
+        (RadialWeight(EpsilonRegularizedProfile(ScaledLogProfile(0.5), 0.1), 2), (3, 6, 2)),
+        (BallStandardWeight(2), (2, 8, 2)),
+    ],
+    ids=["regularized_weight", "mixed_profile", "ball_standard"],
+)
+def test_radial_gram_off_diagonal_is_exactly_zero(weight, basis):
+    g = gram_matrix(Ball(1.0, basis[0]), weight, MultiIndexBasis(*basis))
+    assert len(g.basis) == len(MultiIndexBasis(*basis))
+    off = ~np.eye(len(g.basis), dtype=bool)
+    assert np.all(g.matrix[off] == 0.0)
+    assert np.all(g.matrix.diagonal().real > 0.0)
+
+
+class _RecordingProfile(RadialProfile):
+    """The log-singular profile, recording every array it is evaluated on."""
+
+    def __init__(self):
+        self.seen = []
+
+    def value(self, t):
+        self.seen.append(np.asarray(t, dtype=float).tobytes())
+        return U.value(t)
+
+
+def test_radial_gram_evaluates_the_weight_once_per_node_array():
+    profile = _RecordingProfile()
+    weight = RadialWeight(profile, 3)
+    first = gram_matrix(Ball(1.0, 3), weight, MultiIndexBasis(3, 8, 3))
+    calls = len(profile.seen)
+    assert calls == len(set(profile.seen)) > 0
+    # nothing is kept across calls: a second assembly evaluates every array again
+    second = gram_matrix(Ball(1.0, 3), weight, MultiIndexBasis(3, 8, 3))
+    assert profile.seen[calls:] == profile.seen[:calls]
+    assert np.array_equal(first.matrix, second.matrix)
+    plain = gram_matrix(Ball(1.0, 3), RadialWeight(U, 3), MultiIndexBasis(3, 8, 3))
+    assert np.array_equal(first.matrix, plain.matrix)
 
 
 def test_gram_is_hermitian_positive_definite():
@@ -372,6 +416,45 @@ def test_min_norm_matches_kkt_reference(make_gram, data):
 def test_min_norm_indefinite_free_block_raises():
     basis = MultiIndexBasis(1, 1, 1)
     g = GramMatrix(basis=basis, matrix=np.diag([1.0, -1.0]).astype(complex), domain=DISC)
+    with pytest.raises(GramConditioningError):
+        min_norm_extension({(): 1.0}, g)
+
+
+def test_min_norm_on_a_diagonal_gram_needs_no_factorisation(monkeypatch):
+    import holoext.bergman as bergman
+
+    factored = []
+    inner = bergman.cho_factor
+
+    def counted(*args, **kwargs):
+        factored.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bergman, "cho_factor", counted)
+    g = gram_matrix(BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 6, 1))
+    data = {(0,): 1.0, (2,): 0.5 - 0.2j}
+    res = min_norm_extension(data, g)
+    assert factored == []
+    free = [i for i, a in enumerate(g.basis.indices) if not g.basis.is_pole_free(a)]
+    assert np.all(res.coefficients[free] == 0.0)
+    assert res.restriction_coefficients()[(2,)] == 0.5 - 0.2j
+    assert res.constraint_residual == 0.0
+    # a sampled Gram couples the blocks and is still solved by Cholesky
+    sampled = gram_matrix(
+        BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 2, 1), method="monte_carlo", samples=20_000, seed=1
+    )
+    min_norm_extension(data, sampled)
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("entry", [0.0, -2.0, np.nan, np.inf, 1.0 + 1e-3j])
+def test_min_norm_diagonal_gram_rejects_a_bad_free_entry(entry):
+    # basis z^0, z^1, z^2 on the disc: z^0 is pinned, z^1 and z^2 are free
+    g = GramMatrix(
+        basis=MultiIndexBasis(1, 2, 1),
+        matrix=np.diag([1.0, entry, 0.5]).astype(complex),
+        domain=DISC,
+    )
     with pytest.raises(GramConditioningError):
         min_norm_extension({(): 1.0}, g)
 
