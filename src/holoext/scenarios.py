@@ -31,7 +31,7 @@ from .bounds import (
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
 from .integrate import fubini_mc_oracle, fubini_sides, sigma_mu
-from .weights import LogSingularProfile, make_profile
+from .weights import PROFILE_PARAM_MAX, LogSingularProfile, make_profile
 
 __all__ = [
     "ScenarioConfig",
@@ -191,8 +191,8 @@ _ADMITS = {
     "real": "a finite real in [{lo}, {hi})",
     "levels": "a non-empty list of finite reals in [{lo}, {hi})",
     "choice": "one of {choices}",
-    "profile": "log_singular, {{kind: scaled_log, a > 0}} or "
-    "{{kind: epsilon_regularized, eps > 0, inner: a profile}}",
+    "profile": "log_singular, {{kind: scaled_log, 0 < a <= {a:g}}} or "
+    "{{kind: epsilon_regularized, 0 < eps <= {eps:g}, inner: a profile}}",
 }
 
 
@@ -216,7 +216,9 @@ class Param:
 
     def admits(self) -> str:
         """The admitted values in words; a bound that names a parameter stays a name."""
-        return _ADMITS[self.kind].format(lo=self.lo, hi=self.hi, choices=", ".join(self.choices))
+        return _ADMITS[self.kind].format(
+            lo=self.lo, hi=self.hi, choices=", ".join(self.choices), **PROFILE_PARAM_MAX
+        )
 
 
 def _admit(p: Param, value, args):

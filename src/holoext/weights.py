@@ -333,6 +333,21 @@ _PROFILE_PARAMS = {  # kind -> the parameters its config mapping may carry
     "scaled_log": ("a",),
     "epsilon_regularized": ("inner", "eps"),
 }
+# Upper bounds on the real parameters a config may give: radial_minimal and
+# bound_comparison pass at 10, while at a = 100 the degree-0 radial Gram
+# entry is already lost.
+PROFILE_PARAM_MAX = {"a": 10.0, "eps": 10.0}
+
+
+def _real_param(spec, name, default):
+    value = spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value <= PROFILE_PARAM_MAX[name]:
+        raise ValueError(f"{name} must lie in (0, {PROFILE_PARAM_MAX[name]:g}], got {value!r}")
+    return float(value)
+
+
 def make_profile(spec) -> RadialProfile:
     """Build a catalog profile from a name or a mapping of a kind and its parameters."""
     if isinstance(spec, RadialProfile):
@@ -348,6 +363,6 @@ def make_profile(spec) -> RadialProfile:
     if kind == "log_singular":
         return LogSingularProfile()
     if kind == "scaled_log":
-        return ScaledLogProfile(a=float(spec.get("a", 1.0)))
+        return ScaledLogProfile(a=_real_param(spec, "a", 1.0))
     inner = make_profile(spec.get("inner", "log_singular"))
-    return EpsilonRegularizedProfile(inner=inner, eps=float(spec.get("eps", 0.1)))
+    return EpsilonRegularizedProfile(inner=inner, eps=_real_param(spec, "eps", 0.1))

@@ -253,6 +253,13 @@ def test_unsampled_scenario_accepts_an_integer_seed_and_zero_samples(tmp_path):
         ("bound_comparison", {"profile": {"kind": "epsilon_regularized", "eps": "inf"}}, "'profile'"),
         ("radial_minimal", {"degree": 40}, "'degree'"),
         ("radial_minimal", {"n": 4}, "'n'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": "0.5"}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": True}}, "'profile'"),
+        ("bound_comparison", {"profile": {"kind": "epsilon_regularized", "eps": "0.1"}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": 1e8}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "scaled_log", "a": 1e308}}, "'profile'"),
+        ("bound_comparison", {"profile": {"kind": "epsilon_regularized", "eps": 1e8}}, "'profile'"),
+        ("radial_minimal", {"profile": {"kind": "epsilon_regularized", "eps": 1e308}}, "'profile'"),
     ],
     ids=[
         "degree_str",
@@ -270,6 +277,13 @@ def test_unsampled_scenario_accepts_an_integer_seed_and_zero_samples(tmp_path):
         "profile_eps_inf",
         "degree_above_20",
         "n_above_3",
+        "profile_a_str",
+        "profile_a_bool",
+        "profile_eps_str",
+        "profile_a_1e8",
+        "profile_a_1e308",
+        "profile_eps_1e8",
+        "profile_eps_1e308",
     ],
 )
 def test_bad_extension_params_are_usage_errors(tmp_path, capsys, scenario, params, field):

@@ -46,6 +46,10 @@ BAD_PROFILES = (
     {"kind": "scaled_log", "a": -1.0},
     {"kind": "scaled_log", "a": 0},
     {"kind": "scaled_log", "a": None},
+    {"kind": "scaled_log", "a": "0.5"},
+    {"kind": "scaled_log", "a": True},
+    {"kind": "scaled_log", "a": 1e8},
+    {"kind": "epsilon_regularized", "eps": 1e308},
     {"kind": "scaled_log", "b": 1.0},
     {"kind": "epsilon_regularized", "eps": -INF},
     {"kind": "epsilon_regularized", "inner": 5},

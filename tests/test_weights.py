@@ -251,6 +251,16 @@ def test_make_profile_parsing():
     assert isinstance(reg, EpsilonRegularizedProfile)
     with pytest.raises(ValueError):
         make_profile("unknown_kind")
+    assert make_profile({"kind": "scaled_log", "a": 10}).a == 10.0
+    for spec in (
+        {"kind": "scaled_log", "a": "0.5"},
+        {"kind": "scaled_log", "a": True},
+        {"kind": "scaled_log", "a": 10.5},
+        {"kind": "epsilon_regularized", "eps": False},
+        {"kind": "epsilon_regularized", "eps": 1e308},
+    ):
+        with pytest.raises(ValueError):
+            make_profile(spec)
 
 
 @settings(max_examples=60)
