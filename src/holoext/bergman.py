@@ -213,8 +213,8 @@ def gram_matrix(
     ``radial_exact`` applies to torus-invariant weights on the unit ball: the
     matrix is exactly diagonal and each entry is an exact angular moment times
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
-    the call; the weight's radial factor is evaluated once per node array
-    within the call.  Monomials whose quadrature diverges or fails to converge are
+    the call, which also evaluates the weight's radial factor once per node
+    array.  Monomials whose quadrature diverges or fails to converge are
     excluded and reported.  ``monte_carlo`` estimates the full matrix from
     shared samples and records per-entry 99% half-widths; the first and
     second moments are accumulated block by block of the sampler, so memory
@@ -314,8 +314,8 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     none).  With the pinned values b fixed, the free coefficients minimize
     the quadratic form exactly when G_ff c_f = -G_fp b, solved through the
     Cholesky factor of the free block.  When G is exactly diagonal, G_fp = 0
-    and c_f = 0; the free diagonal entries must still be real, finite and
-    positive.  Data outside the truncated basis is
+    and c_f = 0 with no factorisation; the free diagonal entries must still
+    be real, finite and positive.  Data outside the truncated basis is
     rejected with the degree that would be needed; data on a monomial the
     Gram matrix excluded as non-integrable is rejected without one.
     """
