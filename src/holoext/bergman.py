@@ -13,6 +13,11 @@ an exact assembly runs one quadrature per distinct pair.  Those quadratures
 all bisect [0, 1] and meet the same node arrays, so within one assembly the
 weight's radial factor is evaluated once per node array.
 
+Monomial values are built as a product chain: each z^alpha is its parent
+z^(alpha - e_j), j the last nonzero coordinate, times z_j, so one complex
+multiplication per monomial and point.  The Monte Carlo assembly reduces each
+sampler block with one GEMM for the first moments and one for the second.
+
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
 coefficient of f.  The constraint fixes coordinates, so the pinned block is
@@ -25,12 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
-from .errors import DomainError, GramConditioningError, InfeasibleConstraintError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    GramConditioningError,
+    InfeasibleConstraintError,
+)
 from .geometry import Ball
 from .integrate import _box_blocks, _box_volume, _Z99, radial_integrate
 from .weights import (
@@ -98,11 +109,52 @@ class MultiIndexBasis:
         return clone
 
 
+@lru_cache(maxsize=16)
+def _product_chain(ambient_dim, degree):
+    """Steps (parent position, coordinate) that build the rows of z^alpha
+    over the full basis of C^ambient_dim up to ``degree``, and the position
+    of each index in it.
+
+    The parent of z^alpha is z^(alpha - e_j), j the last nonzero coordinate
+    of alpha; it is lexicographically smaller, so in the sorted full basis
+    every parent comes first.  The constant monomial has no parent (-1).  A
+    basis with holes (``MultiIndexBasis.without``) takes its rows from this
+    chain, so its missing parents are still computed.
+    """
+    full = MultiIndexBasis(ambient_dim, degree, 1).indices
+    pos = {alpha: i for i, alpha in enumerate(full)}
+    steps = [(-1, 0)]
+    for alpha in full[1:]:
+        j = max(i for i, a in enumerate(alpha) if a)
+        steps.append((pos[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]], j))
+    return tuple(steps), pos
+
+
 def monomial_values(basis: MultiIndexBasis, pts) -> np.ndarray:
-    """Matrix of monomial values, one column per basis index."""
+    """Matrix of monomial values, one row per point and one column per basis
+    index.
+
+    Each z^alpha is its parent's values times one coordinate (see
+    ``_product_chain``): one complex multiplication per monomial and point.
+    The result is the transpose of a C-ordered (width, N) array, so
+    ``monomial_values(...).T`` gives contiguous rows, one per monomial.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-    cols = [np.prod(pts ** np.asarray(a), axis=1) for a in basis.indices]
-    return np.stack(cols, axis=1)
+    if pts.ndim != 2 or pts.shape[1] != basis.ambient_dim:
+        raise DimensionMismatchError(
+            f"points of shape {pts.shape} for a basis of C^{basis.ambient_dim}"
+        )
+    steps, pos = _product_chain(basis.ambient_dim, basis.degree)
+    coords = pts.T.copy()
+    rows = np.empty((len(steps), len(pts)), dtype=complex)
+    for i, (parent, j) in enumerate(steps):
+        if parent < 0:
+            rows[i] = 1.0
+        else:
+            np.multiply(rows[parent], coords[j], out=rows[i])
+    if len(basis) < len(steps):
+        rows = rows[[pos[a] for a in basis.indices]]
+    return rows.T
 
 
 @dataclass
@@ -258,11 +310,14 @@ def gram_matrix(
         mask = domain.contains_batch(pts)
         if mask.any():
             inside = pts[mask]
-            vals = monomial_values(basis, inside)
+            rows = monomial_values(basis, inside).T
             wts = np.exp(-weight.value_batch(inside))
-            acc += (vals * wts[:, None]).conj().T @ vals
-            p2 = np.abs(vals) ** 2
-            acc2 += (p2 * (wts**2)[:, None]).T @ p2
+            w = rows.conj()
+            w *= wts
+            acc += w @ rows.T
+            p2 = np.square(rows.real)
+            p2 += np.square(rows.imag)
+            acc2 += (p2 * (wts * wts)) @ p2.T
     mean = acc / samples
     gram = boxvol * 0.5 * (mean + mean.conj().T)
     var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)
