@@ -1,14 +1,19 @@
-"""Golden report bodies for every battery config.
+"""Golden report bodies for every battery config and every radial_grid config.
 
 Each file ``tests/golden/<config>.json`` holds ``body_dict()`` of one config
 under ``scripts/configs``.  Sampled configs run at 1_250_000 samples, one full
 shard plus a partial one, so an edit to the random stream, the shard size or
 the reduction order shows up as a diff; quadrature-only configs run as they
-are.  Any such change must regenerate the files on purpose:
+are.  ``tests/golden/radial_grid.json`` holds, for each of the benchmark's
+``radial_grid`` configs (``perfbench/workloads.py``), the SHA-256 of its body
+as ``json.dumps(body, sort_keys=True)``, keyed by the workload's operation
+label.  Any such change must regenerate the files on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -24,6 +29,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SAMPLES = 1_250_000
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+RADIAL_GRID_GOLDEN = GOLDEN_DIR / "radial_grid.json"
 
 
 def _body(config_path):
@@ -33,10 +40,30 @@ def _body(config_path):
     return run_scenario(config).body_dict()
 
 
+def _radial_grid_digests(workloads):
+    """Digest of each radial_grid config's body, keyed by its operation label."""
+    grid = workloads.RadialGrid(0)
+    digests = {}
+    for kind, n, degree, label in workloads.RADIAL_GRID:
+        body = run_scenario(grid._config(kind, n, degree, label)).body_dict()
+        text = json.dumps(body, sort_keys=True)
+        digests[f"{kind}_n{n}_d{degree}_{label}"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
 def test_report_body_matches_golden(config_path):
     golden = json.loads((GOLDEN_DIR / f"{config_path.stem}.json").read_text())
     assert json.loads(json.dumps(_body(config_path))) == golden
+
+
+def test_radial_grid_bodies_match_digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))  # workloads imports its sibling oracle
+    digests = _radial_grid_digests(importlib.import_module("workloads"))
+    golden = json.loads(RADIAL_GRID_GOLDEN.read_text())
+    assert sorted(digests) == sorted(golden)
+    changed = [label for label, digest in golden.items() if digests[label] != digest]
+    assert not changed, f"{len(changed)} radial_grid bodies differ from their digests: {changed}"
 
 
 def test_bound_ratio_body_does_not_depend_on_blas_threads():
@@ -71,3 +98,7 @@ if __name__ == "__main__":
         text = json.dumps(_body(path), indent=2, sort_keys=True)
         (GOLDEN_DIR / f"{path.stem}.json").write_text(text + "\n")
         print(f"wrote {GOLDEN_DIR.name}/{path.stem}.json")
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    digests = _radial_grid_digests(importlib.import_module("workloads"))
+    RADIAL_GRID_GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_DIR.name}/{RADIAL_GRID_GOLDEN.name} ({len(digests)} digests)")
