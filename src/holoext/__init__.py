@@ -17,14 +17,9 @@ from .bergman import (
     min_norm_extension,
 )
 from .bounds import (
-    BoundReport,
     ExtensionScenario,
-    ball2_scenario,
-    build_bound_report,
-    disc_scenario,
     ball_bound_ratio,
     lift_route_rhs,
-    strictness_gap,
     indicatrix_bound_rhs,
 )
 from .geometry import (

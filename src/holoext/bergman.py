@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleConstraintError,
 )
 from .geometry import Ball
-from .integrate import _box_blocks, _box_volume, _Z99, radial_integrate
+from .integrate import _ball_moment, _box_blocks, _box_volume, _Z99, radial_integrate
 from .weights import (
     BallStandardWeight,
     EpsilonRegularizedWeight,
@@ -237,11 +237,7 @@ def _diag_entry(n, kb, radial_factor, alpha, quads):
         * math.prod(math.factorial(a) for a in a1)
         / math.factorial(kb - 1 + m1)
     )
-    slice_moment = (
-        math.pi**nk
-        * math.prod(math.factorial(a) for a in a2)
-        / math.factorial(nk + m2)
-    )
+    slice_moment = _ball_moment(nk, a2, 0)
     if (m1, m2) not in quads:
 
         def g(r):

@@ -2,19 +2,21 @@
 
 A scenario fixes the pair (unit ball of C^n, V = {z' = 0}), a radial weight
 phi = k u(log |z'|^2) built from a catalog profile (or the trivial weight),
-and polynomial boundary data f on V.  Two upper bounds for the weighted
-norm of the least-norm extension are evaluated:
+and polynomial boundary data f on V.  Three numbers are computed for it, each
+by one function; the ``bound_comparison`` scenario reports them side by side:
 
-  * the lift route: apply the generator bound on the Hartogs lift with the
-    trivial weight, then descend by the mean value inequality, dividing by
-    sigma_k.  On the lift the gap is B~ = -psi and the indicatrix at w is the
-    ball of radius e^(-psi(w)), so the generator and indicatrix routes are the
-    same integral sigma_k * integral |f|^2 e^(-2k psi) and it is computed
-    once,
-  * the indicatrix bound: integral_V vol(I_w) |f|^2 e^(-phi).
+  * ``minimal_norm_squared``: the weighted norm of the least-norm extension
+    in the truncated Bergman space,
+  * ``lift_route_rhs``: apply the generator bound on the Hartogs lift with
+    the trivial weight, then descend by the mean value inequality, dividing
+    by sigma_k.  On the lift the gap is B~ = -psi and the indicatrix at w is
+    the ball of radius e^(-psi(w)), so the generator and indicatrix routes
+    are the same integral sigma_k * integral |f|^2 e^(-2k psi) and it is
+    computed once,
+  * ``indicatrix_bound_rhs``: integral_V vol(I_w) |f|^2 e^(-phi).
 
-All closed-form constants come from exact integer factorials times powers of
-pi.
+For radial weights with V a point the first two are equal.  All closed-form
+constants come from exact integer factorials times powers of pi.
 """
 
 from __future__ import annotations
@@ -27,36 +29,24 @@ import numpy as np
 from .bergman import MultiIndexBasis, gram_matrix, min_norm_extension
 from .errors import UnsupportedModelError
 from .geometry import Ball
-from .integrate import QuadratureResult, mc_integrate, radial_integrate, sigma_mu
+from .integrate import (
+    QuadratureResult,
+    _ball_moment,
+    mc_integrate,
+    radial_integrate,
+    sigma_mu,
+)
 from .weights import RadialProfile, RadialWeight, TrivialWeight, _fiber_psi_batch
 
 __all__ = [
     "ExtensionScenario",
-    "BoundReport",
     "lift_route_rhs",
     "indicatrix_bound_rhs",
-    "strictness_gap",
     "ball_bound_ratio",
     "ball_bound_integral",
     "ball_bound_integral_mc",
     "minimal_norm_squared",
-    "build_bound_report",
-    "disc_scenario",
-    "ball2_scenario",
 ]
-
-
-def _ball_moment(m: int, beta: tuple, q: int) -> float:
-    """integral_(B^m) |z^beta|^2 (1 - |z|^2)^q dV = pi^m beta! q! / (m+|beta|+q)!.
-
-    For m = 0 the slice is a point and the moment is 1.
-    """
-    if m == 0:
-        if beta != ():
-            raise ValueError("point slice carries only the empty index")
-        return 1.0
-    num = math.prod(math.factorial(b) for b in beta) * math.factorial(q)
-    return math.pi**m * num / math.factorial(m + sum(beta) + q)
 
 
 @dataclass
@@ -67,7 +57,6 @@ class ExtensionScenario:
     default extends the constant function 1.
     """
 
-    name: str
     ambient_dim: int
     codim: int
     profile: RadialProfile | None
@@ -136,15 +125,6 @@ def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:
     return sigma_k * scenario._f_norm_factor(scenario.codim)
 
 
-def strictness_gap(scenario: ExtensionScenario) -> float:
-    """Direct bound minus lift-route bound, in extension-norm units.
-
-    Positive for scenarios whose lift is strictly pseudoconvex with -B
-    plurisubharmonic; zero (non-strict) for degenerate data f = 0.
-    """
-    return indicatrix_bound_rhs(scenario) - lift_route_rhs(scenario)
-
-
 def ball_bound_ratio(n: int) -> float:
     """Lift-to-direct bound ratio for the standard weight on the ball:
     (mu_n / 2) (n-1)! n! / (2n)! = pi^n n! / (2n)!.
@@ -178,55 +158,3 @@ def minimal_norm_squared(scenario: ExtensionScenario, degree: int | None = None)
     basis = MultiIndexBasis(scenario.ambient_dim, d, scenario.codim)
     gram = gram_matrix(scenario.domain(), scenario.weight(), basis)
     return min_norm_extension(scenario.f_coeffs, gram)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Both bounds for one scenario next to the truncated least norm."""
-
-    scenario: str
-    lift_route_bound: float
-    indicatrix_bound: float
-    minimal_norm_squared: float
-    strictness_margin: float
-    strict: bool
-
-
-def build_bound_report(scenario: ExtensionScenario, degree: int | None = None) -> BoundReport:
-    """Evaluate every bound plus the truncated least-norm solve."""
-    lift_bound = lift_route_rhs(scenario)
-    direct_bound = indicatrix_bound_rhs(scenario)
-    extension = minimal_norm_squared(scenario, degree)
-    margin = direct_bound - lift_bound
-    return BoundReport(
-        scenario=scenario.name,
-        lift_route_bound=lift_bound,
-        indicatrix_bound=direct_bound,
-        minimal_norm_squared=extension.norm_squared,
-        strictness_margin=margin,
-        strict=margin > 0.0,
-    )
-
-
-def disc_scenario(profile: RadialProfile | None = None) -> ExtensionScenario:
-    """Unit disc, V = {0}, phi = u(log |z|^2); log-singular profile by default."""
-    from .weights import LogSingularProfile
-
-    return ExtensionScenario(
-        name="disc_radial",
-        ambient_dim=1,
-        codim=1,
-        profile=LogSingularProfile() if profile is None else profile,
-    )
-
-
-def ball2_scenario(profile: RadialProfile | None = None) -> ExtensionScenario:
-    """Unit ball of C^2, V = {0}, phi = 2 u(log |z|^2)."""
-    from .weights import LogSingularProfile
-
-    return ExtensionScenario(
-        name="ball2_radial",
-        ambient_dim=2,
-        codim=2,
-        profile=LogSingularProfile() if profile is None else profile,
-    )

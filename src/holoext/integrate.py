@@ -206,6 +206,19 @@ def sigma_mu(k: int):
     )
 
 
+def _ball_moment(m: int, beta: tuple, q: int) -> float:
+    """integral_(B^m) |z^beta|^2 (1 - |z|^2)^q dV = pi^m beta! q! / (m+|beta|+q)!.
+
+    For m = 0 the slice is a point and the moment is 1.
+    """
+    if m == 0:
+        if beta != ():
+            raise ValueError("point slice carries only the empty index")
+        return 1.0
+    num = math.prod(math.factorial(b) for b in beta) * math.factorial(q)
+    return math.pi**m * num / math.factorial(m + sum(beta) + q)
+
+
 def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:
     """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
 

@@ -21,10 +21,10 @@ from ._version import __version__
 from .bounds import (
     ExtensionScenario,
     _fiber_integral,
-    build_bound_report,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
+    indicatrix_bound_rhs,
     lift_route_rhs,
     minimal_norm_squared,
 )
@@ -354,7 +354,7 @@ def _run_bound_ratio(args, samples, seed, tol):
 
 def _scenario_from_params(args) -> ExtensionScenario:
     n, k = args["n"], args["k"]
-    return ExtensionScenario(f"ball{n}_codim{k}", n, k, args["profile"], degree=args["degree"])
+    return ExtensionScenario(n, k, args["profile"], degree=args["degree"])
 
 
 _CLOSED_MINIMAL = {
@@ -400,30 +400,25 @@ def _run_radial_minimal(args, samples, seed, tol):
 
 def _run_bound_comparison(args, samples, seed, tol):
     scenario = _scenario_from_params(args)
-    report = build_bound_report(scenario)
+    lift = lift_route_rhs(scenario)
+    direct = indicatrix_bound_rhs(scenario)
+    minimal = minimal_norm_squared(scenario).norm_squared
+    margin = direct - lift
     values = [
-        ValueRecord("minimal_norm_squared", report.minimal_norm_squared, 0.0, "cholesky-elimination"),
-        ValueRecord("lift_route_bound", report.lift_route_bound, 0.0, "adaptive-quadrature"),
-        ValueRecord("indicatrix_bound", report.indicatrix_bound, 0.0, "closed-form"),
-        ValueRecord("strictness_margin", report.strictness_margin, 0.0, "closed-form"),
+        ValueRecord("minimal_norm_squared", minimal, 0.0, "cholesky-elimination"),
+        ValueRecord("lift_route_bound", lift, 0.0, "adaptive-quadrature"),
+        ValueRecord("indicatrix_bound", direct, 0.0, "closed-form"),
+        ValueRecord("strictness_margin", margin, 0.0, "closed-form"),
     ]
-    lift, direct = report.lift_route_bound, report.indicatrix_bound
     assertions = [
-        _below("minimal_below_lift_route", report.minimal_norm_squared, lift, tol["ordering"] * lift),
+        _below("minimal_below_lift_route", minimal, lift, tol["ordering"] * lift),
         _below("lift_route_below_indicatrix", lift, direct, slack=1e-12 * direct),
-        _below("strictly_sharper", 0.0, report.strictness_margin),
+        _below("strictly_sharper", 0.0, margin),
     ]
     key = (scenario.ambient_dim, scenario.codim)
     if isinstance(scenario.profile, LogSingularProfile) and key in _CLOSED_MINIMAL:
         factor = {(1, 1): 2.0, (2, 2): 6.0}[key]
-        assertions.append(
-            _close(
-                "improvement_factor",
-                report.indicatrix_bound / report.lift_route_bound,
-                factor,
-                tol["factor"],
-            )
-        )
+        assertions.append(_close("improvement_factor", direct / lift, factor, tol["factor"]))
     return values, assertions
 
 

@@ -14,12 +14,12 @@ import numpy as np
 from conftest import record_acceptance
 from holoext.bergman import MultiIndexBasis, gram_matrix
 from holoext.bounds import (
-    ball2_scenario,
-    build_bound_report,
-    disc_scenario,
+    ExtensionScenario,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
+    indicatrix_bound_rhs,
+    lift_route_rhs,
     minimal_norm_squared,
     sigma_mu,
 )
@@ -42,6 +42,11 @@ from holoext.weights import (
 
 PI = math.pi
 SEED = 2026
+
+
+def _point_scenario(n):
+    """Unit ball of C^n, V = {0}, phi = n u(log |z|^2) with u log-singular, f = 1."""
+    return ExtensionScenario(ambient_dim=n, codim=n, profile=LogSingularProfile())
 
 
 @contextmanager
@@ -95,11 +100,8 @@ def test_criterion_2_example_constants():
 def test_criterion_3_radial_minimal_extension():
     with criterion(3, "radial least-norm extension") as detail:
         start = time.perf_counter()
-        for scenario, target in (
-            (disc_scenario(), PI / 2),
-            (ball2_scenario(), PI**2 / 12),
-        ):
-            result = minimal_norm_squared(scenario, degree=8)
+        for n, target in ((1, PI / 2), (2, PI**2 / 12)):
+            result = minimal_norm_squared(_point_scenario(n), degree=8)
             assert result.max_pole_coefficient < 1e-8
             assert abs(result.norm_squared - target) <= 1e-6 * target
         elapsed = time.perf_counter() - start
@@ -109,11 +111,12 @@ def test_criterion_3_radial_minimal_extension():
 
 def test_criterion_4_sharpness_chain():
     with criterion(4, "strict bound improvement") as detail:
-        for scenario, factor in ((disc_scenario(), 2.0), (ball2_scenario(), 6.0)):
-            report = build_bound_report(scenario, degree=8)
-            rel_gap = abs(report.minimal_norm_squared - report.lift_route_bound)
-            assert rel_gap <= 1e-6 * report.lift_route_bound
-            ratio = report.indicatrix_bound / report.lift_route_bound
+        for n, factor in ((1, 2.0), (2, 6.0)):
+            scenario = _point_scenario(n)
+            lift = lift_route_rhs(scenario)
+            minimal = minimal_norm_squared(scenario, degree=8).norm_squared
+            assert abs(minimal - lift) <= 1e-6 * lift
+            ratio = indicatrix_bound_rhs(scenario) / lift
             assert abs(ratio - factor) <= 1e-9 * factor
         detail["summary"] = "lift bound attained; direct bound exceeds by 2 and 6"
 

@@ -5,16 +5,12 @@ import pytest
 
 from holoext.bounds import (
     ExtensionScenario,
-    ball2_scenario,
-    build_bound_report,
-    disc_scenario,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
     lift_route_rhs,
     minimal_norm_squared,
     sigma_mu,
-    strictness_gap,
     indicatrix_bound_rhs,
 )
 from holoext.errors import UnsupportedModelError
@@ -22,6 +18,16 @@ from holoext.scenarios import ScenarioConfig, run_scenario
 from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
 
 PI = math.pi
+
+
+def _point_scenario(n):
+    """Unit ball of C^n, V = {0}, phi = n u(log |z|^2) with u log-singular, f = 1."""
+    return ExtensionScenario(ambient_dim=n, codim=n, profile=LogSingularProfile())
+
+
+def _margin(scenario):
+    """Indicatrix bound minus lift-route bound, as bound_comparison reports it."""
+    return indicatrix_bound_rhs(scenario) - lift_route_rhs(scenario)
 
 
 def test_sigma_mu_small_cases():
@@ -85,7 +91,7 @@ LIFT_ROUTE_CASES = {
 def test_lift_route_closed_form(n, label):
     # V a point and f = 1: the lift route is the fiber integral of e^(-2n psi)
     profile, closed_form = LIFT_ROUTE_CASES[label]
-    scenario = ExtensionScenario(name=label, ambient_dim=n, codim=n, profile=profile)
+    scenario = ExtensionScenario(ambient_dim=n, codim=n, profile=profile)
     assert lift_route_rhs(scenario) == pytest.approx(closed_form(n), rel=1e-9)
     if label == "log_singular":
         assert closed_form(n) == pytest.approx(ball_bound_ratio(n), rel=1e-14)
@@ -107,41 +113,37 @@ def test_radial_lift_scaling_limit_closed_form(n, k):
 
 
 def test_lift_route_requires_catalog_model():
-    trivial = ExtensionScenario(name="disc_trivial", ambient_dim=1, codim=1, profile=None)
+    trivial = ExtensionScenario(ambient_dim=1, codim=1, profile=None)
     with pytest.raises(UnsupportedModelError):
         lift_route_rhs(trivial)
 
 
 def test_indicatrix_bound_direct_values():
-    assert indicatrix_bound_rhs(ball2_scenario()) == pytest.approx(PI**2 / 2, rel=1e-14)
-    assert indicatrix_bound_rhs(disc_scenario()) == pytest.approx(PI, rel=1e-14)
-    lifted_pair = ExtensionScenario(
-        name="ball4_pair", ambient_dim=4, codim=2, profile=None
-    )
+    assert indicatrix_bound_rhs(_point_scenario(2)) == pytest.approx(PI**2 / 2, rel=1e-14)
+    assert indicatrix_bound_rhs(_point_scenario(1)) == pytest.approx(PI, rel=1e-14)
+    lifted_pair = ExtensionScenario(ambient_dim=4, codim=2, profile=None)
     assert indicatrix_bound_rhs(lifted_pair) == pytest.approx(PI**4 / 24, rel=1e-14)
 
 
 def test_indicatrix_bound_zero_data():
     scenario = ExtensionScenario(
-        name="zero", ambient_dim=2, codim=2, profile=LogSingularProfile(), f_coeffs={(): 0.0}
+        ambient_dim=2, codim=2, profile=LogSingularProfile(), f_coeffs={(): 0.0}
     )
     assert indicatrix_bound_rhs(scenario) == 0.0
 
 
 def test_strictness_gap_examples():
-    assert strictness_gap(disc_scenario()) == pytest.approx(PI / 2, rel=1e-9)
-    assert strictness_gap(ball2_scenario()) == pytest.approx(
+    assert _margin(_point_scenario(1)) == pytest.approx(PI / 2, rel=1e-9)
+    assert _margin(_point_scenario(2)) == pytest.approx(
         5 * PI**2 / 12, rel=1e-9
     )
 
 
 def test_strictness_gap_zero_data_flagged_non_strict():
     scenario = ExtensionScenario(
-        name="zero", ambient_dim=1, codim=1, profile=LogSingularProfile(), f_coeffs={(): 0.0}
+        ambient_dim=1, codim=1, profile=LogSingularProfile(), f_coeffs={(): 0.0}
     )
-    report = build_bound_report(scenario)
-    assert report.strictness_margin == 0.0
-    assert not report.strict
+    assert _margin(scenario) == 0.0
 
 
 def test_ball_bound_ratio_values():
@@ -170,69 +172,64 @@ def test_ball_bound_integral_mc_cross_check():
 
 
 def test_bound_report_disc():
-    report = build_bound_report(disc_scenario())
-    assert report.indicatrix_bound == pytest.approx(PI, rel=1e-14)
-    assert report.lift_route_bound == pytest.approx(PI / 2, rel=1e-9)
-    assert report.minimal_norm_squared == pytest.approx(PI / 2, rel=1e-9)
-    assert report.strict
+    disc = _point_scenario(1)
+    assert indicatrix_bound_rhs(disc) == pytest.approx(PI, rel=1e-14)
+    assert lift_route_rhs(disc) == pytest.approx(PI / 2, rel=1e-9)
+    assert minimal_norm_squared(disc).norm_squared == pytest.approx(PI / 2, rel=1e-9)
+    assert _margin(disc) > 0.0
 
 
 def test_bound_ordering_point_slices():
-    for scenario in (disc_scenario(), ball2_scenario()):
-        report = build_bound_report(scenario)
-        assert report.minimal_norm_squared <= report.lift_route_bound * (1 + 1e-6)
-        assert report.lift_route_bound <= report.indicatrix_bound * (1 + 1e-12)
+    for scenario in (_point_scenario(1), _point_scenario(2)):
+        lift = lift_route_rhs(scenario)
+        assert minimal_norm_squared(scenario).norm_squared <= lift * (1 + 1e-6)
+        assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
 
 
 def test_bound_ordering_strict_slice():
     # n > k: the flat extension beats the lift-route bound strictly
     scenario = ExtensionScenario(
-        name="ball2_codim1",
         ambient_dim=2,
         codim=1,
         profile=LogSingularProfile(),
         degree=8,
     )
-    report = build_bound_report(scenario)
-    assert report.minimal_norm_squared < report.lift_route_bound
-    assert report.lift_route_bound <= report.indicatrix_bound * (1 + 1e-12)
-    assert report.strict
+    lift = lift_route_rhs(scenario)
+    assert minimal_norm_squared(scenario).norm_squared < lift
+    assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
+    assert _margin(scenario) > 0.0
 
 
 def test_bound_ordering_scaled_profile():
     scenario = ExtensionScenario(
-        name="disc_scaled",
         ambient_dim=1,
         codim=1,
         profile=ScaledLogProfile(a=0.5),
         degree=10,
     )
-    report = build_bound_report(scenario)
-    assert report.minimal_norm_squared <= report.lift_route_bound * (1 + 1e-4)
-    assert report.lift_route_bound <= report.indicatrix_bound * (1 + 1e-12)
+    lift = lift_route_rhs(scenario)
+    assert minimal_norm_squared(scenario).norm_squared <= lift * (1 + 1e-4)
+    assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
 
 
 def test_radial_optimality_equalities():
-    assert minimal_norm_squared(disc_scenario()).norm_squared == pytest.approx(
-        lift_route_rhs(disc_scenario()), rel=1e-6
-    )
-    assert minimal_norm_squared(ball2_scenario()).norm_squared == pytest.approx(
-        lift_route_rhs(ball2_scenario()), rel=1e-6
-    )
+    for scenario in (_point_scenario(1), _point_scenario(2)):
+        assert minimal_norm_squared(scenario).norm_squared == pytest.approx(
+            lift_route_rhs(scenario), rel=1e-6
+        )
 
 
 def test_improvement_factors():
-    disc = build_bound_report(disc_scenario())
-    assert disc.indicatrix_bound / disc.lift_route_bound == pytest.approx(2.0, rel=1e-9)
-    ball = build_bound_report(ball2_scenario())
-    assert ball.indicatrix_bound / ball.lift_route_bound == pytest.approx(6.0, rel=1e-9)
+    for n, factor in ((1, 2.0), (2, 6.0)):
+        scenario = _point_scenario(n)
+        ratio = indicatrix_bound_rhs(scenario) / lift_route_rhs(scenario)
+        assert ratio == pytest.approx(factor, rel=1e-9)
 
 
 def test_polynomial_data_moments():
     # f(z_2) = z_2 on V = {z_1 = 0} in C^2: the indicatrix bound is
     # sigma_1 * int |z_2|^2 (1-|z_2|^2) dV = pi * pi/6
     scenario = ExtensionScenario(
-        name="ball2_linear_data",
         ambient_dim=2,
         codim=1,
         profile=LogSingularProfile(),
@@ -246,11 +243,9 @@ def test_polynomial_data_moments():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        ExtensionScenario(name="bad", ambient_dim=1, codim=2, profile=None)
+        ExtensionScenario(ambient_dim=1, codim=2, profile=None)
     with pytest.raises(ValueError):
-        ExtensionScenario(
-            name="bad", ambient_dim=2, codim=1, profile=None, f_coeffs={(1, 2): 1.0}
-        )
+        ExtensionScenario(ambient_dim=2, codim=1, profile=None, f_coeffs={(1, 2): 1.0})
 
 
 def test_quadrature_mc_sigma_consistency():
