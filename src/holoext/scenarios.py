@@ -413,7 +413,7 @@ def _run_bound_comparison(args, samples, seed, tol):
     assertions = [
         _below("minimal_below_lift_route", minimal, lift, tol["ordering"] * lift),
         _below("lift_route_below_indicatrix", lift, direct, slack=1e-12 * direct),
-        _below("strictly_sharper", 0.0, margin),
+        AssertionRecord("strictly_sharper", bool(margin > 0.0), 0.0, float(margin), 0.0),
     ]
     key = (scenario.ambient_dim, scenario.codim)
     if isinstance(scenario.profile, LogSingularProfile) and key in _CLOSED_MINIMAL:

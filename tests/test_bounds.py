@@ -13,6 +13,7 @@ from holoext.bounds import (
     sigma_mu,
     indicatrix_bound_rhs,
 )
+from holoext import scenarios
 from holoext.errors import UnsupportedModelError
 from holoext.scenarios import ScenarioConfig, run_scenario
 from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
@@ -144,6 +145,15 @@ def test_strictness_gap_zero_data_flagged_non_strict():
         ambient_dim=1, codim=1, profile=LogSingularProfile(), f_coeffs={(): 0.0}
     )
     assert _margin(scenario) == 0.0
+
+
+def test_strictly_sharper_fails_on_a_zero_margin(monkeypatch):
+    # an indicatrix bound equal to the lift route leaves no margin: not strict
+    monkeypatch.setattr(scenarios, "indicatrix_bound_rhs", scenarios.lift_route_rhs)
+    report = run_scenario(ScenarioConfig("bound_comparison", {"n": 1, "k": 1}))
+    record = {a.name: a for a in report.assertions}["strictly_sharper"]
+    assert (record.passed, record.lhs, record.rhs, record.tol) == (False, 0.0, 0.0, 0.0)
+    assert not report.passed
 
 
 def test_ball_bound_ratio_values():
