@@ -357,13 +357,6 @@ def _scenario_from_params(args) -> ExtensionScenario:
     return ExtensionScenario(n, k, args["profile"], degree=args["degree"])
 
 
-_CLOSED_MINIMAL = {
-    # (n, k) with the log-singular profile and f = 1
-    (1, 1): math.pi / 2.0,
-    (2, 2): math.pi**2 / 12.0,
-}
-
-
 def _run_radial_minimal(args, samples, seed, tol):
     scenario = _scenario_from_params(args)
     d = scenario.degree
@@ -388,9 +381,10 @@ def _run_radial_minimal(args, samples, seed, tol):
         lift_check,
         _close("truncation_converged", coarse.norm_squared, result.norm_squared, tol["truncation"]),
     ]
-    key = (scenario.ambient_dim, scenario.codim)
-    if isinstance(scenario.profile, LogSingularProfile) and key in _CLOSED_MINIMAL:
-        target = _CLOSED_MINIMAL[key]
+    n = scenario.ambient_dim
+    if isinstance(scenario.profile, LogSingularProfile) and scenario.codim == n:
+        # f = 1 and V a point: the least norm equals the lift route, pi^n n!/(2n)!
+        target = ball_bound_ratio(n)
         values.append(ValueRecord("closed_form", target, 0.0, "closed-form"))
         assertions.append(
             _close("norm_closed_form", result.norm_squared, target, tol["closed_form"])
@@ -415,9 +409,10 @@ def _run_bound_comparison(args, samples, seed, tol):
         _below("lift_route_below_indicatrix", lift, direct, slack=1e-12 * direct),
         AssertionRecord("strictly_sharper", bool(margin > 0.0), 0.0, float(margin), 0.0),
     ]
-    key = (scenario.ambient_dim, scenario.codim)
-    if isinstance(scenario.profile, LogSingularProfile) and key in _CLOSED_MINIMAL:
-        factor = {(1, 1): 2.0, (2, 2): 6.0}[key]
+    n = scenario.ambient_dim
+    if isinstance(scenario.profile, LogSingularProfile) and scenario.codim == n:
+        # f = 1 and V a point: (pi^n / n!) / (pi^n n!/(2n)!) = binomial(2n, n)
+        factor = math.comb(2 * n, n)
         assertions.append(_close("improvement_factor", direct / lift, factor, tol["factor"]))
     return values, assertions
 
