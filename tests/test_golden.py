@@ -7,7 +7,12 @@ the reduction order shows up as a diff; quadrature-only configs run as they
 are.  ``tests/golden/radial_grid.json`` holds, for each of the benchmark's
 ``radial_grid`` configs (``perfbench/workloads.py``), the SHA-256 of its body
 as ``json.dumps(body, sort_keys=True)``, keyed by the workload's operation
-label.  Any such change must regenerate the files on purpose:
+label.  ``tests/golden/mc_gram.json`` holds the SHA-256 of the matrix and
+half-widths of one Monte Carlo Gram matrix at a fixed seed, so a change to
+its draws, its masks or its weights shows up bit for bit.  Its per-block
+products run through BLAS, whose bits depend on the thread count, so the
+digest is taken in a process with one OpenBLAS thread.
+Any such change must regenerate the files on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,7 +27,10 @@ from pathlib import Path
 
 import pytest
 
+from holoext.bergman import MultiIndexBasis, gram_matrix
+from holoext.geometry import Ball
 from holoext.scenarios import ScenarioConfig, run_scenario
+from holoext.weights import LogSingularProfile, RadialWeight
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -31,6 +39,7 @@ CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 RADIAL_GRID_GOLDEN = GOLDEN_DIR / "radial_grid.json"
+MC_GRAM_GOLDEN = GOLDEN_DIR / "mc_gram.json"
 
 
 def _body(config_path):
@@ -51,6 +60,36 @@ def _radial_grid_digests(workloads):
     return digests
 
 
+def _mc_gram_digest():
+    """SHA-256 of the matrix and half-widths of the degree-8 Monte Carlo Gram on B^2."""
+    gram = gram_matrix(
+        Ball(1.0, 2),
+        RadialWeight(LogSingularProfile(), 2),
+        MultiIndexBasis(2, 8, 2),
+        "monte_carlo",
+        500_000,
+        2026,
+    )
+    digest = hashlib.sha256(gram.matrix.tobytes())
+    digest.update(gram.half_widths.tobytes())
+    return {"gram_ball2_log_singular_d8_s500000_seed2026": digest.hexdigest()}
+
+
+def _mc_gram_digest_on_one_blas_thread():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC_ROOT), str(Path(__file__).parent)])
+    script = "import json, test_golden; print(json.dumps(test_golden._mc_gram_digest()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=300,
+    )
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
 def test_report_body_matches_golden(config_path):
     golden = json.loads((GOLDEN_DIR / f"{config_path.stem}.json").read_text())
@@ -64,6 +103,10 @@ def test_radial_grid_bodies_match_digests(monkeypatch):
     assert sorted(digests) == sorted(golden)
     changed = [label for label, digest in golden.items() if digests[label] != digest]
     assert not changed, f"{len(changed)} radial_grid bodies differ from their digests: {changed}"
+
+
+def test_monte_carlo_gram_matches_digest():
+    assert _mc_gram_digest_on_one_blas_thread() == json.loads(MC_GRAM_GOLDEN.read_text())
 
 
 def test_bound_ratio_body_does_not_depend_on_blas_threads():
@@ -102,3 +145,6 @@ if __name__ == "__main__":
     digests = _radial_grid_digests(importlib.import_module("workloads"))
     RADIAL_GRID_GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_DIR.name}/{RADIAL_GRID_GOLDEN.name} ({len(digests)} digests)")
+    digest = _mc_gram_digest_on_one_blas_thread()
+    MC_GRAM_GOLDEN.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_DIR.name}/{MC_GRAM_GOLDEN.name}")
