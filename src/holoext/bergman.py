@@ -305,7 +305,7 @@ def gram_matrix(
     for pts in _box_blocks(radii, samples, seed):
         mask = domain.contains_batch(pts)
         if mask.any():
-            inside = pts[mask]
+            inside = np.compress(mask, pts, axis=0)
             rows = monomial_values(basis, inside).T
             wts = np.exp(-weight.value_batch(inside))
             w = rows.conj()

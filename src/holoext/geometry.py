@@ -17,6 +17,7 @@ __all__ = [
     "Polydisc",
     "HartogsLift",
     "as_point",
+    "sq_norm",
 ]
 
 
@@ -30,6 +31,18 @@ def as_point(coords, ambient_dim=None):
             f"point has {p.size} coordinates, domain is {ambient_dim}-dimensional"
         )
     return p
+
+
+def sq_norm(pts):
+    """|z|^2 of each row of an (N, m) array whose last axis is contiguous.
+
+    The sum of the squares of the real and imaginary parts, taken on the
+    float64 view without a temporary; it can differ from
+    np.sum(np.abs(pts) ** 2, axis=1) in the last few bits, so it serves
+    where the result is only compared.
+    """
+    v = np.asarray(pts, dtype=complex).view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
 
 
 class _Domain:
@@ -57,7 +70,7 @@ class Ball(_Domain):
         return self.dim
 
     def contains_batch(self, pts):
-        return np.sum(np.abs(pts) ** 2, axis=1) < self.radius**2
+        return sq_norm(pts) < self.radius**2
 
     def bounding_radii(self):
         return np.full(self.dim, self.radius)
@@ -111,9 +124,9 @@ class HartogsLift(_Domain):
         mask = self.base.contains_batch(pts[:, :nb])
         out = np.zeros(len(pts), dtype=bool)
         if mask.any():
-            phi = self.weight.value_batch(pts[mask, :nb])
-            w2 = np.sum(np.abs(pts[mask, nb:]) ** 2, axis=1)
-            out[mask] = w2 < np.exp(-phi / self.fiber_dim)
+            sel = np.compress(mask, pts, axis=0)
+            phi = self.weight.value_batch(sel[:, :nb])
+            out[mask] = sq_norm(sel[:, nb:]) < np.exp(-phi / self.fiber_dim)
         return out
 
     def bounding_radii(self):

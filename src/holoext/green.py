@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Ball, HartogsLift, as_point
+from .geometry import Ball, HartogsLift, as_point, sq_norm
 from .integrate import QuadratureResult, _box_moments, _box_volume, _Z99, sigma_mu, volume
 from .weights import RadialProfile, RadialWeight, _fiber_psi_batch, fiber_psi
 
@@ -103,7 +103,7 @@ class BallPointModel(_GreenModel):
 
     def green_batch(self, pts):
         with np.errstate(divide="ignore"):
-            return np.log(np.linalg.norm(pts, axis=1))
+            return 0.5 * np.log(sq_norm(pts))
 
     def gap(self, p):
         return 0.0
@@ -139,10 +139,10 @@ class BallPairModel(_GreenModel):
         return Ball(radius=1.0, dim=self.ambient_dim)
 
     def green_batch(self, pts):
-        r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
-        w2 = np.sum(np.abs(pts[:, self.pole_dim :]) ** 2, axis=1)
+        r2 = sq_norm(pts[:, : self.pole_dim])
+        w2 = sq_norm(pts[:, self.pole_dim :])
         with np.errstate(divide="ignore"):
-            return np.log(r) - 0.5 * np.log1p(-w2)
+            return 0.5 * (np.log(r2) - np.log1p(-w2))
 
     def gap(self, p):
         zpp = as_point(p, self.ambient_dim)[self.pole_dim :]
@@ -191,10 +191,10 @@ class RadialLiftModel(_GreenModel):
         )
 
     def green_batch(self, pts):
-        r = np.linalg.norm(pts[:, : self.pole_dim], axis=1)
-        w2 = np.sum(np.abs(pts[:, self.base_dim :]) ** 2, axis=1)
+        r2 = sq_norm(pts[:, : self.pole_dim])
+        w2 = sq_norm(pts[:, self.base_dim :])
         with np.errstate(divide="ignore"):
-            return np.log(r) + _fiber_psi_batch(self.profile, w2)
+            return 0.5 * np.log(r2) + _fiber_psi_batch(self.profile, w2)
 
     def gap(self, p):
         return -fiber_psi(self.profile, as_point(p, self.ambient_dim)[self.base_dim :])
@@ -272,7 +272,20 @@ def _sublevel_radii(model, t):
     return radii
 
 
-def sublevel_scaling(model, chi, t: float, samples: int, seed: int) -> QuadratureResult:
+def _sublevel_test(model, t):
+    """Membership mask of {G < t/2} inside the model domain."""
+    domain = model.domain()
+
+    def inside(pts):
+        mask = domain.contains_batch(pts)
+        if mask.any():
+            mask[mask] = model.green_batch(np.compress(mask, pts, axis=0)) < 0.5 * t
+        return mask
+
+    return inside
+
+
+def sublevel_scaling(model, chi, t, samples: int, seed: int):
     """Rescaled sublevel integral e^(-k t) * integral_{G < t/2} chi.
 
     Samples the sublevel set's own bounding box (the domain box would almost
@@ -281,33 +294,43 @@ def sublevel_scaling(model, chi, t: float, samples: int, seed: int) -> Quadratur
     reported in ``rejected_infinite``.  An empty sublevel set at the given
     resolution yields a zero-valued result with a warning note rather than an
     error.
+
+    ``t`` is one level, which returns one QuadratureResult, or a sequence of
+    levels, which returns one result per level.  The levels of a sequence
+    share one pass of draws: each block is drawn once and scaled to each
+    level's box in turn, so every result has the bits of a call at its level
+    alone, for the draws of one call.
     """
-    if t >= 0.0:
+    ladder = [t] if np.ndim(t) == 0 else list(t)
+    if not ladder:
+        raise ValueError("t must hold at least one level")
+    if any(level >= 0.0 for level in ladder):
         raise ValueError("t must be negative")
-    domain = model.domain()
-    radii = _sublevel_radii(model, t)
-
-    def inside(pts):
-        mask = domain.contains_batch(pts)
-        if mask.any():
-            mask[mask] = model.green_batch(pts[mask]) < 0.5 * t
-        return mask
-
-    mean, stderr, n_hit, n_bad = _box_moments(radii, inside, chi, samples, seed)
-    if n_hit == 0:
-        return QuadratureResult(
-            value=0.0,
-            error_estimate=0.0,
-            samples_or_nodes=samples,
-            seed=seed,
-            converged=False,
-            note="sublevel set not resolved at this sample count",
+    radii = [_sublevel_radii(model, level) for level in ladder]
+    levels = [(r, _sublevel_test(model, level)) for r, level in zip(radii, ladder)]
+    moments = _box_moments(levels, chi, samples, seed)
+    results = []
+    for level, r, (mean, stderr, n_hit, n_bad) in zip(ladder, radii, moments):
+        if n_hit == 0:
+            results.append(
+                QuadratureResult(
+                    value=0.0,
+                    error_estimate=0.0,
+                    samples_or_nodes=samples,
+                    seed=seed,
+                    converged=False,
+                    note="sublevel set not resolved at this sample count",
+                )
+            )
+            continue
+        scale = math.exp(-model.pole_dim * level) * _box_volume(r)
+        results.append(
+            QuadratureResult(
+                value=scale * mean,
+                error_estimate=_Z99 * scale * stderr,
+                samples_or_nodes=samples,
+                seed=seed,
+                rejected_infinite=n_bad,
+            )
         )
-    scale = math.exp(-model.pole_dim * t) * _box_volume(radii)
-    return QuadratureResult(
-        value=scale * mean,
-        error_estimate=_Z99 * scale * stderr,
-        samples_or_nodes=samples,
-        seed=seed,
-        rejected_infinite=n_bad,
-    )
+    return results[0] if np.ndim(t) == 0 else results

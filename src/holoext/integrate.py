@@ -106,13 +106,16 @@ def _shards(samples: int):
 
 
 def _shard_blocks(radii, seed: int, shard: int, size: int):
-    """Yield the ``size`` uniform draws of one shard from the box prod |z_i| < radii_i.
+    """Yield (level, points) for the ``size`` uniform draws of one shard.
 
-    The draws come from rng_stream(seed, shard) in consecutive blocks of at
-    most ``_BLOCK`` rows.  Each block is a view of a buffer reused for the
-    whole shard and is valid only until the next block.
+    ``radii`` holds one row of box radii per level, the box of a row being
+    prod |z_i| < radii_i.  The draws come from rng_stream(seed, shard) in
+    consecutive blocks of at most ``_BLOCK`` rows.  Each block is drawn once
+    as 2u - 1, then scaled by each row in turn into one point buffer reused
+    for the whole shard, so every level sees exactly the points a draw for it
+    alone would make.  The points are valid only until the next yield.
     """
-    m = len(radii)
+    m = len(radii[0])
     rows = min(_BLOCK, size)
     u = np.empty((rows, 2 * m))
     pts = np.empty((rows, m), dtype=complex)
@@ -123,57 +126,62 @@ def _shard_blocks(radii, seed: int, shard: int, size: int):
         rng.random(out=ub)
         ub *= 2.0
         ub -= 1.0
-        np.multiply(ub[:, :m], radii, out=pb.real)
-        np.multiply(ub[:, m:], radii, out=pb.imag)
-        yield pb
+        for level, r in enumerate(radii):
+            np.multiply(ub[:, :m], r, out=pb.real)
+            np.multiply(ub[:, m:], r, out=pb.imag)
+            yield level, pb
 
 
 def _box_blocks(radii, samples: int, seed: int):
     """Yield ``samples`` box draws: the blocks of shard 0, then of shard 1, ..."""
     for shard, size in _shards(samples):
-        yield from _shard_blocks(radii, seed, shard, size)
+        for _, pts in _shard_blocks([radii], seed, shard, size):
+            yield pts
 
 
-def _shard_moments(radii, inside, integrand, seed: int, shard: int, size: int):
-    """(sum, sum of squares, inside count, non-finite count) over one shard.
+def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
+    """Per level, [sum, sum of squares, inside count, non-finite count] over one shard.
 
     Each block adds the sum of its inside values, then the sum of their
-    squares; values outside the domain are zero and add nothing.
+    squares; values outside the level's set are zero and add nothing.
     """
-    s1 = s2 = 0.0
-    n_inside = n_bad = 0
-    for pts in _shard_blocks(radii, seed, shard, size):
-        mask = inside(pts)
+    parts = [[0.0, 0.0, 0, 0] for _ in levels]
+    radii = [r for r, _ in levels]
+    for level, pts in _shard_blocks(radii, seed, shard, size):
+        mask = levels[level][1](pts)
         hits = int(np.count_nonzero(mask))
+        part = parts[level]
         if hits:
             # a copy, so that squaring in place leaves the integrand's array alone
-            vals = np.array(integrand(pts[mask]), dtype=float)
+            vals = np.array(integrand(np.compress(mask, pts, axis=0)), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
-                n_bad += int(bad.sum())
+                part[3] += int(bad.sum())
                 vals[bad] = 0.0
-            s1 += float(vals.sum())
+            part[0] += float(vals.sum())
             np.multiply(vals, vals, out=vals)
-            s2 += float(vals.sum())
-        n_inside += hits
-    return s1, s2, n_inside, n_bad
+            part[1] += float(vals.sum())
+        part[2] += hits
+    return parts
 
 
-def _box_moments(radii, inside, integrand, samples: int, seed: int):
-    """Moments of the masked integrand over the box draws.
+def _box_moments(levels, integrand, samples: int, seed: int):
+    """Moments of the masked integrand over the box draws of each level.
 
-    ``inside`` maps a block of points to its membership mask and
-    ``integrand`` maps the inside points to real values.  The shards run
-    and are reduced as the module docstring describes; each worker runs
-    under a copy of the caller's context, so ``np.errstate`` carries over.
-    Returns the sample mean, its standard error, the inside count and the
-    non-finite count.
+    ``levels`` is a list of (radii, inside) pairs that share the draws:
+    ``inside`` maps a block of points in the box of ``radii`` to its
+    membership mask, and ``integrand`` maps the inside points to real
+    values.  The shards run and are reduced as the module docstring
+    describes; each worker runs under a copy of the caller's context, so
+    ``np.errstate`` carries over.  Returns, per level, the sample mean, its
+    standard error, the inside count and the non-finite count, with the bits
+    of a call for that level alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     shards = _shards(samples)
     workers = min(_usable_cores(), len(shards))
-    args = (radii, inside, integrand, seed)
+    args = (levels, integrand, seed)
     if workers == 1:
         parts = [_shard_moments(*args, shard, size) for shard, size in shards]
     else:
@@ -183,17 +191,20 @@ def _box_moments(radii, inside, integrand, samples: int, seed: int):
                 for shard, size in shards
             ]
             parts = [f.result() for f in futures]
-    # a plain loop: sum() of floats is compensated from Python 3.12 on
-    s1 = s2 = 0.0
-    n_inside = n_bad = 0
-    for p1, p2, p_inside, p_bad in parts:
-        s1 += p1
-        s2 += p2
-        n_inside += p_inside
-        n_bad += p_bad
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples), n_inside, n_bad
+    moments = []
+    for level_parts in zip(*parts):
+        # a plain loop: sum() of floats is compensated from Python 3.12 on
+        s1 = s2 = 0.0
+        n_inside = n_bad = 0
+        for p1, p2, p_inside, p_bad in level_parts:
+            s1 += p1
+            s2 += p2
+            n_inside += p_inside
+            n_bad += p_bad
+        mean = s1 / samples
+        var = max(s2 / samples - mean * mean, 0.0)
+        moments.append((mean, math.sqrt(var / samples), n_inside, n_bad))
+    return moments
 
 
 def sigma_mu(k: int):
@@ -227,8 +238,8 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
     DegenerateDomainError when fewer than 0.1% of the samples land inside.
     """
     radii = domain.bounding_radii()
-    mean, stderr, n_inside, n_bad = _box_moments(
-        radii, domain.contains_batch, integrand, samples, seed
+    [(mean, stderr, n_inside, n_bad)] = _box_moments(
+        [(radii, domain.contains_batch)], integrand, samples, seed
     )
     if n_inside < 0.001 * samples:
         raise DegenerateDomainError(

@@ -439,10 +439,8 @@ def _run_scaling(args, samples, seed, tol):
     ladder = args["t_ladder"]
     ones = lambda pts: np.ones(len(pts))
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
-    results = []
-    for t in ladder:
-        r = sublevel_scaling(model, ones, t, samples, seed)
-        results.append((t, r))
+    results = list(zip(ladder, sublevel_scaling(model, ones, ladder, samples, seed)))
+    for t, r in results:
         values.append(
             ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, "monte-carlo")
         )

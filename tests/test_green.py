@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoext import integrate
 from holoext.errors import DomainError
 from holoext.green import (
     AzukawaForm,
@@ -17,6 +18,7 @@ from holoext.green import (
     indicatrix_volume,
     sublevel_scaling,
 )
+from holoext.integrate import _BLOCK, _SHARD_SIZE
 from holoext.weights import LogSingularProfile, ScaledLogProfile, fiber_psi
 
 PI = math.pi
@@ -297,6 +299,68 @@ def test_sublevel_scaling_counts_non_finite_integrand():
     zeroed = lambda pts: np.where(pts[:, 0].real < 0.0, 0.0, 1.0)
     assert res.value == sublevel_scaling(model, zeroed, -2.0, 1_200_000, seed=5).value
     assert res.value == pytest.approx(PI**2 / 4, rel=2e-2)
+
+
+def _varying_chi(pts):
+    return 1.0 / (0.01 + np.sum(np.abs(pts) ** 2, axis=1))
+
+
+def _nan_on_left_half(pts):
+    return np.where(pts[:, 0].real < 0.0, np.nan, 1.0)
+
+
+LADDER_MODELS = [
+    BallPointModel(2),
+    BallPairModel(2, 2),
+    RadialLiftModel(LogSingularProfile(), pole_dim=2, base_dim=2),
+    RadialLiftModel(LogSingularProfile(), pole_dim=1, base_dim=2),
+]
+
+
+@pytest.mark.parametrize("model", LADDER_MODELS, ids=lambda m: repr(m))
+@pytest.mark.parametrize("chi", [_varying_chi, _nan_on_left_half], ids=lambda c: c.__name__)
+def test_sublevel_ladder_matches_one_call_per_level(model, chi, monkeypatch):
+    # two shards with ragged blocks; each level keeps the bits of its own call
+    ladder = [-4.0, -8.0, -12.0]
+    samples = _SHARD_SIZE + 3 * _BLOCK + 5
+    monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
+    want = [sublevel_scaling(model, chi, t, samples, 2032) for t in ladder]
+    for cores in (2, 1):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        assert sublevel_scaling(model, chi, ladder, samples, 2032) == want
+    if chi is _nan_on_left_half:
+        assert all(r.rejected_infinite > 0 for r in want)
+    if model.ambient_dim > 2 * model.pole_dim:  # the k < n lift: its levels differ
+        assert len({r.value for r in want}) == len(ladder)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BallPointModel(2),
+        BallPairModel(2, 2),
+        RadialLiftModel(LogSingularProfile(), pole_dim=2, base_dim=2),
+    ],
+    ids=lambda m: repr(m),
+)
+def test_homogeneous_models_give_every_level_the_same_value(model):
+    # G(lambda z', ...) = G + log|lambda|, so e^(-kt) vol{G < t/2} does not depend on t
+    ones = lambda pts: np.ones(len(pts))
+    at_4, at_8 = sublevel_scaling(model, ones, [-4.0, -8.0], 100_000, 2033)
+    assert at_4.value > 0.0
+    assert at_8.value == pytest.approx(at_4.value, rel=1e-12, abs=0.0)
+
+
+def test_sublevel_scaling_float_level_returns_one_result():
+    ones = lambda pts: np.ones(len(pts))
+    model = BallPointModel(1)
+    res = sublevel_scaling(model, ones, -2.0, 1000, 7)
+    assert res == sublevel_scaling(model, ones, [-2.0], 1000, 7)[0]
+    assert res == sublevel_scaling(model, ones, np.float64(-2.0), 1000, 7)
+    with pytest.raises(ValueError):
+        sublevel_scaling(model, ones, [], 1000, 7)
+    with pytest.raises(ValueError):
+        sublevel_scaling(model, ones, [-2.0, 0.5], 1000, 7)
 
 
 def test_sublevel_scaling_requires_negative_t():

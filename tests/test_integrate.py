@@ -226,30 +226,34 @@ def _whole_shard_draw(radii, size, seed, shard):
     return (u[:, :m] + 1j * u[:, m:]) * radii
 
 
-def _whole_shard_moments(radii, inside, integrand, samples, seed):
-    """Reference for _box_moments: each shard drawn whole on one thread, then
-    masked and reduced in _BLOCK slices over the inside values, shards in order."""
-    s1 = s2 = 0.0
-    n_inside = n_bad = 0
-    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
-        pts = _whole_shard_draw(radii, min(_SHARD_SIZE, samples - done), seed, shard)
-        t1 = t2 = 0.0
-        for lo in range(0, len(pts), _BLOCK):
-            block = pts[lo : lo + _BLOCK]
-            mask = inside(block)
-            n_inside += int(mask.sum())
-            if mask.any():
-                vals = np.asarray(integrand(block[mask]), dtype=float)
-                bad = ~np.isfinite(vals)
-                n_bad += int(bad.sum())
-                vals = np.where(bad, 0.0, vals)
-                t1 += float(vals.sum())
-                t2 += float((vals * vals).sum())
-        s1 += t1
-        s2 += t2
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples), n_inside, n_bad
+def _whole_shard_moments(levels, integrand, samples, seed):
+    """Reference for _box_moments: for each level on its own, each shard drawn
+    whole on one thread, then masked and reduced in _BLOCK slices over the
+    inside values, shards in order."""
+    moments = []
+    for radii, inside in levels:
+        s1 = s2 = 0.0
+        n_inside = n_bad = 0
+        for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
+            pts = _whole_shard_draw(radii, min(_SHARD_SIZE, samples - done), seed, shard)
+            t1 = t2 = 0.0
+            for lo in range(0, len(pts), _BLOCK):
+                block = pts[lo : lo + _BLOCK]
+                mask = inside(block)
+                n_inside += int(mask.sum())
+                if mask.any():
+                    vals = np.asarray(integrand(block[mask]), dtype=float)
+                    bad = ~np.isfinite(vals)
+                    n_bad += int(bad.sum())
+                    vals = np.where(bad, 0.0, vals)
+                    t1 += float(vals.sum())
+                    t2 += float((vals * vals).sum())
+            s1 += t1
+            s2 += t2
+        mean = s1 / samples
+        var = max(s2 / samples - mean * mean, 0.0)
+        moments.append((mean, math.sqrt(var / samples), n_inside, n_bad))
+    return moments
 
 
 def _nan_on_left_half(pts):
@@ -257,6 +261,12 @@ def _nan_on_left_half(pts):
     vals = 1.0 / np.sum(np.abs(pts) ** 2, axis=1)
     vals[pts[:, 0].real < -0.5] = np.nan
     return vals
+
+
+def _ball_levels(inside):
+    """The unit ball of C^2 sampled in its own box, then in a box cut to |Re, Im z_1| < 0.7."""
+    radii = Ball(1.0, 2).bounding_radii()
+    return [(radii, inside), (np.array([0.7, 1.0]), inside)]
 
 
 MOMENT_SAMPLES = pytest.mark.parametrize(
@@ -268,14 +278,14 @@ MOMENT_SAMPLES = pytest.mark.parametrize(
 
 @MOMENT_SAMPLES
 def test_box_moments_bit_identical_to_whole_shard_loop(samples):
-    domain = Ball(1.0, 2)
-    radii = domain.bounding_radii()
-    args = (radii, domain.contains_batch, _nan_on_left_half, samples, 2029)
-    got = _box_moments(*args)
-    want = _whole_shard_moments(*args)
-    assert got == want
+    levels = _ball_levels(Ball(1.0, 2).contains_batch)
+    for count in (1, 2):
+        got = _box_moments(levels[:count], _nan_on_left_half, samples, 2029)
+        assert got == _whole_shard_moments(levels[:count], _nan_on_left_half, samples, 2029)
+        if samples > 1000:
+            assert all(level[3] > 0 for level in got)
     if samples > 1000:
-        assert got[3] > 0
+        assert got[0] != got[1]
 
 
 @MOMENT_SAMPLES
@@ -287,7 +297,7 @@ def test_box_moments_same_on_one_and_two_workers(samples, monkeypatch):
         threads.add(threading.get_ident())
         return domain.contains_batch(pts)
 
-    args = (domain.bounding_radii(), inside, _nan_on_left_half, samples, 2031)
+    args = (_ball_levels(inside), _nan_on_left_half, samples, 2031)
     got = {}
     for cores in (1, 2):
         threads.clear()
