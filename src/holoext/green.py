@@ -301,7 +301,8 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
     level's box in turn, so every result has the bits of a call at its level
     alone, for the draws of one call.
     """
-    ladder = [t] if np.ndim(t) == 0 else list(t)
+    single = np.ndim(t) == 0
+    ladder = [t] if single else list(t)
     if not ladder:
         raise ValueError("t must hold at least one level")
     if any(level >= 0.0 for level in ladder):
@@ -322,15 +323,15 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
                     note="sublevel set not resolved at this sample count",
                 )
             )
-            continue
-        scale = math.exp(-model.pole_dim * level) * _box_volume(r)
-        results.append(
-            QuadratureResult(
-                value=scale * mean,
-                error_estimate=_Z99 * scale * stderr,
-                samples_or_nodes=samples,
-                seed=seed,
-                rejected_infinite=n_bad,
+        else:
+            scale = math.exp(-model.pole_dim * level) * _box_volume(r)
+            results.append(
+                QuadratureResult(
+                    value=scale * mean,
+                    error_estimate=_Z99 * scale * stderr,
+                    samples_or_nodes=samples,
+                    seed=seed,
+                    rejected_infinite=n_bad,
+                )
             )
-        )
-    return results[0] if np.ndim(t) == 0 else results
+    return results[0] if single else results

@@ -8,20 +8,26 @@ uniform points in a bounding box with plain rejection, in shards of
 generator keyed by (seed, j), in consecutive blocks of ``_BLOCK`` points
 written into two buffers that are allocated once per shard and refilled in
 place, so the membership test and the integrand run on cache-sized arrays.
-``_box_blocks`` yields the blocks of shard 0, then of shard 1, and so on.
+The kernel takes a list of levels, each a box: a block is drawn once as
+2u - 1 and scaled to each level's box in turn into the same point buffer,
+so a ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for
+one draw, and each level sees exactly the points a draw for it alone would
+make.  ``_box_blocks`` yields the blocks of one box: shard 0, then shard 1,
+and so on.
 
 Scheduling.  ``_box_moments`` (behind ``mc_integrate``, ``volume`` and
 ``sublevel_scaling``) runs its shards on a thread pool of
 min(usable cores, shards) workers; with one shard or one usable core it
-runs inline.  Each shard returns its partial sums, which are added in
-shard order.  Inside a shard each block adds the sum of its inside values
-to s1, squares those values in place and adds their sum to s2.  No BLAS
-call takes part, so every estimate is a fixed function of
-(samples, seed, ``_SHARD_SIZE``, ``_BLOCK``): the same bits on any number
-of workers and any BLAS thread count.  Memory is one block per worker.
-The Monte Carlo Gram draws through ``_box_blocks`` on one thread, since its
-per-block GEMMs already use the BLAS threads; it holds one block plus its
-accumulators.
+runs inline.  Each shard returns its partial sums per level, which are
+added in shard order.  Inside a shard each block adds, per level, the sum
+of its inside values to s1, squares those values in place and adds their
+sum to s2.  No BLAS call takes part, so every estimate is a fixed function
+of (samples, seed, ``_SHARD_SIZE``, ``_BLOCK``), the same for a level
+sampled alone or in a ladder: the same bits on any number of workers and
+any BLAS thread count.  Memory is one block per worker, however many
+levels share it.  The Monte Carlo Gram draws through ``_box_blocks`` on one
+thread, since its per-block GEMMs already use the BLAS threads; it holds
+one block plus its accumulators.
 
 Integrands are vectorized: they receive an (N, ambient_dim) complex array of
 points that already passed the membership test and return N real values.
@@ -145,10 +151,10 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     Each block adds the sum of its inside values, then the sum of their
     squares; values outside the level's set are zero and add nothing.
     """
+    radii, tests = zip(*levels)
     parts = [[0.0, 0.0, 0, 0] for _ in levels]
-    radii = [r for r, _ in levels]
     for level, pts in _shard_blocks(radii, seed, shard, size):
-        mask = levels[level][1](pts)
+        mask = tests[level](pts)
         hits = int(np.count_nonzero(mask))
         part = parts[level]
         if hits:
