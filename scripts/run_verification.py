@@ -4,12 +4,15 @@
 Usage: python scripts/run_verification.py [--out DIR] [--fast]
 
 --fast cuts every Monte Carlo budget by 20x for a quick smoke run.  The exit
-code is 0 only if every assertion of every scenario passed.
+code is 0 only if every assertion of every scenario passed.  The last line
+gives the verdict and the wall clock of the whole battery, which, like each
+config's wall clock, stays outside the report bodies.
 """
 
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -31,6 +34,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
+    start = time.perf_counter()
     for config_path in sorted(CONFIG_DIR.glob("*.json")):
         raw = json.loads(config_path.read_text())
         config = ScenarioConfig.from_mapping(raw)
@@ -52,8 +56,9 @@ def main() -> int:
                 if not a.passed:
                     print(f"      failed: {a.name}  lhs={a.lhs!r} rhs={a.rhs!r} tol={a.tol!r}")
 
+    wall = time.perf_counter() - start
     print()
-    print("overall:", "PASS" if all_passed else "FAIL")
+    print("overall:", "PASS" if all_passed else "FAIL", f"[{wall:.2f} s]")
     return 0 if all_passed else 1
 
 

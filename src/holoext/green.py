@@ -278,6 +278,8 @@ def _sublevel_test(model, t):
 
     def inside(pts):
         mask = domain.contains_batch(pts)
+        if mask.all():  # the box lies inside the domain: no copy
+            return model.green_batch(pts) < 0.5 * t
         if mask.any():
             mask[mask] = model.green_batch(np.compress(mask, pts, axis=0)) < 0.5 * t
         return mask
@@ -291,27 +293,38 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
     Samples the sublevel set's own bounding box (the domain box would almost
     never hit {G < t/2} for very negative t).  ``chi`` is a vectorized
     nonnegative integrand; a non-finite value of it counts as zero and is
-    reported in ``rejected_infinite``.  An empty sublevel set at the given
-    resolution yields a zero-valued result with a warning note rather than an
-    error.
+    reported in ``rejected_infinite``.  A ``chi`` of None is the constant 1,
+    so the result is e^(-k t) vol{G < t/2}; the hits are counted without
+    evaluating anything, with the bits of a ``chi`` of ones.  An empty
+    sublevel set at the given resolution yields a zero-valued result with a
+    warning note rather than an error.
 
     ``t`` is one level, which returns one QuadratureResult, or a sequence of
-    levels, which returns one result per level.  The levels of a sequence
-    share one pass of draws: each block is drawn once and scaled to each
-    level's box in turn, so every result has the bits of a call at its level
-    alone, for the draws of one call.
+    levels, which returns one result per level.  Every level must be finite
+    and negative, and e^(-k t) must not overflow; a ValueError names the
+    first level that fails.  The levels of a sequence share one pass of
+    draws: each block is drawn once and scaled to each level's box in turn,
+    so every result has the bits of a call at its level alone, for the draws
+    of one call.
     """
     single = np.ndim(t) == 0
     ladder = [t] if single else list(t)
     if not ladder:
         raise ValueError("t must hold at least one level")
-    if any(level >= 0.0 for level in ladder):
-        raise ValueError("t must be negative")
+    k = model.pole_dim
+    growth = []
+    for level in ladder:
+        if not (math.isfinite(level) and level < 0.0):
+            raise ValueError(f"every level t must be finite and negative, got t = {level!r}")
+        try:
+            growth.append(math.exp(-k * level))
+        except OverflowError:
+            raise ValueError(f"e^(-k t) overflows at t = {level!r} (k = {k})") from None
     radii = [_sublevel_radii(model, level) for level in ladder]
     levels = [(r, _sublevel_test(model, level)) for r, level in zip(radii, ladder)]
     moments = _box_moments(levels, chi, samples, seed)
     results = []
-    for level, r, (mean, stderr, n_hit, n_bad) in zip(ladder, radii, moments):
+    for grow, r, (mean, stderr, n_hit, n_bad) in zip(growth, radii, moments):
         if n_hit == 0:
             results.append(
                 QuadratureResult(
@@ -324,7 +337,7 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
                 )
             )
         else:
-            scale = math.exp(-model.pole_dim * level) * _box_volume(r)
+            scale = grow * _box_volume(r)
             results.append(
                 QuadratureResult(
                     value=scale * mean,

@@ -5,13 +5,15 @@ here, ``green.sublevel_scaling``, ``green.indicatrix_volume`` and the Monte
 Carlo ``bergman.gram_matrix``) draws through one kernel, ``_shard_blocks``:
 uniform points in a bounding box with plain rejection, in shards of
 ``_SHARD_SIZE`` points.  Shard j is drawn from a counter-based (Philox)
-generator keyed by (seed, j), in consecutive blocks of ``_BLOCK`` points
-written into two buffers that are allocated once per shard and refilled in
-place, so the membership test and the integrand run on cache-sized arrays.
-The kernel takes a list of levels, each a box: a block is drawn once as
-2u - 1 and scaled to each level's box in turn into the same point buffer,
-so a ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for
-one draw, and each level sees exactly the points a draw for it alone would
+generator keyed by (seed, j), in consecutive blocks of ``_BLOCK`` points.
+Each worker holds two buffers, allocated once per shard and refilled in
+place, so the membership test and the integrand run on cache-sized arrays:
+the complex point buffer, whose float64 view takes the draws, and the
+block's 2u - 1 laid out once in complex order (re_1, im_1, re_2, ...).
+The kernel takes a list of levels, each a box: each level fills the point
+buffer with one contiguous product of the 2u - 1 buffer and its radii, so a
+ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for one
+draw, and each level sees exactly the points a draw for it alone would
 make.  ``_box_blocks`` yields the blocks of one box: shard 0, then shard 1,
 and so on.
 
@@ -21,13 +23,16 @@ min(usable cores, shards) workers; with one shard or one usable core it
 runs inline.  Each shard returns its partial sums per level, which are
 added in shard order.  Inside a shard each block adds, per level, the sum
 of its inside values to s1, squares those values in place and adds their
-sum to s2.  No BLAS call takes part, so every estimate is a fixed function
-of (samples, seed, ``_SHARD_SIZE``, ``_BLOCK``), the same for a level
-sampled alone or in a ladder: the same bits on any number of workers and
-any BLAS thread count.  Memory is one block per worker, however many
-levels share it.  The Monte Carlo Gram draws through ``_box_blocks`` on one
-thread, since its per-block GEMMs already use the BLAS threads; it holds
-one block plus its accumulators.
+sum to s2.  A counting estimator (``volume``, and ``sublevel_scaling``
+without an integrand) passes no integrand: each block adds its inside
+count to s1 and s2, the exact sums of that many ones, and nothing is
+copied or evaluated.  No BLAS call takes part, so every estimate is a
+fixed function of (samples, seed, ``_SHARD_SIZE``, ``_BLOCK``), the same
+for a level sampled alone or in a ladder: the same bits on any number of
+workers and any BLAS thread count.  Memory is one block per worker,
+however many levels share it.  The Monte Carlo Gram draws through
+``_box_blocks`` on one thread, since its per-block GEMMs already use the
+BLAS threads; it holds one block plus its accumulators.
 
 Integrands are vectorized: they receive an (N, ambient_dim) complex array of
 points that already passed the membership test and return N real values.
@@ -116,26 +121,32 @@ def _shard_blocks(radii, seed: int, shard: int, size: int):
 
     ``radii`` holds one row of box radii per level, the box of a row being
     prod |z_i| < radii_i.  The draws come from rng_stream(seed, shard) in
-    consecutive blocks of at most ``_BLOCK`` rows.  Each block is drawn once
-    as 2u - 1, then scaled by each row in turn into one point buffer reused
-    for the whole shard, so every level sees exactly the points a draw for it
-    alone would make.  The points are valid only until the next yield.
+    consecutive blocks of at most ``_BLOCK`` rows, each row holding the real
+    parts of its m coordinates, then their imaginary parts.  A block is drawn
+    into the float64 view of the point buffer and written once as 2u - 1, in
+    complex order (re_1, im_1, re_2, ...), into a second buffer; each level
+    then fills the point buffer with one contiguous product of that buffer
+    and its radii, each repeated twice.  Every coordinate is (2u - 1) * r_i
+    with one rounding, so each level sees exactly the points a draw for it
+    alone would make.  Both buffers are reused for the whole shard, and the
+    points are valid only until the next yield.
     """
     m = len(radii[0])
     rows = min(_BLOCK, size)
-    u = np.empty((rows, 2 * m))
+    unit = np.empty((rows, m, 2))
     pts = np.empty((rows, m), dtype=complex)
+    flat = pts.view(np.float64)
+    scales = [np.repeat(r, 2) for r in radii]
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
-        ub, pb = u[:b], pts[:b]
-        rng.random(out=ub)
-        ub *= 2.0
+        ub, fb = unit[:b], flat[:b]
+        rng.random(out=fb)
+        np.multiply(fb.reshape(b, 2, m).transpose(0, 2, 1), 2.0, out=ub)
         ub -= 1.0
-        for level, r in enumerate(radii):
-            np.multiply(ub[:, :m], r, out=pb.real)
-            np.multiply(ub[:, m:], r, out=pb.imag)
-            yield level, pb
+        for level, scale in enumerate(scales):
+            np.multiply(ub.reshape(b, 2 * m), scale, out=fb)
+            yield level, pts[:b]
 
 
 def _box_blocks(radii, samples: int, seed: int):
@@ -149,7 +160,9 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     """Per level, [sum, sum of squares, inside count, non-finite count] over one shard.
 
     Each block adds the sum of its inside values, then the sum of their
-    squares; values outside the level's set are zero and add nothing.
+    squares; values outside the level's set are zero and add nothing.  An
+    ``integrand`` of None is the constant 1: a block adds its inside count to
+    both sums, which is what summing that many ones gives, bit for bit.
     """
     radii, tests = zip(*levels)
     parts = [[0.0, 0.0, 0, 0] for _ in levels]
@@ -157,7 +170,10 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
         mask = tests[level](pts)
         hits = int(np.count_nonzero(mask))
         part = parts[level]
-        if hits:
+        if hits and integrand is None:
+            part[0] += float(hits)
+            part[1] += float(hits)
+        elif hits:
             # a copy, so that squaring in place leaves the integrand's array alone
             vals = np.array(integrand(np.compress(mask, pts, axis=0)), dtype=float)
             bad = ~np.isfinite(vals)
@@ -177,7 +193,7 @@ def _box_moments(levels, integrand, samples: int, seed: int):
     ``levels`` is a list of (radii, inside) pairs that share the draws:
     ``inside`` maps a block of points in the box of ``radii`` to its
     membership mask, and ``integrand`` maps the inside points to real
-    values.  The shards run and are reduced as the module docstring
+    values, or is None to count them.  The shards run and are reduced as the module docstring
     describes; each worker runs under a copy of the caller's context, so
     ``np.errstate`` carries over.  Returns, per level, the sample mean, its
     standard error, the inside count and the non-finite count, with the bits
@@ -240,8 +256,11 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
     """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
 
     The estimator is box volume times the mean of chi_domain * integrand over
-    the box; the error_estimate is a 99% confidence half-width.  Raises
-    DegenerateDomainError when fewer than 0.1% of the samples land inside.
+    the box; the error_estimate is a 99% confidence half-width.  An
+    ``integrand`` of None is the constant 1 (the domain's volume), counted
+    without evaluating anything and with the bits of an integrand of ones.
+    Raises DegenerateDomainError when fewer than 0.1% of the samples land
+    inside.
     """
     radii = domain.bounding_radii()
     [(mean, stderr, n_inside, n_bad)] = _box_moments(
@@ -263,8 +282,12 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
 
 
 def volume(domain, samples: int, seed: int) -> QuadratureResult:
-    """Lebesgue volume of the domain by rejection sampling."""
-    return mc_integrate(domain, lambda pts: np.ones(len(pts)), samples, seed)
+    """Lebesgue volume of the domain by rejection sampling.
+
+    The hits are counted (``mc_integrate`` with no integrand), so the result
+    has the bits of integrating ones.
+    """
+    return mc_integrate(domain, None, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -437,9 +437,8 @@ def _scaling_model(args):
 def _run_scaling(args, samples, seed, tol):
     model, limit = _scaling_model(args)
     ladder = args["t_ladder"]
-    ones = lambda pts: np.ones(len(pts))
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
-    results = list(zip(ladder, sublevel_scaling(model, ones, ladder, samples, seed)))
+    results = list(zip(ladder, sublevel_scaling(model, None, ladder, samples, seed)))
     for t, r in results:
         values.append(
             ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, "monte-carlo")

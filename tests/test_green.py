@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoext import integrate
+from holoext import green, integrate
 from holoext.errors import DomainError
 from holoext.green import (
     AzukawaForm,
@@ -366,6 +366,48 @@ def test_sublevel_scaling_float_level_returns_one_result():
 def test_sublevel_scaling_requires_negative_t():
     with pytest.raises(ValueError):
         sublevel_scaling(BallPointModel(1), lambda p: np.ones(len(p)), 0.5, 100, 0)
+
+
+@pytest.mark.parametrize("level", [0.0, math.nan, math.inf, -math.inf, -800.0])
+def test_sublevel_scaling_rejects_bad_levels(level):
+    # finite and negative, with e^(-k t) finite: -800 overflows it at k = 1
+    ones = lambda p: np.ones(len(p))
+    for t in (level, [-2.0, level]):
+        with pytest.raises(ValueError, match=f"t = {level!r}"):
+            sublevel_scaling(BallPointModel(1), ones, t, 100, 0)
+
+
+@pytest.mark.parametrize("model", LADDER_MODELS, ids=lambda m: repr(m))
+def test_sublevel_counting_has_the_bits_of_ones(model, monkeypatch):
+    ladder = [-4.0, -8.0, -12.0]
+    samples = _SHARD_SIZE + 3 * _BLOCK + 5
+    ones = lambda pts: np.ones(len(pts))
+    monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
+    want = sublevel_scaling(model, ones, ladder, samples, 2043)
+    assert all(r.value > 0.0 for r in want)
+    for cores in (2, 1):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        assert sublevel_scaling(model, None, ladder, samples, 2043) == want
+
+
+@pytest.mark.parametrize(
+    "model, box_inside",
+    [(BallPointModel(2), True), (BallPairModel(2, 2), False)],
+    ids=["ball_point", "ball_pair"],
+)
+def test_sublevel_test_on_a_box_inside_and_outside_the_domain(model, box_inside):
+    # the level box of ball_point at t = -4 lies inside the ball, so the mask
+    # comes from the whole block; ball_pair's box pokes out and is masked first
+    t = -4.0
+    domain = model.domain()
+    inside = green._sublevel_test(model, t)
+    for pts in integrate._box_blocks(green._sublevel_radii(model, t), 3 * _BLOCK, 2044):
+        mask = domain.contains_batch(pts)
+        assert mask.all() == box_inside
+        want = mask.copy()
+        want[mask] = model.green_batch(pts[mask]) < 0.5 * t
+        assert np.array_equal(inside(pts), want)
+        assert want.any()
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))

@@ -332,6 +332,50 @@ def test_box_blocks_concatenate_to_the_whole_shard_draw():
     assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
+def _row_broadcast_blocks(radii, seed, shard, size):
+    """Reference for _shard_blocks: each block drawn as 2u - 1, then each level's
+    radii broadcast over the rows, into the real parts from the first m columns
+    and into the imaginary parts from the last m."""
+    m = len(radii[0])
+    rng = rng_stream(seed, shard)
+    for lo in range(0, size, _BLOCK):
+        u = 2.0 * rng.random((min(_BLOCK, size - lo), 2 * m)) - 1.0
+        for level, r in enumerate(radii):
+            pts = np.empty((len(u), m), dtype=complex)
+            np.multiply(u[:, :m], r, out=pts.real)
+            np.multiply(u[:, m:], r, out=pts.imag)
+            yield level, pts
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_shard_blocks_match_the_row_broadcast_layout(m):
+    # three levels whose rows differ in some columns only; the last block is partial
+    base = np.linspace(0.4, 1.0, m)
+    radii = [base, base.copy(), base * 0.5]
+    radii[1][0] = 0.05
+    size = 2 * _BLOCK + 7
+    got = [(level, pts.copy()) for level, pts in integrate._shard_blocks(radii, 2041, 3, size)]
+    want = list(_row_broadcast_blocks(radii, 2041, 3, size))
+    assert [level for level, _ in got] == [level for level, _ in want] == [0, 1, 2] * 3
+    assert [len(pts) for _, pts in got] == [_BLOCK] * 6 + [7] * 3
+    for (_, g), (_, w) in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+_FUBINI_K2_LIFT = HartogsLift(
+    base=Ball(1.0, 2), weight=RadialWeight(LogSingularProfile(), 2), fiber_dim=2
+)
+
+
+@pytest.mark.parametrize("domain", [Ball(1.0, 2), _FUBINI_K2_LIFT], ids=["ball", "fubini_k2_lift"])
+def test_volume_counts_with_the_bits_of_integrating_ones(domain, monkeypatch):
+    ones = lambda pts: np.ones(len(pts))
+    samples = _SHARD_SIZE + _BLOCK + 3
+    for cores in (1, 2):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        assert volume(domain, samples, 2042) == mc_integrate(domain, ones, samples, 2042)
+
+
 def test_volume_memory_stays_at_one_block_per_worker():
     tracemalloc.start()
     try:
