@@ -278,7 +278,7 @@ def _sublevel_test(model, t):
 
     def inside(pts):
         mask = domain.contains_batch(pts)
-        if mask.all():  # the box lies inside the domain: no copy
+        if mask.all():  # every point is inside: test the block itself, no copy
             return model.green_batch(pts) < 0.5 * t
         if mask.any():
             mask[mask] = model.green_batch(np.compress(mask, pts, axis=0)) < 0.5 * t
