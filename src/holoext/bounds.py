@@ -7,20 +7,22 @@ by one function; the ``bound_comparison`` scenario reports them side by side:
 
   * ``minimal_norm_squared``: the weighted norm of the least-norm extension
     in the truncated Bergman space,
-  * ``lift_route_rhs``: apply the generator bound on the Hartogs lift with
-    the trivial weight, then descend by the mean value inequality, dividing
-    by sigma_k.  On the lift the gap is B~ = -psi and the indicatrix at w is
-    the ball of radius e^(-psi(w)), so the generator and indicatrix routes
-    are the same integral sigma_k * integral |f|^2 e^(-2k psi) and it is
-    computed once,
-  * ``indicatrix_bound_rhs``: integral_V vol(I_w) |f|^2 e^(-phi).
+  * ``lift_route_rhs``: the bound integral_V vol(I_v) |f|^2 on the Hartogs
+    lift with the trivial weight, descended by the mean value inequality,
+    i.e. divided by sigma_k,
+  * ``indicatrix_bound_rhs``: integral_V vol(I_v) |f|^2 e^(-phi) for the
+    direct pair; on V the weight is e^(-phi) = 1.
 
-For radial weights with V a point the first two are equal.  All closed-form
-constants come from exact integer factorials times powers of pi.
+Both bounds are sigma_k times a Green model's ``indicatrix_integral`` of f:
+the lift route that of ``RadialLiftModel``, the direct bound that of
+``BallPointModel`` (V a point) or ``BallPairModel``.  For radial weights with
+V a point the first two numbers are equal.  All closed-form constants come
+from exact integer factorials times powers of pi.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,14 +31,9 @@ import numpy as np
 from .bergman import MultiIndexBasis, gram_matrix, min_norm_extension
 from .errors import UnsupportedModelError
 from .geometry import Ball
-from .integrate import (
-    QuadratureResult,
-    _ball_moment,
-    mc_integrate,
-    radial_integrate,
-    sigma_mu,
-)
-from .weights import RadialProfile, RadialWeight, TrivialWeight, _fiber_psi_batch
+from .green import BallPairModel, BallPointModel, RadialLiftModel
+from .integrate import QuadratureResult, mc_integrate, radial_integrate, sigma_mu
+from .weights import RadialProfile, RadialWeight, TrivialWeight
 
 __all__ = [
     "ExtensionScenario",
@@ -53,8 +50,8 @@ __all__ = [
 class ExtensionScenario:
     """Unit-ball pair with a radial (or trivial) weight and polynomial data.
 
-    ``f_coeffs`` maps z''-multi-indices (length n - k) to coefficients; the
-    default extends the constant function 1.
+    ``f_coeffs`` maps z''-multi-indices (length n - k) to finite
+    coefficients; the default extends the constant function 1.
     """
 
     ambient_dim: int
@@ -70,9 +67,11 @@ class ExtensionScenario:
         if self.f_coeffs is None:
             self.f_coeffs = {(0,) * (n - k): 1.0}  # the constant function 1
         self.f_coeffs = {tuple(key): complex(val) for key, val in self.f_coeffs.items()}
-        for key in self.f_coeffs:
+        for key, val in self.f_coeffs.items():
             if len(key) != n - k:
                 raise ValueError(f"f index {key} must have length {n - k}")
+            if not cmath.isfinite(val):
+                raise ValueError(f"f coefficient at {key} must be finite, got {val}")
 
     def domain(self) -> Ball:
         return Ball(radius=1.0, dim=self.ambient_dim)
@@ -82,47 +81,32 @@ class ExtensionScenario:
             return TrivialWeight()
         return RadialWeight(self.profile, self.codim)
 
-    def _f_norm_factor(self, extra_power: int) -> float:
-        """sum_beta |f_beta|^2 * integral_(B^(n-k)) |z^beta|^2 (1-|z|^2)^extra."""
-        m = self.ambient_dim - self.codim
-        return sum(
-            abs(c) ** 2 * _ball_moment(m, beta, extra_power)
-            for beta, c in self.f_coeffs.items()
-        )
-
-
-def _fiber_integral(profile: RadialProfile, k: int) -> float:
-    """integral_(B^k) e^(-2k psi(w)) dV(w) by radial quadrature."""
-    return radial_integrate(
-        lambda r: np.exp(-2.0 * k * _fiber_psi_batch(profile, r * r)), k, 1.0
-    ).value
-
 
 def lift_route_rhs(scenario: ExtensionScenario) -> float:
     """Lift-route bound on the weighted extension norm.
 
-    On the lift the generator bound with the exact gap B~ = -psi and the
-    indicatrix bound (the indicatrix at w is the ball of radius e^(-psi(w)))
-    coincide: both are sigma_k * integral |f|^2 e^(-2k psi).  That one
-    integral is computed once and descended through the mean value
-    inequality, i.e. divided by sigma_k.
+    sigma_k times the lift model's indicatrix integral, descended through the
+    mean value inequality, i.e. divided by sigma_k: the integral itself.
     """
     if scenario.profile is None:
         raise UnsupportedModelError(
             "the lift of the trivially weighted ball is a ball-times-ball "
             "product with no catalog Green model"
         )
-    return scenario._f_norm_factor(0) * _fiber_integral(scenario.profile, scenario.codim)
+    model = RadialLiftModel(scenario.profile, scenario.codim, scenario.ambient_dim)
+    return model.indicatrix_integral(scenario.f_coeffs)
 
 
 def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:
-    """Indicatrix bound integral_V vol(I_w) |f|^2 e^(-phi) for the direct pair.
+    """Indicatrix bound integral_V vol(I_v) |f|^2 e^(-phi) for the direct pair.
 
-    On the unit ball the indicatrix at z'' is the ball of radius
-    sqrt(1 - |z''|^2) in C^k, so vol(I) = sigma_k (1 - |z''|^2)^k.
+    sigma_k times the indicatrix integral of the direct model: the ball with
+    a point pole when V is a point, else the ball pair, whose indicatrix at
+    z'' is the ball of radius sqrt(1 - |z''|^2) in C^k.
     """
-    sigma_k, _ = sigma_mu(scenario.codim)
-    return sigma_k * scenario._f_norm_factor(scenario.codim)
+    n, k = scenario.ambient_dim, scenario.codim
+    model = BallPointModel(n) if k == n else BallPairModel(k, n - k)
+    return sigma_mu(k)[0] * model.indicatrix_integral(scenario.f_coeffs)
 
 
 def ball_bound_ratio(n: int) -> float:

@@ -1,18 +1,27 @@
 """Closed-form pluricomplex Green function models for catalog pairs.
 
-A model pairs a domain with the linear subvariety V = {z' = 0} and exposes
+A model pairs a domain with the linear subvariety V = {z' = 0} and writes
+two batch formulas, ``green_batch`` for the Green function G with
+logarithmic poles along V and ``gap_batch`` for the gap function B, defined
+by the exact rearrangement B(p) = log |psi(p)| - G(p) with psi the
+generator tuple (so the defining inequality log |psi| - B <= G holds with
+equality).  Everything else is derived from these once, in ``_GreenModel``:
 
-  * the Green function G with logarithmic poles along V,
-  * the gap function B, defined by the exact rearrangement
-    B(p) = log |psi(p)| - G(p) with psi the generator tuple (so the defining
-    inequality log |psi| - B <= G holds with equality),
-  * the Azukawa directional form A(X) = lim_(a -> 0) G(aX, w) - log |a|,
-    whose sublevel set {A < 0} is the indicatrix.
+  * the scalar ``green`` and ``gap``, which check the domain and run the
+    batch formula on one row,
+  * the Azukawa directional form A(X) = lim_(a -> 0) G(aX, v) - log |a| at a
+    point v of V, which is log |X| - B(0, v); its sublevel set {A < 0}, the
+    indicatrix I_v, is the ball of radius e^(B(0, v)) in C^k, so
+    vol(I_v) = sigma_k e^(2k B(0, v)).
+
+Each model also integrates that quantity over V: ``indicatrix_integral(f)``
+is integral_V |f|^2 e^(2k B) for polynomial data f on V (None is f = 1), so
+sigma_k times it is the paper's integral_V vol(I_v) |f|^2.  The bounds and
+the sublevel scaling limit are this one integral for different models and
+data.
 
 Only models with elementary closed forms are shipped; pairs without one raise
-UnsupportedModelError upstream.  Every catalog form has the shape
-A(X) = log |X| + c with c >= 0 depending on the base point, so indicatrices
-are balls of radius e^(-c).
+UnsupportedModelError upstream.
 """
 
 from __future__ import annotations
@@ -24,16 +33,22 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Ball, HartogsLift, as_point, sq_norm
-from .integrate import QuadratureResult, _box_moments, _box_volume, _Z99, sigma_mu, volume
-from .weights import RadialProfile, RadialWeight, _fiber_psi_batch, fiber_psi
+from .integrate import (
+    QuadratureResult,
+    _box_moments,
+    _box_volume,
+    _data_moment,
+    _Z99,
+    radial_integrate,
+    sigma_mu,
+)
+from .weights import RadialProfile, RadialWeight, _fiber_psi_batch
 
 __all__ = [
     "BallPointModel",
     "BallPairModel",
     "RadialLiftModel",
     "AzukawaForm",
-    "eval_green",
-    "gap_B",
     "azukawa",
     "indicatrix_volume",
     "sublevel_scaling",
@@ -49,26 +64,39 @@ class AzukawaForm:
     pole_dim: int
     log_shift: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.log_shift):
+            raise ValueError(f"log_shift must be finite, got {self.log_shift!r}")
+
     def evaluate(self, direction):
-        x = np.asarray(direction, dtype=complex).ravel()
-        if x.size != self.pole_dim:
-            raise ValueError(f"direction must have {self.pole_dim} coordinates")
-        norm = float(np.linalg.norm(x))
+        norm = float(np.linalg.norm(as_point(direction, self.pole_dim)))
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
         return math.log(norm) + self.log_shift
 
-    @property
-    def indicatrix_radius(self):
-        return math.exp(-self.log_shift)
-
 
 class _GreenModel:
-    """Scalar Green function and point embedding shared by the catalog models."""
+    """Scalar Green and gap functions and the Azukawa form, from the batch formulas."""
+
+    def _row(self, p):
+        """One point of the domain as a (1, ambient_dim) array; DomainError if outside."""
+        p = as_point(p, self.ambient_dim)
+        if not self.domain().contains(p):
+            raise DomainError("point lies outside the model domain")
+        return p[None, :]
 
     def green(self, p):
-        """G at one point, through the batch formula; -inf on the pole set."""
-        return float(self.green_batch(as_point(p, self.ambient_dim)[None, :])[0])
+        """G at one point of the domain; -inf on the pole set."""
+        return float(self.green_batch(self._row(p))[0])
+
+    def gap(self, p):
+        """B(p) = log |psi(p)| - G(p) at one point of the domain."""
+        return float(self.gap_batch(self._row(p))[0])
+
+    def azukawa_form(self, base_point=()):
+        """A(X) = log |X| - B at the point (0, base_point) of V."""
+        origin = self.embed(np.zeros(self.pole_dim), base_point)
+        return AzukawaForm(self.pole_dim, -self.gap(origin))
 
     def embed(self, pole_part, base_point=()):
         """The point (pole_part, base_point) of the ambient space."""
@@ -82,7 +110,7 @@ class _GreenModel:
 
 @dataclass(frozen=True)
 class BallPointModel(_GreenModel):
-    """Unit ball of C^n with V = {0}: G(z) = log |z|."""
+    """Unit ball of C^n with V = {0}: G(z) = log |z| and B = 0."""
 
     n: int
 
@@ -105,14 +133,12 @@ class BallPointModel(_GreenModel):
         with np.errstate(divide="ignore"):
             return 0.5 * np.log(sq_norm(pts))
 
-    def gap(self, p):
-        return 0.0
+    def gap_batch(self, pts):
+        return np.zeros(len(pts))
 
-    def azukawa_form(self, base_point=()):
-        base = np.asarray(base_point, dtype=complex).ravel()
-        if base.size != 0:
-            raise ValueError("the pole is a single point; base_point must be empty")
-        return AzukawaForm(pole_dim=self.n, log_shift=0.0)
+    def indicatrix_integral(self, f_coeffs=None):
+        """|f(0)|^2: V is the origin, where B = 0."""
+        return _data_moment(0, f_coeffs, 0)
 
 
 @dataclass(frozen=True)
@@ -144,18 +170,12 @@ class BallPairModel(_GreenModel):
         with np.errstate(divide="ignore"):
             return 0.5 * (np.log(r2) - np.log1p(-w2))
 
-    def gap(self, p):
-        zpp = as_point(p, self.ambient_dim)[self.pole_dim :]
-        return 0.5 * math.log1p(-float(np.sum(np.abs(zpp) ** 2)))
+    def gap_batch(self, pts):
+        return 0.5 * np.log1p(-sq_norm(pts[:, self.pole_dim :]))
 
-    def azukawa_form(self, base_point):
-        w = np.asarray(base_point, dtype=complex).ravel()
-        if w.size != self.base_dim:
-            raise ValueError(f"base point must have {self.base_dim} coordinates")
-        w2 = float(np.sum(np.abs(w) ** 2))
-        if w2 >= 1.0:
-            raise DomainError("base point must lie inside the unit ball of V")
-        return AzukawaForm(pole_dim=self.pole_dim, log_shift=-0.5 * math.log1p(-w2))
+    def indicatrix_integral(self, f_coeffs=None):
+        """sum_beta |f_beta|^2 integral_(B^n) |z''^beta|^2 (1 - |z''|^2)^k, in closed form."""
+        return _data_moment(self.base_dim, f_coeffs, self.pole_dim)
 
 
 @dataclass(frozen=True)
@@ -196,33 +216,22 @@ class RadialLiftModel(_GreenModel):
         with np.errstate(divide="ignore"):
             return 0.5 * np.log(r2) + _fiber_psi_batch(self.profile, w2)
 
-    def gap(self, p):
-        return -fiber_psi(self.profile, as_point(p, self.ambient_dim)[self.base_dim :])
+    def _fiber_gap(self, w2):
+        """B = -psi(w) as a function of |w|^2."""
+        return -_fiber_psi_batch(self.profile, w2)
 
-    def azukawa_form(self, base_point):
-        v = np.asarray(base_point, dtype=complex).ravel()
-        if v.size != self.base_dim:
-            raise ValueError(
-                f"base point must have {self.base_dim} coordinates (z'' then w)"
-            )
-        w = v[self.base_dim - self.pole_dim :]
-        return AzukawaForm(pole_dim=self.pole_dim, log_shift=fiber_psi(self.profile, w))
+    def gap_batch(self, pts):
+        return self._fiber_gap(sq_norm(pts[:, self.base_dim :]))
 
+    def indicatrix_integral(self, f_coeffs=None):
+        """The data moment over B^(n-k) times integral_(B^k) e^(2k B(w)) dV(w).
 
-def eval_green(model, p) -> float:
-    """Green function value at an interior point; -inf on the pole set."""
-    p = as_point(p, model.ambient_dim)
-    if not model.domain().contains(p):
-        raise DomainError("point lies outside the model domain")
-    return model.green(p)
-
-
-def gap_B(model, p) -> float:
-    """Gap function B(p) = log |psi(p)| - G(p), continuous across V."""
-    p = as_point(p, model.ambient_dim)
-    if not model.domain().contains(p):
-        raise DomainError("point lies outside the model domain")
-    return model.gap(p)
+        B depends on w alone, so the integral over V = {(z'', w)} splits; the
+        fiber factor is one radial quadrature.
+        """
+        k = self.pole_dim
+        fiber = radial_integrate(lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)), k, 1.0)
+        return _data_moment(self.base_dim - k, f_coeffs, 0) * fiber.value
 
 
 def azukawa(model, base_point, direction, verify=False, tol=1e-6) -> float:
@@ -239,7 +248,7 @@ def azukawa(model, base_point, direction, verify=False, tol=1e-6) -> float:
         unit = x / float(np.linalg.norm(x))
         target = value - math.log(float(np.linalg.norm(x)))  # A at the unit direction
         for lam in _LIMIT_LADDER:
-            probe = eval_green(model, model.embed(lam * unit, base_point)) - math.log(lam)
+            probe = model.green(model.embed(lam * unit, base_point)) - math.log(lam)
             if abs(probe - target) > tol:
                 raise RuntimeError(
                     f"directional limit at scale {lam} drifted from the closed "
@@ -248,20 +257,13 @@ def azukawa(model, base_point, direction, verify=False, tol=1e-6) -> float:
     return value
 
 
-def indicatrix_volume(
-    form: AzukawaForm, method="closed_form", samples=200_000, seed=0
-) -> QuadratureResult:
-    """Euclidean volume of the indicatrix {X : A(X) < 0} in C^pole_dim."""
-    probe = form.log_shift + math.log(1e3)
-    if probe < 0.0:
+def indicatrix_volume(form: AzukawaForm) -> QuadratureResult:
+    """Euclidean volume sigma_k e^(-2k log_shift) of the indicatrix {X : A(X) < 0}."""
+    if form.log_shift + math.log(1e3) < 0.0:
         raise ValueError("indicatrix is unbounded: A < 0 at |X| = 1e3")
     k = form.pole_dim
     exact = sigma_mu(k)[0] * math.exp(-2.0 * k * form.log_shift)
-    if method == "closed_form":
-        return QuadratureResult(value=exact, error_estimate=0.0, samples_or_nodes=0)
-    if method != "monte_carlo":
-        raise ValueError("method must be 'closed_form' or 'monte_carlo'")
-    return volume(Ball(radius=form.indicatrix_radius, dim=k), samples, seed)
+    return QuadratureResult(value=exact, error_estimate=0.0, samples_or_nodes=0)
 
 
 def _sublevel_radii(model, t):

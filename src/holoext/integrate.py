@@ -1,15 +1,15 @@
 """Seeded Monte Carlo over domains and adaptive 1D radial quadrature.
 
 Every Monte Carlo estimator in the package (``mc_integrate`` and ``volume``
-here, ``green.sublevel_scaling``, ``green.indicatrix_volume`` and the Monte
-Carlo ``bergman.gram_matrix``) draws through one kernel, ``_shard_blocks``:
-uniform points in a bounding box with plain rejection, in shards of
-``_SHARD_SIZE`` points.  Shard j is drawn from a counter-based (Philox)
-generator keyed by (seed, j), in consecutive blocks of ``_BLOCK`` points.
-Each worker holds two buffers, allocated once per shard and refilled in
-place, so the membership test and the integrand run on cache-sized arrays:
-the complex point buffer, whose float64 view takes the draws, and the
-block's 2u - 1 laid out once in complex order (re_1, im_1, re_2, ...).
+here, ``green.sublevel_scaling`` and the Monte Carlo ``bergman.gram_matrix``)
+draws through one kernel, ``_shard_blocks``: uniform points in a bounding
+box with plain rejection, in shards of ``_SHARD_SIZE`` points.  Shard j is
+drawn from a counter-based (Philox) generator keyed by (seed, j), in
+consecutive blocks of ``_BLOCK`` points.  Each worker holds two buffers,
+allocated once per shard and refilled in place, so the membership test and
+the integrand run on cache-sized arrays: the complex point buffer, whose
+float64 view takes the draws, and the block's 2u - 1 laid out once in
+complex order (re_1, im_1, re_2, ...).
 The kernel takes a list of levels, each a box: each level fills the point
 buffer with one contiguous product of the 2u - 1 buffer and its radii, so a
 ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for one
@@ -244,12 +244,23 @@ def _ball_moment(m: int, beta: tuple, q: int) -> float:
 
     For m = 0 the slice is a point and the moment is 1.
     """
+    if len(beta) != m:
+        raise ValueError(f"index {beta} must have length {m}")
     if m == 0:
-        if beta != ():
-            raise ValueError("point slice carries only the empty index")
         return 1.0
     num = math.prod(math.factorial(b) for b in beta) * math.factorial(q)
     return math.pi**m * num / math.factorial(m + sum(beta) + q)
+
+
+def _data_moment(m: int, f_coeffs, q: int) -> float:
+    """sum_beta |f_beta|^2 * integral_(B^m) |z^beta|^2 (1 - |z|^2)^q dV.
+
+    ``f_coeffs`` maps multi-indices of length m to coefficients; None is the
+    constant function 1.
+    """
+    if f_coeffs is None:
+        f_coeffs = {(0,) * m: 1.0}
+    return sum(abs(c) ** 2 * _ball_moment(m, beta, q) for beta, c in f_coeffs.items())
 
 
 def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:

@@ -20,7 +20,6 @@ import numpy as np
 from ._version import __version__
 from .bounds import (
     ExtensionScenario,
-    _fiber_integral,
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
@@ -420,22 +419,16 @@ def _run_bound_comparison(args, samples, seed, tol):
 def _scaling_model(args):
     n = args["n"]
     if args["model"] == "ball_point":
-        return BallPointModel(n), sigma_mu(n)[0]
-    k = args["k"]
-    sigma_k, _ = sigma_mu(k)
+        return BallPointModel(n)
     if args["model"] == "ball_pair":
-        limit = sigma_k * math.pi**n * math.factorial(k) / math.factorial(n + k)
-        return BallPairModel(pole_dim=k, base_dim=n), limit
-    profile = args["profile"]
-    base_factor = math.pi ** (n - k) / math.factorial(n - k)
-    return (
-        RadialLiftModel(profile=profile, pole_dim=k, base_dim=n),
-        base_factor * sigma_k * _fiber_integral(profile, k),
-    )
+        return BallPairModel(pole_dim=args["k"], base_dim=n)
+    return RadialLiftModel(profile=args["profile"], pole_dim=args["k"], base_dim=n)
 
 
 def _run_scaling(args, samples, seed, tol):
-    model, limit = _scaling_model(args)
+    model = _scaling_model(args)
+    # the limit is integral_V vol(I_v): sigma_k times the indicatrix integral of f = 1
+    limit = sigma_mu(model.pole_dim)[0] * model.indicatrix_integral()
     ladder = args["t_ladder"]
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
     results = list(zip(ladder, sublevel_scaling(model, None, ladder, samples, seed)))

@@ -15,6 +15,7 @@ from holoext.bounds import (
 )
 from holoext import scenarios
 from holoext.errors import UnsupportedModelError
+from holoext.green import BallPairModel, BallPointModel, RadialLiftModel
 from holoext.scenarios import ScenarioConfig, run_scenario
 from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
 
@@ -96,6 +97,48 @@ def test_lift_route_closed_form(n, label):
     assert lift_route_rhs(scenario) == pytest.approx(closed_form(n), rel=1e-9)
     if label == "log_singular":
         assert closed_form(n) == pytest.approx(ball_bound_ratio(n), rel=1e-14)
+
+
+@pytest.mark.parametrize("label", sorted(LIFT_ROUTE_CASES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_model_indicatrix_integral_closed_form(n, label):
+    # k = n: V = {(w)}, and integral_V e^(2k B) = integral_(B^n) e^(-2n psi)
+    profile, closed_form = LIFT_ROUTE_CASES[label]
+    model = RadialLiftModel(profile, pole_dim=n, base_dim=n)
+    assert model.indicatrix_integral({(): 1.0}) == pytest.approx(closed_form(n), rel=1e-9)
+    assert model.indicatrix_integral({(): 2.0}) == 4.0 * model.indicatrix_integral()
+
+
+# (scaling_limit params, the model, integral_V e^(2k B) in closed form)
+SCALING_LIMIT_CASES = [
+    ({"model": "ball_point", "n": 2}, BallPointModel(2), 1.0),
+    ({"model": "ball_pair", "n": 2, "k": 1}, BallPairModel(1, 2), PI**2 / 6),
+    ({"model": "ball_pair", "n": 3, "k": 2}, BallPairModel(2, 3), PI**3 * 2 / 120),
+    (
+        {"model": "radial_lift", "n": 3, "k": 2, "profile": "log_singular"},
+        RadialLiftModel(LogSingularProfile(), 2, 3),
+        PI * PI**2 * 2 / 24,
+    ),
+]
+
+
+@pytest.mark.parametrize("params, model, integral", SCALING_LIMIT_CASES, ids=str)
+def test_scaling_limit_is_sigma_k_times_the_indicatrix_integral(params, model, integral):
+    config = ScenarioConfig(
+        scenario="scaling_limit", params={**params, "t_ladder": [-1.0]}, samples=1000, seed=0
+    )
+    values = {v.name: v.value for v in run_scenario(config).values}
+    assert model.indicatrix_integral() == pytest.approx(integral, rel=1e-9)
+    sigma_k, _ = sigma_mu(model.pole_dim)
+    assert values["limit_value"] == sigma_k * model.indicatrix_integral()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_extension_scenario_rejects_non_finite_data(bad):
+    with pytest.raises(ValueError):
+        ExtensionScenario(2, 2, LogSingularProfile(), {(): bad})
+    with pytest.raises(ValueError):
+        ExtensionScenario(3, 1, None, {(0, 0): 1.0, (1, 0): bad})
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])

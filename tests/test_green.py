@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from holoext.green import (
     BallPointModel,
     RadialLiftModel,
     azukawa,
-    eval_green,
-    gap_B,
     indicatrix_volume,
     sublevel_scaling,
 )
@@ -47,21 +46,21 @@ def _interior_points(model, count, rng):
 
 
 def test_green_values_on_model_examples():
-    assert eval_green(BallPairModel(1, 1), [0.5, 0.0]) == pytest.approx(math.log(0.5))
-    assert eval_green(BallPointModel(2), [0.25, 0.0]) == pytest.approx(math.log(0.25))
+    assert BallPairModel(1, 1).green([0.5, 0.0]) == pytest.approx(math.log(0.5))
+    assert BallPointModel(2).green([0.25, 0.0]) == pytest.approx(math.log(0.25))
     lift = RadialLiftModel(LogSingularProfile(), 1, 1)
     expected = math.log(0.5) + fiber_psi(LogSingularProfile(), 0.6)
-    assert eval_green(lift, [0.5, 0.6]) == pytest.approx(expected, abs=1e-12)
+    assert lift.green([0.5, 0.6]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_green_is_minus_infinity_on_poles():
-    assert eval_green(BallPointModel(2), [0.0, 0.0]) == -math.inf
-    assert eval_green(BallPairModel(1, 1), [0.0, 0.5]) == -math.inf
+    assert BallPointModel(2).green([0.0, 0.0]) == -math.inf
+    assert BallPairModel(1, 1).green([0.0, 0.5]) == -math.inf
 
 
 def test_green_outside_domain_raises():
     with pytest.raises(DomainError):
-        eval_green(BallPointModel(2), [1.5, 0.0])
+        BallPointModel(2).green([1.5, 0.0])
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
@@ -76,13 +75,13 @@ def test_gap_function_examples():
     pair = BallPairModel(1, 1)
     # exact rearrangement: B = log |psi| - G = log sqrt(1 - |w|^2)
     p = [0.1, math.sqrt(0.75)]
-    assert gap_B(pair, p) == pytest.approx(0.5 * math.log(0.25), abs=1e-12)
-    assert gap_B(pair, [0.3, 0.0]) == 0.0
+    assert pair.gap(p) == pytest.approx(0.5 * math.log(0.25), abs=1e-12)
+    assert pair.gap([0.3, 0.0]) == 0.0
     lift = RadialLiftModel(LogSingularProfile(), 1, 1)
-    assert gap_B(lift, [0.5, 0.6]) == pytest.approx(
+    assert lift.gap([0.5, 0.6]) == pytest.approx(
         -fiber_psi(LogSingularProfile(), 0.6), abs=1e-12
     )
-    assert gap_B(lift, [0.5, 0.6]) <= 0.0
+    assert lift.gap([0.5, 0.6]) <= 0.0
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
@@ -214,23 +213,90 @@ def test_indicatrix_volumes_closed_form():
     )
 
 
-def test_indicatrix_volume_monte_carlo():
-    form = BallPointModel(2).azukawa_form(())
-    res = indicatrix_volume(form, "monte_carlo", samples=1_000_000, seed=42)
-    exact = PI**2 / 2
-    assert abs(res.value - exact) <= 3 * res.error_estimate
-    assert abs(res.value - exact) <= 0.01 * exact
-
-
 def test_indicatrix_unbounded_detection():
     grown = AzukawaForm(pole_dim=1, log_shift=-math.log(2e3))
     with pytest.raises(ValueError):
         indicatrix_volume(grown)
 
 
-def test_indicatrix_volume_bad_method():
+@pytest.mark.parametrize(
+    "model, point",
+    [
+        (BallPointModel(2), [1.5, 0.0]),
+        (BallPairModel(1, 1), [0.1, 1.5]),
+        (RadialLiftModel(LogSingularProfile(), 1, 2), [0.0, 5.0, 0.3]),
+    ],
+    ids=["ball_point", "ball_pair", "radial_lift"],
+)
+def test_scalar_green_gap_and_form_raise_outside_the_domain(model, point):
+    with pytest.raises(DomainError):
+        model.green(point)
+    with pytest.raises(DomainError):
+        model.gap(point)
+    if model.pole_dim < model.ambient_dim:  # a point of V off the domain
+        with pytest.raises(DomainError):
+            model.azukawa_form(point[model.pole_dim :])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
+def test_azukawa_form_and_indicatrix_volume_come_from_the_gap(model):
+    rng = np.random.default_rng(41)
+    k = model.pole_dim
+    sigma_k = integrate.sigma_mu(k)[0]
+    for p in _interior_points(model, 50, rng):
+        v = p[k:]
+        gap = model.gap(model.embed(np.zeros(k), v))
+        form = model.azukawa_form(v)
+        assert -form.log_shift == gap
+        assert indicatrix_volume(form).value == sigma_k * math.exp(2 * k * gap)
+
+
+def test_azukawa_form_rejects_non_finite_input():
+    form = BallPairModel(1, 1).azukawa_form([0.3])
+    for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+        with pytest.raises(ValueError):
+            form.evaluate([bad])
+    for shift in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            AzukawaForm(1, shift)
+
+
+def _dirichlet_moment(beta, q):
+    """integral_(B^m) |z^beta|^2 (1 - |z|^2)^q dV for m = len(beta) in {1, 2}, at 30 digits.
+
+    In the variables s_j = |z_j|^2 the integral is pi^m times the integral of
+    prod s_j^beta_j (1 - sum s_j)^q over the unit simplex.
+    """
+    with mpmath.workdps(30):
+        if len(beta) == 1:
+            (b,) = beta
+            inner = mpmath.quad(lambda s: s**b * (1 - s) ** q, [0, 1])
+        else:
+            b1, b2 = beta
+            inner = mpmath.quad(
+                lambda s1: mpmath.quad(
+                    lambda s2: s1**b1 * s2**b2 * (1 - s1 - s2) ** q, [0, 1 - s1]
+                ),
+                [0, 1],
+            )
+        return float(mpmath.pi ** len(beta) * inner)
+
+
+@pytest.mark.parametrize(
+    "k, beta", [(1, (0,)), (1, (3,)), (3, (2,)), (1, (0, 0)), (2, (1, 2)), (3, (0, 4))]
+)
+def test_ball_pair_indicatrix_integral_of_a_monomial(k, beta):
+    # integral_V |c z''^beta|^2 e^(2k B) with e^(2k B) = (1 - |z''|^2)^k
+    model = BallPairModel(pole_dim=k, base_dim=len(beta))
+    c = 0.5 - 1.5j
+    expected = abs(c) ** 2 * _dirichlet_moment(beta, k)
+    assert model.indicatrix_integral({beta: c}) == pytest.approx(expected, rel=1e-13)
+    # distinct monomials are orthogonal on the ball, so their moments add
+    other = tuple(b + 1 for b in beta)
+    both = model.indicatrix_integral({beta: c, other: 2.0})
+    assert both == pytest.approx(expected + 4.0 * _dirichlet_moment(other, k), rel=1e-13)
     with pytest.raises(ValueError):
-        indicatrix_volume(BallPointModel(1).azukawa_form(()), "exact")
+        model.indicatrix_integral({beta + (0,): 1.0})
 
 
 def test_sublevel_scaling_ball_point_is_constant():

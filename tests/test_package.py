@@ -19,4 +19,5 @@ def test_every_exported_name_resolves(name):
 def test_star_import_of_the_package():
     namespace = {}
     exec("from holoext import *", namespace)
-    assert "run_scenario" in namespace
+    namespace.pop("__builtins__")
+    assert set(namespace) == {"__version__", "Report", "ScenarioConfig", "run_scenario"}
