@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Run the full verification battery and write one report per scenario.
 
-Usage: python scripts/run_verification.py [--out DIR] [--fast]
+Usage: python scripts/run_verification.py [--out DIR]
 
---fast cuts every Monte Carlo budget by 20x for a quick smoke run.  The exit
-code is 0 only if every assertion of every scenario passed.  The last line
-gives the verdict and the wall clock of the whole battery, which, like each
-config's wall clock, stays outside the report bodies.
+The exit code is 0 only if every assertion of every scenario passed.  The
+last line gives the verdict and the wall clock of the whole battery, which,
+like each config's wall clock, stays outside the report bodies.
 """
 
 import argparse
@@ -17,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from holoext.scenarios import SCENARIO_SPECS, ScenarioConfig, run_scenario  # noqa: E402
+from holoext.scenarios import ScenarioConfig, run_scenario  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
@@ -25,9 +24,6 @@ CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument(
-        "--fast", action="store_true", help="cut sampling budgets for a smoke run"
-    )
     args = parser.parse_args()
 
     out_dir = Path(args.out)
@@ -38,13 +34,6 @@ def main() -> int:
     for config_path in sorted(CONFIG_DIR.glob("*.json")):
         raw = json.loads(config_path.read_text())
         config = ScenarioConfig.from_mapping(raw)
-        if args.fast and config.samples:
-            # smaller budgets need matching Monte Carlo tolerances
-            config.samples = max(config.samples // 20, 50_000)
-            known = SCENARIO_SPECS[config.scenario]["tolerances"]
-            for name, value in (("mc", 0.05), ("each_level", 0.03)):
-                if name in known:
-                    config.tolerances.setdefault(name, value)
         report = run_scenario(config)
         all_passed &= report.passed
         report_path = out_dir / f"{config_path.stem}_report.json"

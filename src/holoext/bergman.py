@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleConstraintError,
 )
 from .geometry import Ball
-from .integrate import _ball_moment, _box_blocks, _box_volume, _Z99, radial_integrate
+from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
 from .weights import (
     BallStandardWeight,
     EpsilonRegularizedWeight,
@@ -243,7 +243,7 @@ def _diag_entry(n, kb, radial_factor, alpha, quads):
         def g(r):
             return r ** (2 * m1) * (1.0 - r * r) ** (nk + m2) * radial_factor(r)
 
-        quads[m1, m2] = radial_integrate(g, kb, 1.0)
+        quads[m1, m2] = radial_integrate(g, kb)
     quad = quads[m1, m2]
     return angular * slice_moment * quad.value, quad
 
@@ -302,18 +302,20 @@ def gram_matrix(
     width = len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
-    for pts in _box_blocks(radii, samples, seed):
-        mask = domain.contains_batch(pts)
-        if mask.any():
-            inside = np.compress(mask, pts, axis=0)
-            rows = monomial_values(basis, inside).T
-            wts = np.exp(-weight.value_batch(inside))
-            w = rows.conj()
-            w *= wts
-            acc += w @ rows.T
-            p2 = np.square(rows.real)
-            p2 += np.square(rows.imag)
-            acc2 += (p2 * (wts * wts)) @ p2.T
+    # one thread, shards in order: see the integrate module docstring
+    for shard, size in _shards(samples):
+        for _, pts in _shard_blocks([radii], seed, shard, size):
+            mask = domain.contains_batch(pts)
+            if mask.any():
+                inside = np.compress(mask, pts, axis=0)
+                rows = monomial_values(basis, inside).T
+                wts = np.exp(-weight.value_batch(inside))
+                w = rows.conj()
+                w *= wts
+                acc += w @ rows.T
+                p2 = np.square(rows.real)
+                p2 += np.square(rows.imag)
+                acc2 += (p2 * (wts * wts)) @ p2.T
     mean = acc / samples
     gram = boxvol * 0.5 * (mean + mean.conj().T)
     var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)

@@ -123,7 +123,7 @@ def ball_bound_ratio(n: int) -> float:
 
 def ball_bound_integral(n: int) -> QuadratureResult:
     """integral_(B^n) (1 - |w|^2)^n dV by radial quadrature; equals the ratio."""
-    return radial_integrate(lambda r: (1.0 - r * r) ** n, n, 1.0)
+    return radial_integrate(lambda r: (1.0 - r * r) ** n, n)
 
 
 def ball_bound_integral_mc(n: int, samples: int, seed: int) -> QuadratureResult:

@@ -42,7 +42,7 @@ from .integrate import (
     radial_integrate,
     sigma_mu,
 )
-from .weights import RadialProfile, RadialWeight, _fiber_psi_batch
+from .weights import RadialProfile, RadialWeight, _psi_batch
 
 __all__ = [
     "BallPointModel",
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _LIMIT_LADDER = (1e-2, 1e-3, 1e-4)
+_LIMIT_TOL = 1e-6  # largest drift from the form that azukawa(verify=True) accepts
 
 
 @dataclass(frozen=True)
@@ -214,11 +215,11 @@ class RadialLiftModel(_GreenModel):
         r2 = sq_norm(pts[:, : self.pole_dim])
         w2 = sq_norm(pts[:, self.base_dim :])
         with np.errstate(divide="ignore"):
-            return 0.5 * np.log(r2) + _fiber_psi_batch(self.profile, w2)
+            return 0.5 * np.log(r2) + _psi_batch(self.profile, w2)
 
     def _fiber_gap(self, w2):
         """B = -psi(w) as a function of |w|^2."""
-        return -_fiber_psi_batch(self.profile, w2)
+        return -_psi_batch(self.profile, w2)
 
     def gap_batch(self, pts):
         return self._fiber_gap(sq_norm(pts[:, self.base_dim :]))
@@ -230,16 +231,16 @@ class RadialLiftModel(_GreenModel):
         fiber factor is one radial quadrature.
         """
         k = self.pole_dim
-        fiber = radial_integrate(lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)), k, 1.0)
+        fiber = radial_integrate(lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)), k)
         return _data_moment(self.base_dim - k, f_coeffs, 0) * fiber.value
 
 
-def azukawa(model, base_point, direction, verify=False, tol=1e-6) -> float:
+def azukawa(model, base_point, direction, verify=False) -> float:
     """Directional limit A(X) of G along the pole block at a point of V.
 
     With ``verify=True`` the closed form is checked against the finite-scale
     quotient G(a X, w) - log a on a fixed ladder a in {1e-2, 1e-3, 1e-4}; a
-    mismatch beyond ``tol`` signals model drift and raises.
+    mismatch beyond ``_LIMIT_TOL`` signals model drift and raises.
     """
     form = model.azukawa_form(base_point)
     value = form.evaluate(direction)
@@ -249,7 +250,7 @@ def azukawa(model, base_point, direction, verify=False, tol=1e-6) -> float:
         target = value - math.log(float(np.linalg.norm(x)))  # A at the unit direction
         for lam in _LIMIT_LADDER:
             probe = model.green(model.embed(lam * unit, base_point)) - math.log(lam)
-            if abs(probe - target) > tol:
+            if abs(probe - target) > _LIMIT_TOL:
                 raise RuntimeError(
                     f"directional limit at scale {lam} drifted from the closed "
                     f"form by {abs(probe - target):.3e}"

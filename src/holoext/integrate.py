@@ -14,8 +14,7 @@ The kernel takes a list of levels, each a box: each level fills the point
 buffer with one contiguous product of the 2u - 1 buffer and its radii, so a
 ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for one
 draw, and each level sees exactly the points a draw for it alone would
-make.  ``_box_blocks`` yields the blocks of one box: shard 0, then shard 1,
-and so on.
+make.
 
 Scheduling.  ``_box_moments`` (behind ``mc_integrate``, ``volume`` and
 ``sublevel_scaling``) runs its shards on a thread pool of
@@ -30,9 +29,17 @@ copied or evaluated.  No BLAS call takes part, so every estimate is a
 fixed function of (samples, seed, ``_SHARD_SIZE``, ``_BLOCK``), the same
 for a level sampled alone or in a ladder: the same bits on any number of
 workers and any BLAS thread count.  Memory is one block per worker,
-however many levels share it.  The Monte Carlo Gram draws through
-``_box_blocks`` on one thread, since its per-block GEMMs already use the
-BLAS threads; it holds one block plus its accumulators.
+however many levels share it.
+
+The Monte Carlo Gram walks the same shards and blocks in order on one
+thread and reduces each block with two GEMMs; it holds one block plus its
+accumulators.  It stays off the pool because each pooled GEMM would start
+its own BLAS threads, which oversubscribe the cores: on 2 vCPUs, 3 x 10^6
+samples took 2.2-2.5 s with shards on two workers against 1.3-1.5 s on one
+thread; the pool wins (1.0-1.1 s) only with OPENBLAS_NUM_THREADS=1, and numpy
+cannot set the BLAS threads of one worker (threadpoolctl could).  On one
+thread the BLAS threads give no measurable gain: a 500k-sample Gram took
+0.24-0.29 s at one BLAS thread and 0.22-0.36 s at two.
 
 Integrands are vectorized: they receive an (N, ambient_dim) complex array of
 points that already passed the membership test and return N real values.
@@ -147,13 +154,6 @@ def _shard_blocks(radii, seed: int, shard: int, size: int):
         for level, scale in enumerate(scales):
             np.multiply(ub.reshape(b, 2 * m), scale, out=fb)
             yield level, pts[:b]
-
-
-def _box_blocks(radii, samples: int, seed: int):
-    """Yield ``samples`` box draws: the blocks of shard 0, then of shard 1, ..."""
-    for shard, size in _shards(samples):
-        for _, pts in _shard_blocks([radii], seed, shard, size):
-            yield pts
 
 
 def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
@@ -306,6 +306,7 @@ def volume(domain, samples: int, seed: int) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_RTOL = 1e-10  # relative residual target of adaptive_gauss
 
 
 def _gl15(f, a, b):
@@ -318,12 +319,12 @@ def _gl15(f, a, b):
     return half * float(np.dot(_GL_WEIGHTS, fx))
 
 
-def adaptive_gauss(f, a, b, rtol=1e-10, node_cap=10**6):
+def adaptive_gauss(f, a, b, node_cap=10**6):
     """Adaptive composite 15-node Gauss rule on [a, b].
 
     Subdivides until the local refinement residual fits a length-proportional
-    share of the relative tolerance, down to a width floor of 1e-14 relative
-    to the interval.  Nodes never land on interval endpoints and non-finite
+    share of the relative tolerance ``_RTOL``, down to a width floor of 1e-14
+    relative to the interval.  Nodes never land on interval endpoints and non-finite
     node values contribute zero, so integrable endpoint singularities are
     handled; their unresolved leftovers show up in the returned residual.
 
@@ -348,7 +349,7 @@ def adaptive_gauss(f, a, b, rtol=1e-10, node_cap=10**6):
         nodes += 30
         fine = left + right
         err = abs(fine - coarse)
-        budget = rtol * scale * (hi - lo) / (b - a)
+        budget = _RTOL * scale * (hi - lo) / (b - a)
         if err <= budget or (hi - lo) <= 1e-14 * (b - a):
             total += fine
             resid += err
@@ -360,19 +361,17 @@ def adaptive_gauss(f, a, b, rtol=1e-10, node_cap=10**6):
         else:
             stack.append((lo, mid, left))
             stack.append((mid, hi, right))
-    converged = (not capped) and resid <= 100.0 * rtol * max(abs(total), scale)
+    converged = (not capped) and resid <= 100.0 * _RTOL * max(abs(total), scale)
     return total, resid, nodes, converged
 
 
-def radial_integrate(g, k: int, r_max: float = 1.0, rtol=1e-10, node_cap=10**6):
-    """mu_k * integral_0^r_max g(r) r^(2k-1) dr for a radial integrand on C^k."""
+def radial_integrate(g, k: int, node_cap=10**6):
+    """mu_k * integral_0^1 g(r) r^(2k-1) dr for a radial integrand on the unit ball of C^k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not 0.0 < r_max <= 1.0:
-        raise ValueError("r_max must lie in (0, 1]")
     _, mu_k = sigma_mu(k)
     value, resid, nodes, converged = adaptive_gauss(
-        lambda r: g(r) * r ** (2 * k - 1), 0.0, r_max, rtol=rtol, node_cap=node_cap
+        lambda r: g(r) * r ** (2 * k - 1), 0.0, 1.0, node_cap=node_cap
     )
     return QuadratureResult(
         value=mu_k * value,

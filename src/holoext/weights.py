@@ -24,7 +24,6 @@ __all__ = [
     "ScaledLogProfile",
     "EpsilonRegularizedProfile",
     "ShiftedProfile",
-    "fiber_psi",
     "TrivialWeight",
     "BallStandardWeight",
     "RadialWeight",
@@ -205,20 +204,9 @@ class ShiftedProfile(RadialProfile):
         return self.inner.inverse(s) + self.shift
 
 
-def fiber_psi(profile: RadialProfile, w):
-    """Fiber function psi(w) = -u^{-1}(-log |w|^2) / 2 for w in the unit ball.
-
-    psi vanishes at w = 0 (the limit value) and increases to +inf as
-    |w| -> 1.  Outside the open ball the function is undefined.
-    """
-    r2 = float(np.sum(np.abs(as_point(w)) ** 2))
-    if r2 >= 1.0:
-        raise DomainError(f"fiber point must satisfy |w| < 1, got |w|^2 = {r2}")
-    return float(_fiber_psi_batch(profile, [r2])[0]) + 0.0
-
-
-def _fiber_psi_batch(profile: RadialProfile, r2):
-    """Vectorized psi as a function of |w|^2; trusted in-range input."""
+def _psi_batch(profile: RadialProfile, r2):
+    """psi(w) = -u^{-1}(-log |w|^2) / 2 as a function of |w|^2 < 1, with its
+    limit value at w = 0; trusted in-range input."""
     r2 = np.asarray(r2, dtype=float)
     with np.errstate(divide="ignore"):
         s = -np.log(r2)

@@ -191,7 +191,7 @@ def test_criterion_6_property_suites():
             base_len = model.ambient_dim - model.pole_dim
             base = 0.3 * np.ones(base_len, dtype=complex) if base_len else ()
             x = rng.normal(size=model.pole_dim) + 1j * rng.normal(size=model.pole_dim)
-            value = azukawa(model, base, x, verify=True, tol=1e-6)
+            value = azukawa(model, base, x, verify=True)
             doubled = azukawa(model, base, 2.0 * x)
             assert abs(doubled - value - math.log(2)) < 1e-12
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from holoext.errors import DimensionMismatchError
 from holoext.geometry import Ball, HartogsLift, Polydisc, as_point, sq_norm
-from holoext.integrate import _box_blocks
+from holoext.integrate import _shard_blocks
 from holoext.weights import (
     BallStandardWeight,
     LogSingularProfile,
@@ -156,6 +156,7 @@ def _old_lift_mask(lift, pts):
 def test_masks_match_the_old_formulas_on_a_million_draws():
     ball = Ball(1.0, 4)
     lift = HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 2), 2)  # fubini_k2
-    for pts in _box_blocks(ball.bounding_radii(), 1_000_000, 2026):
+    # shard 0 of seed 2026: a million draws in blocks
+    for _, pts in _shard_blocks([ball.bounding_radii()], 2026, 0, 1_000_000):
         assert np.array_equal(ball.contains_batch(pts), _old_sq_norm(pts) < 1.0)
         assert np.array_equal(lift.contains_batch(pts), _old_lift_mask(lift, pts))

@@ -11,7 +11,6 @@ from holoext.geometry import Ball, HartogsLift
 from holoext.integrate import (
     _BLOCK,
     _SHARD_SIZE,
-    _box_blocks,
     _box_moments,
     adaptive_gauss,
     fubini_mc_oracle,
@@ -114,13 +113,6 @@ def test_radial_quadrature_examples():
     )
 
 
-def test_radial_quadrature_r_max():
-    # disc of radius 1/2: area pi/4
-    assert radial_integrate(lambda r: np.ones_like(r), 1, r_max=0.5).value == (
-        pytest.approx(PI / 4, abs=1e-12)
-    )
-
-
 def test_radial_quadrature_integrable_endpoint_singularity():
     # int_0^1 r / sqrt(1 - r^2) dr = 1, so the weighted value is mu_1 = 2 pi;
     # the algebraic endpoint singularity caps the reachable residual, but the
@@ -204,8 +196,6 @@ def test_bounded_lift_volume():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         radial_integrate(lambda r: r, 0)
-    with pytest.raises(ValueError):
-        radial_integrate(lambda r: r, 1, r_max=1.5)
     with pytest.raises(ValueError):
         fubini_sides(LogSingularProfile(), 1, 1.0)
     with pytest.raises(ValueError):
@@ -321,15 +311,16 @@ def test_box_moments_workers_run_under_the_callers_errstate(monkeypatch):
             mc_integrate(domain, sqrt_of_negative, _SHARD_SIZE + 1, seed=3)
 
 
-def test_box_blocks_concatenate_to_the_whole_shard_draw():
+def test_shard_blocks_concatenate_to_the_whole_shard_draw():
     radii = Ball(1.0, 3).bounding_radii()
     sizes = (_SHARD_SIZE, _BLOCK + 5)
-    blocks = [pts.copy() for pts in _box_blocks(radii, sum(sizes), 11)]
-    assert [len(b) for b in blocks] == (
-        [_BLOCK] * (_SHARD_SIZE // _BLOCK) + [_SHARD_SIZE % _BLOCK, _BLOCK, 5]
-    )
-    want = np.concatenate([_whole_shard_draw(radii, size, 11, j) for j, size in enumerate(sizes)])
-    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert integrate._shards(sum(sizes)) == list(enumerate(sizes))
+    want_lens = ([_BLOCK] * (_SHARD_SIZE // _BLOCK) + [_SHARD_SIZE % _BLOCK], [_BLOCK, 5])
+    for shard, size in enumerate(sizes):
+        blocks = [pts.copy() for _, pts in integrate._shard_blocks([radii], 11, shard, size)]
+        assert [len(b) for b in blocks] == want_lens[shard]
+        want = _whole_shard_draw(radii, size, 11, shard)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def _row_broadcast_blocks(radii, seed, shard, size):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoext.errors import DomainError
+from holoext.green import RadialLiftModel
 from holoext.weights import (
     BallStandardWeight,
     EpsilonRegularizedProfile,
@@ -16,7 +17,6 @@ from holoext.weights import (
     EpsilonRegularizedWeight,
     ShiftedProfile,
     TrivialWeight,
-    fiber_psi,
     make_profile,
 )
 
@@ -148,26 +148,32 @@ def test_profile_limits():
         assert np.all(np.diff(profile.value(ts)) > 0)
 
 
-def test_fiber_psi_closed_form():
+def _psi(profile, w):
+    """The fiber function psi(w) = -u^(-1)(-log |w|^2) / 2: minus the gap of
+    the Hartogs lift of the disc at (0, w)."""
+    return -RadialLiftModel(profile, 1, 1).gap((0, w))
+
+
+def test_psi_closed_form():
     u = LogSingularProfile()
-    assert fiber_psi(u, 0.6) == pytest.approx(-0.5 * math.log(1 - 0.36), abs=1e-13)
+    assert _psi(u, 0.6) == pytest.approx(-0.5 * math.log(1 - 0.36), abs=1e-13)
 
 
-def test_fiber_psi_domain_and_limits():
+def test_psi_domain_and_limits():
     u = LogSingularProfile()
     with pytest.raises(DomainError):
-        fiber_psi(u, 1.0)
+        _psi(u, 1.0)
     # limit value at the center of the fiber; blows up toward the fiber boundary
-    assert fiber_psi(u, 0.0) == 0.0
-    assert fiber_psi(u, 1.0 - 1e-9) > 9.0
+    assert _psi(u, 0.0) == 0.0
+    assert _psi(u, 1.0 - 1e-9) > 9.0
 
 
 @pytest.mark.parametrize("profile", CATALOG, ids=lambda p: type(p).__name__)
-def test_fiber_psi_monotone_in_radius(profile):
+def test_psi_monotone_in_radius(profile):
     # psi increases with |w| for every catalog profile (e^(-2k psi) = the
     # shrinking fiber volume factor)
     radii = np.linspace(1e-3, 1 - 1e-3, 1000)
-    values = np.array([fiber_psi(profile, r) for r in radii])
+    values = np.array([_psi(profile, r) for r in radii])
     assert np.all(np.diff(values) > 0)
     assert values[0] < 1e-2
 
@@ -221,7 +227,7 @@ def test_profile_convexity_sampled(profile):
         assert profile.value(mid) <= chord + 1e-12
 
 
-def test_fiber_psi_subharmonic_circle_means():
+def test_psi_subharmonic_circle_means():
     rng = np.random.default_rng(13)
     theta = 2 * np.pi * np.arange(64) / 64
     for profile in CATALOG:
@@ -231,8 +237,8 @@ def test_fiber_psi_subharmonic_circle_means():
             w0 = radius * np.exp(1j * angle)
             rho = min(0.02, 0.5 * (0.95 - radius))
             circle = w0 + rho * np.exp(1j * theta)
-            mean = np.mean([fiber_psi(profile, w) for w in circle])
-            assert fiber_psi(profile, w0) <= mean + 1e-8
+            mean = np.mean([_psi(profile, w) for w in circle])
+            assert _psi(profile, w0) <= mean + 1e-8
 
 
 def test_shifted_profile_translates_blow_up():
