@@ -28,6 +28,7 @@ factorisation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -362,15 +363,15 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     """Minimize c^H G c subject to the restriction to V matching f.
 
     ``f_coeffs`` maps z''-multi-indices (tuples of length ambient_dim - k) to
-    coefficients.  Every pole-free basis monomial is constrained: its
-    coefficient is pinned to the matching coefficient of f (zero when f has
-    none).  With the pinned values b fixed, the free coefficients minimize
-    the quadratic form exactly when G_ff c_f = -G_fp b, solved through the
-    Cholesky factor of the free block.  When G is exactly diagonal, G_fp = 0
-    and c_f = 0 with no factorisation; the free diagonal entries must still
-    be real, finite and positive.  Data outside the truncated basis is
-    rejected with the degree that would be needed; data on a monomial the
-    Gram matrix excluded as non-integrable is rejected without one.
+    finite coefficients; a non-finite one raises ValueError before any solve.
+    Each pole-free basis monomial's coefficient is pinned to the matching
+    coefficient of f (zero when f has none).  With the pinned values b fixed,
+    the free coefficients minimize the quadratic form exactly when
+    G_ff c_f = -G_fp b, solved through the Cholesky factor of the free block.
+    When G is exactly diagonal, G_fp = 0 and c_f = 0 with no factorisation;
+    the free diagonal entries must still be real, finite and positive.  Data
+    outside the truncated basis is rejected with the needed degree, and data
+    on a monomial the Gram matrix excluded as non-integrable without one.
     """
     basis = gram.basis
     n2 = basis.ambient_dim - basis.pole_dim
@@ -382,6 +383,8 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
             raise InfeasibleConstraintError(
                 f"f index {key} must have length {n2}", needed_degree=None
             )
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"f coefficient at {key} must be finite, got {coeff}")
         if key in keys or coeff == 0:
             continue
         if sum(key) <= basis.degree:

@@ -49,13 +49,9 @@ __all__ = [
     "BallPairModel",
     "RadialLiftModel",
     "AzukawaForm",
-    "azukawa",
     "indicatrix_volume",
     "sublevel_scaling",
 ]
-
-_LIMIT_LADDER = (1e-2, 1e-3, 1e-4)
-_LIMIT_TOL = 1e-6  # largest drift from the form that azukawa(verify=True) accepts
 
 
 @dataclass(frozen=True)
@@ -235,29 +231,6 @@ class RadialLiftModel(_GreenModel):
         return _data_moment(self.base_dim - k, f_coeffs, 0) * fiber.value
 
 
-def azukawa(model, base_point, direction, verify=False) -> float:
-    """Directional limit A(X) of G along the pole block at a point of V.
-
-    With ``verify=True`` the closed form is checked against the finite-scale
-    quotient G(a X, w) - log a on a fixed ladder a in {1e-2, 1e-3, 1e-4}; a
-    mismatch beyond ``_LIMIT_TOL`` signals model drift and raises.
-    """
-    form = model.azukawa_form(base_point)
-    value = form.evaluate(direction)
-    if verify:
-        x = np.asarray(direction, dtype=complex).ravel()
-        unit = x / float(np.linalg.norm(x))
-        target = value - math.log(float(np.linalg.norm(x)))  # A at the unit direction
-        for lam in _LIMIT_LADDER:
-            probe = model.green(model.embed(lam * unit, base_point)) - math.log(lam)
-            if abs(probe - target) > _LIMIT_TOL:
-                raise RuntimeError(
-                    f"directional limit at scale {lam} drifted from the closed "
-                    f"form by {abs(probe - target):.3e}"
-                )
-    return value
-
-
 def indicatrix_volume(form: AzukawaForm) -> QuadratureResult:
     """Euclidean volume sigma_k e^(-2k log_shift) of the indicatrix {X : A(X) < 0}."""
     if form.log_shift + math.log(1e3) < 0.0:
@@ -334,7 +307,6 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
                     value=0.0,
                     error_estimate=0.0,
                     samples_or_nodes=samples,
-                    seed=seed,
                     converged=False,
                     note="sublevel set not resolved at this sample count",
                 )
@@ -346,7 +318,6 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
                     value=scale * mean,
                     error_estimate=_Z99 * scale * stderr,
                     samples_or_nodes=samples,
-                    seed=seed,
                     rejected_infinite=n_bad,
                 )
             )

@@ -82,12 +82,11 @@ _TAIL_CUT = 60.0  # truncation point for improper integrals over (-inf, 0]
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral estimate with an error bound and reproducibility data."""
+    """Integral estimate with an error bound, its sample or node count and diagnostics."""
 
     value: float
     error_estimate: float
     samples_or_nodes: int
-    seed: int | None = None
     converged: bool = True
     rejected_infinite: int = 0
     note: str = ""
@@ -287,7 +286,6 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
         value=boxvol * mean,
         error_estimate=_Z99 * boxvol * stderr,
         samples_or_nodes=samples,
-        seed=seed,
         rejected_infinite=n_bad,
     )
 
@@ -471,7 +469,6 @@ def fubini_mc_oracle(
         value=res.value / sigma_k,
         error_estimate=res.error_estimate / sigma_k,
         samples_or_nodes=res.samples_or_nodes,
-        seed=res.seed,
         converged=res.converged,
         rejected_infinite=res.rejected_infinite,
     )

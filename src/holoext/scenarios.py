@@ -68,26 +68,23 @@ class ScenarioConfig:
     params: dict = field(default_factory=dict)
     samples: int | None = None
     seed: int | None = None
-    tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def from_mapping(cls, data) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - {"scenario", "params", "samples", "seed", "tolerances"}
+        unknown = set(data) - {"scenario", "params", "samples", "seed"}
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         if not isinstance(data.get("scenario"), str):
             raise ConfigError("config field 'scenario' is required and must be a name")
-        for name in ("params", "tolerances"):
-            if not isinstance(data.get(name, {}), dict):
-                raise ConfigError(f"config field {name!r} must be a mapping")
+        if not isinstance(data.get("params", {}), dict):
+            raise ConfigError("config field 'params' must be a mapping")
         return cls(
             scenario=data["scenario"],
             params=dict(data.get("params", {})),
             samples=data.get("samples"),
             seed=data.get("seed"),
-            tolerances=dict(data.get("tolerances", {})),
         )
 
 
@@ -248,7 +245,7 @@ def _admit(p: Param, value, args):
 
 def _resolve(config: ScenarioConfig):
     """Check a config against its scenario's table: the report's params (as
-    given, plus the defaults filled in), the runner's values, samples, seed, tolerances."""
+    given, plus the defaults filled in), the runner's values, samples and seed."""
     if config.scenario not in SCENARIO_SPECS:
         raise ConfigError(
             f"unknown scenario {config.scenario!r}; choose one of "
@@ -279,12 +276,7 @@ def _resolve(config: ScenarioConfig):
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
     samples = _admit(budget, budget.default if config.samples is None else config.samples, {})
-    tol = dict(entry["tolerances"])
-    for name, value in config.tolerances.items():
-        if name not in tol:
-            raise ConfigError(f"unknown tolerance {name!r}; supported: {sorted(tol)}")
-        tol[name] = _admit(Param(name, "real", "", None, 0, math.inf), value, {})
-    return params, args, samples, seed, tol
+    return params, args, samples, seed
 
 
 def _budget(entry) -> Param:
@@ -527,9 +519,10 @@ SCENARIO_SPECS = {
 
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute one scenario and collect its report."""
-    params, args, samples, seed, tol = _resolve(config)
+    params, args, samples, seed = _resolve(config)
+    entry = SCENARIO_SPECS[config.scenario]
     start = time.perf_counter()
-    values, assertions = SCENARIO_SPECS[config.scenario]["run"](args, samples, seed, tol)
+    values, assertions = entry["run"](args, samples, seed, entry["tolerances"])
     elapsed = time.perf_counter() - start
     return Report(
         scenario=config.scenario,

@@ -338,8 +338,6 @@ def _real_param(spec, name, default):
 
 def make_profile(spec) -> RadialProfile:
     """Build a catalog profile from a name or a mapping of a kind and its parameters."""
-    if isinstance(spec, RadialProfile):
-        return spec
     if isinstance(spec, str):
         spec = {"kind": spec}
     kind = spec.get("kind")

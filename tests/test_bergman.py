@@ -500,6 +500,17 @@ def test_min_norm_diagonal_gram_rejects_a_bad_free_entry(entry):
         min_norm_extension({(): 1.0}, g)
 
 
+@pytest.mark.parametrize("coeff", [np.nan, np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("method", ["radial_exact", "monte_carlo"])
+def test_min_norm_rejects_non_finite_data(method, coeff):
+    # the radial Gram is diagonal, the sampled one dense
+    g = gram_matrix(
+        BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 4, 1), method=method, samples=20_000, seed=1
+    )
+    with pytest.raises(ValueError, match=r"f coefficient at \(0,\)"):
+        min_norm_extension({(0,): coeff}, g)
+
+
 def _beta(a, b):
     return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
 

@@ -123,10 +123,10 @@ def test_cli_seed_and_samples_overrides(tmp_path):
     assert mc_a["value"] != mc_b["value"]
 
 
-def test_exit_one_on_failed_assertion(tmp_path):
+def test_exit_one_on_failed_assertion(tmp_path, monkeypatch):
     # an unreachable Monte Carlo tolerance forces a clean failure
-    payload = {**FAST_FUBINI, "tolerances": {"mc": 1e-12}}
-    config = write_config(tmp_path, payload)
+    monkeypatch.setitem(SCENARIO_SPECS["fubini_identity"]["tolerances"], "mc", 1e-12)
+    config = write_config(tmp_path, FAST_FUBINI)
     out = tmp_path / "fail.json"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     body = json.loads(out.read_text())
@@ -370,14 +370,14 @@ def test_bad_sampled_integer_params_are_usage_errors(tmp_path, capsys, scenario,
         ({"scenario": "bound_ratio", "params": [["n", 2]]}, "'params'"),
         ({"scenario": "bound_ratio", "params": None}, "'params'"),
         ({"scenario": "bound_ratio", "tolerances": 0.5}, "'tolerances'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mcc": 0.5}}, "'mcc'"),
-        ({"scenario": "bound_ratio", "tolerances": {"each_level": 0.5}}, "'each_level'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mc": "0.5"}}, "'mc'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mc": float("nan")}}, "'mc'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mc": float("inf")}}, "'mc'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mc": -0.01}}, "'mc'"),
-        ({"scenario": "bound_ratio", "tolerances": {"mc": True}}, "'mc'"),
-        ({"scenario": "radial_minimal", "tolerances": {"lift": None}}, "'lift'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mcc": 0.5}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"each_level": 0.5}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": "0.5"}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": float("nan")}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": float("inf")}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": -0.01}}, "'tolerances'"),
+        ({"scenario": "bound_ratio", "tolerances": {"mc": True}}, "'tolerances'"),
+        ({"scenario": "radial_minimal", "tolerances": {"lift": None}}, "'tolerances'"),
     ],
     ids=[
         "scenario_int",

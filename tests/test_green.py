@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import checked_azukawa
 from holoext import green, integrate
 from holoext.errors import DomainError
 from holoext.green import (
@@ -13,7 +14,6 @@ from holoext.green import (
     BallPairModel,
     BallPointModel,
     RadialLiftModel,
-    azukawa,
     indicatrix_volume,
     sublevel_scaling,
 )
@@ -142,18 +142,20 @@ def test_green_circle_submean_property(model):
 
 
 def test_azukawa_closed_forms():
-    assert azukawa(BallPointModel(2), (), [1.0, 0.0]) == pytest.approx(0.0)
+    assert BallPointModel(2).azukawa_form(()).evaluate([1.0, 0.0]) == pytest.approx(0.0)
     pair = BallPairModel(1, 1)
-    assert azukawa(pair, [math.sqrt(0.75)], [1.0]) == pytest.approx(
+    assert pair.azukawa_form([math.sqrt(0.75)]).evaluate([1.0]) == pytest.approx(
         math.log(2), abs=1e-12
     )
     lift = RadialLiftModel(LogSingularProfile(), 1, 1)
-    assert azukawa(lift, [0.6], [1.0]) == pytest.approx(-0.5 * math.log(1.0 - 0.36), abs=1e-12)
+    assert lift.azukawa_form([0.6]).evaluate([1.0]) == pytest.approx(
+        -0.5 * math.log(1.0 - 0.36), abs=1e-12
+    )
 
 
 def test_azukawa_rejects_zero_direction():
     with pytest.raises(ValueError):
-        azukawa(BallPointModel(2), (), [0.0, 0.0])
+        BallPointModel(2).azukawa_form(()).evaluate([0.0, 0.0])
 
 
 @settings(max_examples=100)
@@ -194,8 +196,8 @@ def test_azukawa_numeric_limit_consistency(model):
     else:
         base = ()
     direction = rng.normal(size=model.pole_dim) + 1j * rng.normal(size=model.pole_dim)
-    # verify mode asserts the ladder quotients agree with the form to 1e-6
-    azukawa(model, base, direction, verify=True)
+    # the ladder quotients agree with the form to 1e-6
+    checked_azukawa(model, base, direction)
 
 
 def test_indicatrix_volumes_closed_form():
