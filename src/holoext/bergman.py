@@ -359,11 +359,26 @@ class ExtensionResult:
         }
 
 
+def _check_data(f_coeffs, length):
+    """Reject boundary data before any solve or quadrature: every index must be
+    ``length`` non-negative ints (not bools), every coefficient finite."""
+    for key, coeff in f_coeffs.items():
+        key = tuple(key)
+        if len(key) != length or not all(
+            isinstance(a, (int, np.integer)) and not isinstance(a, bool) and a >= 0 for a in key
+        ):
+            raise InfeasibleConstraintError(
+                f"f index {key!r} must be {length} non-negative integer(s)"
+            )
+        if not cmath.isfinite(coeff):
+            raise InfeasibleConstraintError(f"f coefficient at {key} must be finite, got {coeff}")
+
+
 def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     """Minimize c^H G c subject to the restriction to V matching f.
 
     ``f_coeffs`` maps z''-multi-indices (tuples of length ambient_dim - k) to
-    finite coefficients; a non-finite one raises ValueError before any solve.
+    finite coefficients; ``_check_data`` rejects anything else before any solve.
     Each pole-free basis monomial's coefficient is pinned to the matching
     coefficient of f (zero when f has none).  With the pinned values b fixed,
     the free coefficients minimize the quadratic form exactly when
@@ -374,17 +389,11 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
     on a monomial the Gram matrix excluded as non-integrable without one.
     """
     basis = gram.basis
-    n2 = basis.ambient_dim - basis.pole_dim
+    _check_data(f_coeffs, basis.ambient_dim - basis.pole_dim)
     pinned = basis.pole_free_positions()
     keys = [basis.restriction_index(basis.indices[i]) for i in pinned]
     for key, coeff in f_coeffs.items():
         key = tuple(key)
-        if len(key) != n2:
-            raise InfeasibleConstraintError(
-                f"f index {key} must have length {n2}", needed_degree=None
-            )
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"f coefficient at {key} must be finite, got {coeff}")
         if key in keys or coeff == 0:
             continue
         if sum(key) <= basis.degree:

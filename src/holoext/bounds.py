@@ -1,9 +1,9 @@
 """Extension-norm bounds for radial scenarios on the unit ball.
 
 A scenario fixes the pair (unit ball of C^n, V = {z' = 0}), a radial weight
-phi = k u(log |z'|^2) built from a catalog profile (or the trivial weight),
-and polynomial boundary data f on V.  Three numbers are computed for it, each
-by one function; the ``bound_comparison`` scenario reports them side by side:
+phi = k u(log |z'|^2) built from a catalog profile, and polynomial boundary
+data f on V.  Three numbers are computed for it, each by one function; the
+``bound_comparison`` scenario reports them side by side:
 
   * ``minimal_norm_squared``: the weighted norm of the least-norm extension
     in the truncated Bergman space,
@@ -22,18 +22,15 @@ from exact integer factorials times powers of pi.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import MultiIndexBasis, gram_matrix, min_norm_extension
-from .errors import UnsupportedModelError
+from .bergman import MultiIndexBasis, _check_data, gram_matrix, min_norm_extension
 from .geometry import Ball
 from .green import BallPairModel, BallPointModel, RadialLiftModel
-from .integrate import QuadratureResult, mc_integrate, radial_integrate, sigma_mu
-from .weights import RadialProfile, RadialWeight, TrivialWeight
+from .integrate import QuadratureResult, _ball_moment, mc_integrate, radial_integrate, sigma_mu
+from .weights import RadialProfile, RadialWeight
 
 __all__ = [
     "ExtensionScenario",
@@ -48,7 +45,7 @@ __all__ = [
 
 @dataclass
 class ExtensionScenario:
-    """Unit-ball pair with a radial (or trivial) weight and polynomial data.
+    """Unit-ball pair with a radial weight and polynomial data.
 
     ``f_coeffs`` maps z''-multi-indices (length n - k) to finite
     coefficients; the default extends the constant function 1.
@@ -56,7 +53,7 @@ class ExtensionScenario:
 
     ambient_dim: int
     codim: int
-    profile: RadialProfile | None
+    profile: RadialProfile
     f_coeffs: dict | None = None
     degree: int = 8
 
@@ -64,22 +61,12 @@ class ExtensionScenario:
         n, k = self.ambient_dim, self.codim
         if not 1 <= k <= n:
             raise ValueError("need 1 <= codim <= ambient_dim")
+        if not isinstance(self.profile, RadialProfile):
+            raise ValueError(f"profile must be a RadialProfile, got {self.profile!r}")
         if self.f_coeffs is None:
             self.f_coeffs = {(0,) * (n - k): 1.0}  # the constant function 1
         self.f_coeffs = {tuple(key): complex(val) for key, val in self.f_coeffs.items()}
-        for key, val in self.f_coeffs.items():
-            if len(key) != n - k:
-                raise ValueError(f"f index {key} must have length {n - k}")
-            if not cmath.isfinite(val):
-                raise ValueError(f"f coefficient at {key} must be finite, got {val}")
-
-    def domain(self) -> Ball:
-        return Ball(radius=1.0, dim=self.ambient_dim)
-
-    def weight(self):
-        if self.profile is None:
-            return TrivialWeight()
-        return RadialWeight(self.profile, self.codim)
+        _check_data(self.f_coeffs, n - k)
 
 
 def lift_route_rhs(scenario: ExtensionScenario) -> float:
@@ -88,11 +75,6 @@ def lift_route_rhs(scenario: ExtensionScenario) -> float:
     sigma_k times the lift model's indicatrix integral, descended through the
     mean value inequality, i.e. divided by sigma_k: the integral itself.
     """
-    if scenario.profile is None:
-        raise UnsupportedModelError(
-            "the lift of the trivially weighted ball is a ball-times-ball "
-            "product with no catalog Green model"
-        )
     model = RadialLiftModel(scenario.profile, scenario.codim, scenario.ambient_dim)
     return model.indicatrix_integral(scenario.f_coeffs)
 
@@ -118,7 +100,7 @@ def ball_bound_ratio(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return math.pi**n * math.factorial(n) / math.factorial(2 * n)
+    return _ball_moment(n, (0,) * n, n)
 
 
 def ball_bound_integral(n: int) -> QuadratureResult:
@@ -140,5 +122,6 @@ def minimal_norm_squared(scenario: ExtensionScenario, degree: int | None = None)
     """Least norm-squared of an extension of f in the truncated space."""
     d = scenario.degree if degree is None else degree
     basis = MultiIndexBasis(scenario.ambient_dim, d, scenario.codim)
-    gram = gram_matrix(scenario.domain(), scenario.weight(), basis)
+    weight = RadialWeight(scenario.profile, scenario.codim)
+    gram = gram_matrix(Ball(radius=1.0, dim=scenario.ambient_dim), weight, basis)
     return min_norm_extension(scenario.f_coeffs, gram)

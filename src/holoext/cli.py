@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DegenerateDomainError, UnsupportedModelError
+from .errors import ConfigError, DegenerateDomainError
 from .scenarios import ScenarioConfig, catalog_text, run_scenario
 
 ENV_OUT_DIR = "HOLOEXT_OUT_DIR"
@@ -80,8 +80,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedModelError, DegenerateDomainError) as exc:
-        print(f"unsupported scenario: {exc}", file=sys.stderr)
+    except DegenerateDomainError as exc:
+        print(f"sampler did not resolve the domain: {exc}", file=sys.stderr)
         return 2
 
     if args.out is not None:

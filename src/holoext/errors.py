@@ -9,10 +9,6 @@ class DimensionMismatchError(ValueError):
     """Point length does not match the ambient dimension."""
 
 
-class UnsupportedModelError(ValueError):
-    """No closed-form Green model is available for the requested pair."""
-
-
 class DegenerateDomainError(RuntimeError):
     """Monte Carlo rejection rate too high to produce an estimate."""
 

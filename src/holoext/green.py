@@ -19,9 +19,6 @@ is integral_V |f|^2 e^(2k B) for polynomial data f on V (None is f = 1), so
 sigma_k times it is the paper's integral_V vol(I_v) |f|^2.  The bounds and
 the sublevel scaling limit are this one integral for different models and
 data.
-
-Only models with elementary closed forms are shipped; pairs without one raise
-UnsupportedModelError upstream.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .integrate import (
     _data_moment,
     _Z99,
     radial_integrate,
-    sigma_mu,
 )
 from .weights import RadialProfile, RadialWeight, _psi_batch
 
@@ -49,7 +45,6 @@ __all__ = [
     "BallPairModel",
     "RadialLiftModel",
     "AzukawaForm",
-    "indicatrix_volume",
     "sublevel_scaling",
 ]
 
@@ -229,15 +224,6 @@ class RadialLiftModel(_GreenModel):
         k = self.pole_dim
         fiber = radial_integrate(lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)), k)
         return _data_moment(self.base_dim - k, f_coeffs, 0) * fiber.value
-
-
-def indicatrix_volume(form: AzukawaForm) -> QuadratureResult:
-    """Euclidean volume sigma_k e^(-2k log_shift) of the indicatrix {X : A(X) < 0}."""
-    if form.log_shift + math.log(1e3) < 0.0:
-        raise ValueError("indicatrix is unbounded: A < 0 at |X| = 1e3")
-    k = form.pole_dim
-    exact = sigma_mu(k)[0] * math.exp(-2.0 * k * form.log_shift)
-    return QuadratureResult(value=exact, error_estimate=0.0, samples_or_nodes=0)
 
 
 def _sublevel_radii(model, t):

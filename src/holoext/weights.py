@@ -11,7 +11,7 @@ identities downstream can be evaluated to near machine accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,26 +75,6 @@ class RadialProfile:
 
 
 @dataclass(frozen=True)
-class LogSingularProfile(RadialProfile):
-    """u(t) = -log(1 - e^t), the profile of the standard ball weight."""
-
-    def value(self, t):
-        self._check_scalar_t(t)
-        # -log(1 - e^t) via expm1 to keep full precision as t -> 0-
-        with np.errstate(divide="ignore"):
-            return -np.log(-np.expm1(np.asarray(t, dtype=float)))
-
-    def derivative(self, t):
-        self._check_scalar_t(t)
-        # u'(t) = e^t / (1 - e^t)
-        return 1.0 / np.expm1(-np.asarray(t, dtype=float))
-
-    def inverse(self, s):
-        self._check_scalar_s(s)
-        return _log1mexp(s)
-
-
-@dataclass(frozen=True)
 class ScaledLogProfile(RadialProfile):
     """u(t) = -a * log(1 - e^(t/a)) for a scale parameter a > 0."""
 
@@ -116,6 +96,14 @@ class ScaledLogProfile(RadialProfile):
     def inverse(self, s):
         self._check_scalar_s(s)
         return self.a * _log1mexp(np.asarray(s, dtype=float) / self.a)
+
+
+@dataclass(frozen=True)
+class LogSingularProfile(ScaledLogProfile):
+    """u(t) = -log(1 - e^t), the profile of the standard ball weight: the
+    scaled profile at a = 1, where t / a and a * x are exact."""
+
+    a: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -237,8 +225,6 @@ class _Weight:
 class TrivialWeight(_Weight):
     """phi identically 0."""
 
-    pole_dim = None
-
     def value_batch(self, pts):
         return np.zeros(len(pts))
 
@@ -252,10 +238,6 @@ class BallStandardWeight(_Weight):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-
-    @property
-    def pole_dim(self):
-        return self.n
 
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)
@@ -274,10 +256,6 @@ class RadialWeight(_Weight):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-
-    @property
-    def pole_dim(self):
-        return self.k
 
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts[:, : self.k]) ** 2, axis=1)
@@ -304,10 +282,6 @@ class EpsilonRegularizedWeight(_Weight):
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-
-    @property
-    def pole_dim(self):
-        return self.inner.pole_dim
 
     def value_batch(self, pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)

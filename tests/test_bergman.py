@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -509,6 +510,15 @@ def test_min_norm_rejects_non_finite_data(method, coeff):
     )
     with pytest.raises(ValueError, match=r"f coefficient at \(0,\)"):
         min_norm_extension({(0,): coeff}, g)
+
+
+@pytest.mark.parametrize("index", [(-1,), (1.0,), (0.5,), (True,)], ids=repr)
+def test_min_norm_rejects_a_bad_multi_index(index):
+    # not blamed on the basis: the index itself is named before any solve
+    g = gram_matrix(BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 4, 1))
+    message = re.escape(repr(index)) + " must be 1 non-negative integer"
+    with pytest.raises(InfeasibleConstraintError, match=message):
+        min_norm_extension({index: 1.0}, g)
 
 
 def _beta(a, b):

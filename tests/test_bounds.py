@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -14,7 +15,7 @@ from holoext.bounds import (
     indicatrix_bound_rhs,
 )
 from holoext import scenarios
-from holoext.errors import UnsupportedModelError
+from holoext.errors import InfeasibleConstraintError
 from holoext.green import BallPairModel, BallPointModel, RadialLiftModel
 from holoext.scenarios import ScenarioConfig, run_scenario
 from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
@@ -138,7 +139,7 @@ def test_extension_scenario_rejects_non_finite_data(bad):
     with pytest.raises(ValueError):
         ExtensionScenario(2, 2, LogSingularProfile(), {(): bad})
     with pytest.raises(ValueError):
-        ExtensionScenario(3, 1, None, {(0, 0): 1.0, (1, 0): bad})
+        ExtensionScenario(3, 1, LogSingularProfile(), {(0, 0): 1.0, (1, 0): bad})
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -156,16 +157,15 @@ def test_radial_lift_scaling_limit_closed_form(n, k):
     assert values["limit_value"] == pytest.approx(expected, rel=1e-9)
 
 
-def test_lift_route_requires_catalog_model():
-    trivial = ExtensionScenario(ambient_dim=1, codim=1, profile=None)
-    with pytest.raises(UnsupportedModelError):
-        lift_route_rhs(trivial)
+def test_extension_scenario_requires_a_radial_profile():
+    with pytest.raises(ValueError, match="RadialProfile"):
+        ExtensionScenario(1, 1, None)
 
 
 def test_indicatrix_bound_direct_values():
     assert indicatrix_bound_rhs(_point_scenario(2)) == pytest.approx(PI**2 / 2, rel=1e-14)
     assert indicatrix_bound_rhs(_point_scenario(1)) == pytest.approx(PI, rel=1e-14)
-    lifted_pair = ExtensionScenario(ambient_dim=4, codim=2, profile=None)
+    lifted_pair = ExtensionScenario(ambient_dim=4, codim=2, profile=LogSingularProfile())
     assert indicatrix_bound_rhs(lifted_pair) == pytest.approx(PI**4 / 24, rel=1e-14)
 
 
@@ -296,9 +296,19 @@ def test_polynomial_data_moments():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        ExtensionScenario(ambient_dim=1, codim=2, profile=None)
+        ExtensionScenario(ambient_dim=1, codim=2, profile=LogSingularProfile())
     with pytest.raises(ValueError):
-        ExtensionScenario(ambient_dim=2, codim=1, profile=None, f_coeffs={(1, 2): 1.0})
+        ExtensionScenario(
+            ambient_dim=2, codim=1, profile=LogSingularProfile(), f_coeffs={(1, 2): 1.0}
+        )
+
+
+@pytest.mark.parametrize("index", [(-1,), (1.0,), (0.5,), (True,)], ids=repr)
+def test_extension_scenario_rejects_a_bad_multi_index(index):
+    # caught before either bound or the solve starts, naming the index
+    message = re.escape(repr(index)) + " must be 1 non-negative integer"
+    with pytest.raises(InfeasibleConstraintError, match=message):
+        ExtensionScenario(2, 1, LogSingularProfile(), {index: 1.0})
 
 
 def test_quadrature_mc_sigma_consistency():

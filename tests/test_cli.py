@@ -134,6 +134,22 @@ def test_exit_one_on_failed_assertion(tmp_path, monkeypatch):
     assert failed and failed[0]["name"] == "mc_oracle_relative"
 
 
+def test_exit_two_when_the_sampler_does_not_resolve_the_domain(tmp_path, capsys):
+    # at a = 10 and k = 2 the lifted set is too thin for the sampler's box
+    payload = {
+        "scenario": "fubini_identity",
+        "params": {"profile": {"kind": "scaled_log", "a": 10}, "k": 2},
+        "seed": 2026,
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--samples", "20000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sampler did not resolve the domain:")
+    assert "0 of 20000" in err
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

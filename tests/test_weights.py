@@ -124,6 +124,20 @@ def test_profile_inverse_rejects_negative():
         LogSingularProfile().inverse(-0.1)
 
 
+def test_log_singular_profile_is_the_scaled_profile_at_one():
+    # t / 1.0 and 1.0 * x are exact, so the two give the same bytes
+    ls, scaled = LogSingularProfile(), ScaledLogProfile(1.0)
+    t = np.concatenate([-np.logspace(-14, 2, 200), [-np.inf]])
+    s = np.concatenate([np.logspace(-14, 2, 200), [0.0]])
+    for name, x in (("value", t), ("derivative", t), ("inverse", s)):
+        for arg in (x, float(x[0]), float(x[100]), float(x[-1])):
+            got = np.asarray(getattr(ls, name)(arg))
+            assert got.tobytes() == np.asarray(getattr(scaled, name)(arg)).tobytes(), name
+    assert repr(ls) == "LogSingularProfile()"
+    with pytest.raises(TypeError):
+        LogSingularProfile(a=2.0)
+
+
 @pytest.mark.parametrize("profile", CATALOG, ids=lambda p: type(p).__name__)
 def test_inverse_round_trip(profile):
     rng = np.random.default_rng(42)
