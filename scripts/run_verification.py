@@ -3,20 +3,23 @@
 
 Usage: python scripts/run_verification.py [--out DIR]
 
-The exit code is 0 only if every assertion of every scenario passed.  The
+The exit code is 0 only if every assertion of every scenario passed.  A
+config that is malformed or whose sampler does not resolve its domain gets
+an ERROR line and no report, and the battery goes on to the next.  The
 last line gives the verdict and the wall clock of the whole battery, which,
 like each config's wall clock, stays outside the report bodies.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from holoext.scenarios import ScenarioConfig, run_scenario  # noqa: E402
+from holoext.cli import _load_config  # noqa: E402
+from holoext.errors import ConfigError, DegenerateDomainError  # noqa: E402
+from holoext.scenarios import run_scenario  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
@@ -32,9 +35,12 @@ def main() -> int:
     all_passed = True
     start = time.perf_counter()
     for config_path in sorted(CONFIG_DIR.glob("*.json")):
-        raw = json.loads(config_path.read_text())
-        config = ScenarioConfig.from_mapping(raw)
-        report = run_scenario(config)
+        try:
+            report = run_scenario(_load_config(config_path))
+        except (ConfigError, DegenerateDomainError) as exc:
+            all_passed = False
+            print(f"ERROR {config_path.stem:28s} {exc}")
+            continue
         all_passed &= report.passed
         report_path = out_dir / f"{config_path.stem}_report.json"
         report_path.write_text(report.to_json() + "\n")

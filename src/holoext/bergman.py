@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -361,7 +362,7 @@ class ExtensionResult:
 
 def _check_data(f_coeffs, length):
     """Reject boundary data before any solve or quadrature: every index must be
-    ``length`` non-negative ints (not bools), every coefficient finite."""
+    ``length`` non-negative ints, every coefficient a finite number (no bools)."""
     for key, coeff in f_coeffs.items():
         key = tuple(key)
         if len(key) != length or not all(
@@ -369,6 +370,10 @@ def _check_data(f_coeffs, length):
         ):
             raise InfeasibleConstraintError(
                 f"f index {key!r} must be {length} non-negative integer(s)"
+            )
+        if not isinstance(coeff, numbers.Number) or isinstance(coeff, bool):
+            raise InfeasibleConstraintError(
+                f"f coefficient at {key} must be a number, got {coeff!r}"
             )
         if not cmath.isfinite(coeff):
             raise InfeasibleConstraintError(f"f coefficient at {key} must be finite, got {coeff}")

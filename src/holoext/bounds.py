@@ -65,8 +65,8 @@ class ExtensionScenario:
             raise ValueError(f"profile must be a RadialProfile, got {self.profile!r}")
         if self.f_coeffs is None:
             self.f_coeffs = {(0,) * (n - k): 1.0}  # the constant function 1
-        self.f_coeffs = {tuple(key): complex(val) for key, val in self.f_coeffs.items()}
         _check_data(self.f_coeffs, n - k)
+        self.f_coeffs = {tuple(key): complex(val) for key, val in self.f_coeffs.items()}
 
 
 def lift_route_rhs(scenario: ExtensionScenario) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateDomainError, DomainError
 from .geometry import Ball, HartogsLift, as_point, sq_norm
 from .integrate import (
     QuadratureResult,
@@ -257,9 +257,9 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
     nonnegative integrand; a non-finite value of it counts as zero and is
     reported in ``rejected_infinite``.  A ``chi`` of None is the constant 1,
     so the result is e^(-k t) vol{G < t/2}; the hits are counted without
-    evaluating anything, with the bits of a ``chi`` of ones.  An empty
-    sublevel set at the given resolution yields a zero-valued result with a
-    warning note rather than an error.
+    evaluating anything, with the bits of a ``chi`` of ones.  A level whose
+    box draws no hit at all raises DegenerateDomainError naming it; there is
+    no hit-rate floor beyond that.
 
     ``t`` is one level, which returns one QuadratureResult, or a sequence of
     levels, which returns one result per level.  Every level must be finite
@@ -286,25 +286,19 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
     levels = [(r, _sublevel_test(model, level)) for r, level in zip(radii, ladder)]
     moments = _box_moments(levels, chi, samples, seed)
     results = []
-    for grow, r, (mean, stderr, n_hit, n_bad) in zip(growth, radii, moments):
+    for level, grow, r, (mean, stderr, n_hit, n_bad) in zip(ladder, growth, radii, moments):
         if n_hit == 0:
-            results.append(
-                QuadratureResult(
-                    value=0.0,
-                    error_estimate=0.0,
-                    samples_or_nodes=samples,
-                    converged=False,
-                    note="sublevel set not resolved at this sample count",
-                )
+            raise DegenerateDomainError(
+                f"0 of {samples} samples hit the sublevel set at t = {level!r}; "
+                "its bounding box does not resolve it"
             )
-        else:
-            scale = grow * _box_volume(r)
-            results.append(
-                QuadratureResult(
-                    value=scale * mean,
-                    error_estimate=_Z99 * scale * stderr,
-                    samples_or_nodes=samples,
-                    rejected_infinite=n_bad,
-                )
+        scale = grow * _box_volume(r)
+        results.append(
+            QuadratureResult(
+                value=scale * mean,
+                error_estimate=_Z99 * scale * stderr,
+                samples_or_nodes=samples,
+                rejected_infinite=n_bad,
             )
+        )
     return results[0] if single else results

@@ -312,7 +312,7 @@ def _run_fubini(args, samples, seed, tol):
         _close("mc_oracle_relative", oracle.value, lhs.value, tol["mc"]),
     ]
     if isinstance(profile, LogSingularProfile):
-        closed = (1.0 - z2**2) ** k * math.pi**k * math.factorial(k) / math.factorial(2 * k)
+        closed = (1.0 - z2**2) ** k * ball_bound_ratio(k)
         values.append(ValueRecord("closed_form", closed, 0.0, "closed-form"))
         assertions.insert(
             1, _close("closed_form_relative", lhs.value, closed, tol["closed_form"])
@@ -421,27 +421,17 @@ def _run_scaling(args, samples, seed, tol):
     model = _scaling_model(args)
     # the limit is integral_V vol(I_v): sigma_k times the indicatrix integral of f = 1
     limit = sigma_mu(model.pole_dim)[0] * model.indicatrix_integral()
+    # the catalog's ball models are homogeneous in the pole block, so every
+    # level matches the limit; the k < n lift only approaches it
+    tol_level = tol["limit" if isinstance(model, RadialLiftModel) else "each_level"]
     ladder = args["t_ladder"]
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
-    results = list(zip(ladder, sublevel_scaling(model, None, ladder, samples, seed)))
-    for t, r in results:
+    assertions = []
+    for t, r in zip(ladder, sublevel_scaling(model, None, ladder, samples, seed)):
         values.append(
             ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, "monte-carlo")
         )
-    exact_every_level = isinstance(model, BallPointModel)
-    tol_each = tol["each_level"]
-    tol_limit = tol["limit"]
-    assertions = []
-    if exact_every_level:
-        for t, r in results:
-            assertions.append(_close(f"matches_limit_t={t:g}", r.value, limit, tol_each))
-    else:
-        t_mid, r_mid = results[len(results) // 2]
-        assertions.append(_close(f"matches_limit_t={t_mid:g}", r_mid.value, limit, tol_limit))
-        for (t1, r1), (t2, r2) in zip(results, results[1:]):
-            assertions.append(
-                _close(f"stabilized_t={t1:g}_to_{t2:g}", r2.value, r1.value, tol_limit)
-            )
+        assertions.append(_close(f"matches_limit_t={t:g}", r.value, limit, tol_level))
     return values, assertions
 
 

@@ -501,9 +501,11 @@ def test_min_norm_diagonal_gram_rejects_a_bad_free_entry(entry):
         min_norm_extension({(): 1.0}, g)
 
 
-@pytest.mark.parametrize("coeff", [np.nan, np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize(
+    "coeff", [np.nan, np.inf, complex(1.0, np.nan), "2", True, None], ids=repr
+)
 @pytest.mark.parametrize("method", ["radial_exact", "monte_carlo"])
-def test_min_norm_rejects_non_finite_data(method, coeff):
+def test_min_norm_rejects_data_that_is_not_a_finite_number(method, coeff):
     # the radial Gram is diagonal, the sampled one dense
     g = gram_matrix(
         BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 4, 1), method=method, samples=20_000, seed=1

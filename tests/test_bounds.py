@@ -2,6 +2,7 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 
 from holoext.bounds import (
@@ -134,12 +135,20 @@ def test_scaling_limit_is_sigma_k_times_the_indicatrix_integral(params, model, i
     assert values["limit_value"] == sigma_k * model.indicatrix_integral()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
-def test_extension_scenario_rejects_non_finite_data(bad):
+# a str or bool is rejected before complex(), which would read "2" as 2 and True as 1
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(1.0, -math.inf), "2", True, None], ids=repr
+)
+def test_extension_scenario_rejects_data_that_is_not_a_finite_number(bad):
     with pytest.raises(ValueError):
         ExtensionScenario(2, 2, LogSingularProfile(), {(): bad})
     with pytest.raises(ValueError):
         ExtensionScenario(3, 1, LogSingularProfile(), {(0, 0): 1.0, (1, 0): bad})
+
+
+@pytest.mark.parametrize("coeff", [np.float64(2.0), np.int64(2), np.complex64(2.0)], ids=repr)
+def test_extension_scenario_accepts_numpy_scalars(coeff):
+    assert ExtensionScenario(1, 1, LogSingularProfile(), {(): coeff}).f_coeffs == {(): 2.0}
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -155,6 +164,27 @@ def test_radial_lift_scaling_limit_closed_form(n, k):
     fiber = PI**k * math.factorial(k) / math.factorial(2 * k)
     expected = PI ** (n - k) / math.factorial(n - k) * sigma_k * fiber
     assert values["limit_value"] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params, tol",
+    [
+        ({"model": "ball_pair", "n": 2, "k": 2}, 1e-2),
+        ({"model": "radial_lift", "n": 2, "k": 1}, 5e-2),
+    ],
+    ids=str,
+)
+def test_scaling_limit_checks_each_level_against_the_limit(params, tol):
+    # homogeneous ball models match the limit at every level; the k < n lift
+    # only approaches it, so it gets the looser tolerance
+    ladder = [-4, -8, -12]
+    config = ScenarioConfig(
+        scenario="scaling_limit", params={**params, "t_ladder": ladder}, samples=20_000, seed=5
+    )
+    report = run_scenario(config)
+    limit = report.values[0].value
+    assert [a.name for a in report.assertions] == [f"matches_limit_t={t}" for t in ladder]
+    assert all(a.rhs == limit and a.tol == tol for a in report.assertions)
 
 
 def test_extension_scenario_requires_a_radial_profile():

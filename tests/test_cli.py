@@ -150,6 +150,23 @@ def test_exit_two_when_the_sampler_does_not_resolve_the_domain(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_exit_two_when_a_sublevel_level_draws_no_hit(tmp_path, capsys):
+    # 20 draws at seed 1 all miss the t = -8 set of the n = k = 3 pair model
+    payload = {
+        "scenario": "scaling_limit",
+        "params": {"model": "ball_pair", "n": 3, "k": 3, "t_ladder": [-8]},
+        "samples": 20,
+        "seed": 1,
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sampler did not resolve the domain:")
+    assert "0 of 20" in err and "t = -8" in err
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import checked_azukawa
 from holoext import green, integrate
-from holoext.errors import DomainError
+from holoext.errors import DegenerateDomainError, DomainError
 from holoext.green import (
     AzukawaForm,
     BallPairModel,
@@ -329,15 +329,14 @@ def test_sublevel_scaling_weighted_integrand():
     assert res.value == pytest.approx(exact, rel=2e-2)
 
 
-def test_sublevel_scaling_empty_resolution_warns():
+def test_sublevel_scaling_empty_level_raises():
     # 12 samples almost never hit the t = -8 sublevel set of the pair model;
-    # seed 3 is a pinned miss, so the warning branch is deterministic
+    # seed 3 is a pinned miss, so the error is deterministic
     model = BallPairModel(2, 2)
     ones = lambda pts: np.ones(len(pts))
-    res = sublevel_scaling(model, ones, -8.0, 12, seed=3)
-    assert res.value == 0.0
-    assert not res.converged
-    assert "not resolved" in res.note
+    for chi, t in ((ones, -8.0), (None, [-8.0])):
+        with pytest.raises(DegenerateDomainError, match=r"0 of 12 samples .* t = -8\.0"):
+            sublevel_scaling(model, chi, t, 12, seed=3)
 
 
 def test_sublevel_scaling_counts_non_finite_integrand():

@@ -2,8 +2,9 @@
 drawn from a table and then broken in one field stops at that field.
 
 A drawn config runs to a Report, or to the sampler's DegenerateDomainError
-when fewer than 0.1% of its draws land inside the domain: at these budgets
-that happens to admitted inputs (bound_ratio at n = 5 hits 0.25% of its box),
+when fewer than 0.1% of its draws land inside the domain or none inside a
+sublevel level: at these budgets that happens to admitted inputs
+(bound_ratio at n = 5 hits 0.25% of its box),
 and the command line reports it with exit 2.  A broken config must stop in
 ``_resolve`` with a ConfigError naming the broken field, never with another
 exception.  Budgets stay small (500 to 2000 samples, degree at most 4) so the

@@ -54,3 +54,23 @@ def test_battery_exits_one_and_names_a_failed_assertion(battery, monkeypatch, ca
     assert "FAIL  radial_minimal_disc" in out
     assert "failed: norm_closed_form" in out
     assert out.splitlines()[-1].startswith("overall: FAIL")
+
+
+def test_battery_reports_a_config_that_raises_and_runs_the_rest(battery, capsys):
+    # at a = 10 and k = 2 the lifted set is too thin for the sampler's box;
+    # it sorts before the radial config, which must still run
+    module, config_dir, out_dir = battery
+    (config_dir / "bound_comparison_disc.json").unlink()
+    thin = {
+        "scenario": "fubini_identity",
+        "params": {"profile": {"kind": "scaled_log", "a": 10}, "k": 2},
+        "samples": 20_000,
+        "seed": 2026,
+    }
+    (config_dir / "fubini_thin.json").write_text(json.dumps(thin))
+    assert module.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ERROR fubini_thin") and "0 of 20000" in lines[0]
+    assert lines[1].startswith("PASS  radial_minimal_disc")
+    assert lines[-1].startswith("overall: FAIL")
+    assert [p.name for p in out_dir.iterdir()] == ["radial_minimal_disc_report.json"]
