@@ -330,8 +330,8 @@ def test_sublevel_scaling_weighted_integrand():
 
 
 def test_sublevel_scaling_empty_level_raises():
-    # 12 samples almost never hit the t = -8 sublevel set of the pair model;
-    # seed 3 is a pinned miss, so the error is deterministic
+    # a draw hits the t = -8 sublevel set of the pair model with p ~ 1.6%, so
+    # 12 draws usually miss; seed 3 is a pinned miss, so the error is deterministic
     model = BallPairModel(2, 2)
     ones = lambda pts: np.ones(len(pts))
     for chi, t in ((ones, -8.0), (None, [-8.0])):
