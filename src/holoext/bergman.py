@@ -10,8 +10,10 @@ the matrix is diagonal, and each diagonal entry reduces to a 1D radial
 integral against exact angular moments) or by shared-sample Monte Carlo.
 The radial integral depends on alpha only through (|alpha'|, |alpha''|), so
 an exact assembly runs one quadrature per distinct pair.  Those quadratures
-all bisect [0, 1] and meet the same node arrays, so within one assembly the
-weight's radial factor is evaluated once per node array.
+meet the same node arrays (the rungs of one Gauss–Jacobi ladder when the
+weight declares its endpoint exponents, else the subintervals of bisection),
+so within one assembly the weight's radial factor is evaluated once per node
+array.
 
 Monomial values are built as a product chain: each z^alpha is its parent
 z^(alpha - e_j), j the last nonzero coordinate, times z_j, so one complex
@@ -184,12 +186,14 @@ class GramMatrix:
 
 
 def _radial_reduction(weight, n):
-    """Pole-block size and the radial factor e^(-phi(r)) of a torus-invariant
-    weight, or raise if the weight has no single-radius reduction."""
+    """Pole-block size, the radial factor e^(-phi(r)) of a torus-invariant
+    weight and its exponents (edge, power) as ``radial_integrate`` reads them
+    (None if undeclared), or raise if the weight has no single-radius
+    reduction."""
     if isinstance(weight, TrivialWeight):
-        return n, lambda r: np.ones_like(r)
+        return n, lambda r: np.ones_like(r), (0.0, 1.0)
     if isinstance(weight, BallStandardWeight):
-        return n, lambda r: (1.0 - r * r) ** weight.n
+        return n, lambda r: (1.0 - r * r) ** weight.n, (float(weight.n), 1.0)
     if isinstance(weight, RadialWeight):
         prof, k = weight.profile, weight.k
 
@@ -201,16 +205,19 @@ def _radial_reduction(weight, n):
                 out[ok] = np.exp(-k * prof.value(t[ok]))
             return out
 
-        return k, factor
+        # e^(-k u) ~ (-t)^(k c) at t -> 0-, and 1 - k C r^(2/gamma) at r -> 0
+        exps = prof.exponents
+        return k, factor, None if exps is None else (k * exps[0], exps[1])
     if isinstance(weight, EpsilonRegularizedWeight):
-        kb, inner_factor = _radial_reduction(weight.inner, n)
+        kb, inner_factor, inner_exps = _radial_reduction(weight.inner, n)
         if kb != n:
             raise ValueError(
                 "regularized weight with a strict pole block is not radial in "
                 "a single radius; use method='monte_carlo'"
             )
         eps = weight.eps
-        return n, lambda r: inner_factor(r) * (1.0 - r * r) ** eps
+        exps = None if inner_exps is None else (inner_exps[0] + eps, max(inner_exps[1], 1.0))
+        return n, lambda r: inner_factor(r) * (1.0 - r * r) ** eps, exps
     raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
 
 
@@ -228,9 +235,13 @@ def _once_per_node_array(factor):
     return memoised
 
 
-def _diag_entry(n, kb, radial_factor, alpha, quads):
+def _diag_entry(n, kb, radial_factor, exponents, alpha, quads):
     """Exact diagonal Gram entry by angular moments and 1D quadrature; the
-    quadrature is kept in ``quads`` per (|alpha'|, |alpha''|)."""
+    quadrature is kept in ``quads`` per (|alpha'|, |alpha''|).
+
+    (1 - r^2)^(nk + m2) vanishes to the integer order nk + m2 at r = 1 on top
+    of the factor's own edge, so every pair runs on the factor's rule.
+    """
     a1, a2 = alpha[:kb], alpha[kb:]
     m1, m2 = sum(a1), sum(a2)
     nk = n - kb
@@ -245,7 +256,7 @@ def _diag_entry(n, kb, radial_factor, alpha, quads):
         def g(r):
             return r ** (2 * m1) * (1.0 - r * r) ** (nk + m2) * radial_factor(r)
 
-        quads[m1, m2] = radial_integrate(g, kb)
+        quads[m1, m2] = radial_integrate(g, kb, exponents=exponents, vanishing=nk + m2)
     quad = quads[m1, m2]
     return angular * slice_moment * quad.value, quad
 
@@ -264,11 +275,12 @@ def gram_matrix(
     matrix is exactly diagonal and each entry is an exact angular moment times
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
     the call, which also evaluates the weight's radial factor once per node
-    array.  Monomials whose quadrature diverges or fails to converge are
-    excluded and reported.  ``monte_carlo`` estimates the full matrix from
-    shared samples and records per-entry 99% half-widths; the first and
-    second moments are accumulated block by block of the sampler, so memory
-    stays at one block of points and monomial values whatever ``samples``.
+    array.  Monomials whose quadrature is non-integrable, diverges or fails to
+    converge are excluded and reported, each with its reason.  ``monte_carlo``
+    estimates the full matrix from shared samples and records per-entry 99%
+    half-widths; the first and second moments are accumulated block by block
+    of the sampler, so memory stays at one block of points and monomial values
+    whatever ``samples``.
     """
     n = basis.ambient_dim
     if domain.ambient_dim != n:
@@ -276,23 +288,24 @@ def gram_matrix(
     if method == "radial_exact":
         if not (isinstance(domain, Ball) and domain.radius == 1.0):
             raise ValueError("radial_exact requires the unit ball")
-        kb, radial_factor = _radial_reduction(weight, n)
+        kb, radial_factor, exponents = _radial_reduction(weight, n)
         radial_factor = _once_per_node_array(radial_factor)
         quads = {}
         diag = np.zeros(len(basis))
-        bad = []
+        bad, reasons = [], []
         for i, alpha in enumerate(basis.indices):
-            value, quad = _diag_entry(n, kb, radial_factor, alpha, quads)
+            value, quad = _diag_entry(n, kb, radial_factor, exponents, alpha, quads)
             if quad.converged and np.isfinite(value) and value > 0.0:
                 diag[i] = value
             else:
                 bad.append(i)
-        reason = "non-convergent or non-finite radial quadrature"
+                why = quad.note or "non-finite or non-positive value"
+                reasons.append(f"radial quadrature: {why}")
         return GramMatrix(
             basis=basis.without(bad),
             matrix=np.diag(np.delete(diag, bad)).astype(complex),
             domain=domain,
-            excluded=tuple((basis.indices[i], reason) for i in bad),
+            excluded=tuple((basis.indices[i], why) for i, why in zip(bad, reasons)),
         )
     if method != "monte_carlo":
         raise ValueError("method must be 'radial_exact' or 'monte_carlo'")

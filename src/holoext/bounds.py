@@ -22,14 +22,21 @@ from exact integer factorials times powers of pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bergman import MultiIndexBasis, _check_data, gram_matrix, min_norm_extension
 from .geometry import Ball
 from .green import BallPairModel, BallPointModel, RadialLiftModel
-from .integrate import QuadratureResult, _ball_moment, mc_integrate, radial_integrate, sigma_mu
+from .integrate import (
+    QuadratureResult,
+    _ball_moment,
+    _data_moment,
+    mc_integrate,
+    radial_integrate,
+    sigma_mu,
+)
 from .weights import RadialProfile, RadialWeight
 
 __all__ = [
@@ -69,14 +76,17 @@ class ExtensionScenario:
         self.f_coeffs = {tuple(key): complex(val) for key, val in self.f_coeffs.items()}
 
 
-def lift_route_rhs(scenario: ExtensionScenario) -> float:
+def lift_route_rhs(scenario: ExtensionScenario) -> QuadratureResult:
     """Lift-route bound on the weighted extension norm.
 
     sigma_k times the lift model's indicatrix integral, descended through the
-    mean value inequality, i.e. divided by sigma_k: the integral itself.
+    mean value inequality, i.e. divided by sigma_k: the integral itself, the
+    data moment times the fiber quadrature, whose residual and rule it keeps.
     """
     model = RadialLiftModel(scenario.profile, scenario.codim, scenario.ambient_dim)
-    return model.indicatrix_integral(scenario.f_coeffs)
+    fiber = model.fiber_integral()
+    moment = _data_moment(scenario.ambient_dim - scenario.codim, scenario.f_coeffs, 0)
+    return replace(fiber, value=moment * fiber.value, error_estimate=moment * fiber.error_estimate)
 
 
 def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:

@@ -215,15 +215,28 @@ class RadialLiftModel(_GreenModel):
     def gap_batch(self, pts):
         return self._fiber_gap(sq_norm(pts[:, self.base_dim :]))
 
-    def indicatrix_integral(self, f_coeffs=None):
-        """The data moment over B^(n-k) times integral_(B^k) e^(2k B(w)) dV(w).
+    def fiber_integral(self) -> QuadratureResult:
+        """integral_(B^k) e^(2k B(w)) dV(w) by one radial quadrature.
 
-        B depends on w alone, so the integral over V = {(z'', w)} splits; the
-        fiber factor is one radial quadrature.
+        e^(2k B) = e^(k u^(-1)(-log |w|^2)) vanishes like (1 - |w|)^(k gamma)
+        at |w| = 1 and is 1 minus a multiple of |w|^(2/c) near 0, for the
+        profile's exponents (c, gamma), so its radial quadrature runs with the
+        exponents (k gamma, c); a profile without exponents runs the adaptive
+        rule.
         """
         k = self.pole_dim
-        fiber = radial_integrate(lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)), k)
-        return _data_moment(self.base_dim - k, f_coeffs, 0) * fiber.value
+        exps = self.profile.exponents
+        return radial_integrate(
+            lambda r: np.exp(2.0 * k * self._fiber_gap(r * r)),
+            k,
+            exponents=None if exps is None else (k * exps[1], exps[0]),
+        )
+
+    def indicatrix_integral(self, f_coeffs=None):
+        """The data moment over B^(n-k) times ``fiber_integral``: B depends on
+        w alone, so the integral over V = {(z'', w)} splits."""
+        moment = _data_moment(self.base_dim - self.pole_dim, f_coeffs, 0)
+        return moment * self.fiber_integral().value
 
 
 def _sublevel_radii(model, t):

@@ -353,11 +353,12 @@ def _run_radial_minimal(args, samples, seed, tol):
     d = scenario.degree
     result = minimal_norm_squared(scenario)
     coarse = minimal_norm_squared(scenario, max(d - 2, 0))
-    lift = lift_route_rhs(scenario)
+    route = lift_route_rhs(scenario)
+    lift = route.value
     values = [
         ValueRecord("minimal_norm_squared", result.norm_squared, 0.0, "cholesky-elimination"),
         ValueRecord("minimal_norm_squared_coarser", coarse.norm_squared, 0.0, "cholesky-elimination"),
-        ValueRecord("lift_route_bound", lift, 0.0, "adaptive-quadrature"),
+        ValueRecord("lift_route_bound", lift, route.error_estimate, route.method),
         ValueRecord("max_pole_coefficient", result.max_pole_coefficient, 0.0, "cholesky-elimination"),
         ValueRecord("constraint_residual", result.constraint_residual, 0.0, "cholesky-elimination"),
     ]
@@ -385,13 +386,14 @@ def _run_radial_minimal(args, samples, seed, tol):
 
 def _run_bound_comparison(args, samples, seed, tol):
     scenario = _scenario_from_params(args)
-    lift = lift_route_rhs(scenario)
+    route = lift_route_rhs(scenario)
+    lift = route.value
     direct = indicatrix_bound_rhs(scenario)
     minimal = minimal_norm_squared(scenario).norm_squared
     margin = direct - lift
     values = [
         ValueRecord("minimal_norm_squared", minimal, 0.0, "cholesky-elimination"),
-        ValueRecord("lift_route_bound", lift, 0.0, "adaptive-quadrature"),
+        ValueRecord("lift_route_bound", lift, route.error_estimate, route.method),
         ValueRecord("indicatrix_bound", direct, 0.0, "closed-form"),
         ValueRecord("strictness_margin", margin, 0.0, "closed-form"),
     ]

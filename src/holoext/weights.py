@@ -48,10 +48,14 @@ class RadialProfile:
 
     Subclasses implement ``value``, ``derivative`` and ``inverse``; all three
     accept floats or numpy arrays.  ``upper_limit`` is the t at which the
-    profile diverges (0.0 for the base catalog entries).
+    profile diverges (0.0 for the base catalog entries).  ``exponents`` is
+    (c, gamma) when u(t) ~ -c log(-t) as t -> 0- (the boundary exponent) and
+    u(t) ~ C e^(t/gamma) as t -> -inf (the tail exponent); radial integrals
+    of a profile that declares none (None) run the adaptive rule.
     """
 
     upper_limit = 0.0
+    exponents = None
 
     def value(self, t):
         raise NotImplementedError
@@ -83,6 +87,10 @@ class ScaledLogProfile(RadialProfile):
     def __post_init__(self):
         if not 0 < self.a < np.inf:
             raise ValueError(f"scale parameter a must be positive and finite, got {self.a!r}")
+
+    @property
+    def exponents(self):
+        return (self.a, self.a)
 
     def value(self, t):
         self._check_scalar_t(t)
@@ -124,6 +132,14 @@ class EpsilonRegularizedProfile(RadialProfile):
     def __post_init__(self):
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+
+    @property
+    def exponents(self):
+        """The log terms add at t -> 0-; at t -> -inf the slower of e^(t/gamma) and e^t leads."""
+        if self.inner.exponents is None:
+            return None
+        c, gamma = self.inner.exponents
+        return (c + self.eps, max(gamma, 1.0))
 
     def value(self, t):
         self._check_scalar_t(t)

@@ -112,7 +112,7 @@ def test_criterion_4_sharpness_chain():
     with criterion(4, "strict bound improvement") as detail:
         for n, factor in ((1, 2.0), (2, 6.0)):
             scenario = _point_scenario(n)
-            lift = lift_route_rhs(scenario)
+            lift = lift_route_rhs(scenario).value
             minimal = minimal_norm_squared(scenario, degree=8).norm_squared
             assert abs(minimal - lift) <= 1e-6 * lift
             ratio = indicatrix_bound_rhs(scenario) / lift

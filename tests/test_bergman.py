@@ -148,6 +148,8 @@ def test_radial_gram_off_diagonal_is_exactly_zero(weight, basis):
 class _RecordingProfile(RadialProfile):
     """The log-singular profile, recording every array it is evaluated on."""
 
+    exponents = (1.0, 1.0)  # those of the log-singular profile
+
     def __init__(self):
         self.seen = []
 
@@ -161,8 +163,11 @@ def test_radial_gram_evaluates_the_weight_once_per_node_array():
     weight = RadialWeight(profile, 3)
     first = gram_matrix(Ball(1.0, 3), weight, MultiIndexBasis(3, 8, 3))
     calls = len(profile.seen)
-    assert calls == len(set(profile.seen)) > 0
-    # nothing is kept across calls: a second assembly evaluates every array again
+    # one evaluation on each rung's nodes, 16 and 32 of them, shared by the ladders
+    # of all 9 degree pairs
+    assert [len(t) // 8 for t in profile.seen] == list(integrate._LADDER[:calls])
+    assert calls == 2
+    # nothing is kept across calls: a second assembly evaluates every rung again
     second = gram_matrix(Ball(1.0, 3), weight, MultiIndexBasis(3, 8, 3))
     assert profile.seen[calls:] == profile.seen[:calls]
     assert np.array_equal(first.matrix, second.matrix)
@@ -261,6 +266,8 @@ def test_gram_rejects_unknown_method_and_domain():
 
 class _DivergentProfile(RadialProfile):
     """u = 2 log(1 - e^t): decreasing, makes e^(-phi) non-integrable."""
+
+    exponents = (-2.0, 1.0)  # u ~ 2 log(-t) at t -> 0-, and u ~ -2 e^t at t -> -inf
 
     def value(self, t):
         with np.errstate(divide="ignore"):
@@ -562,10 +569,47 @@ def test_radial_gram_one_quadrature_per_degree_pair(monkeypatch, n, d, k, calls)
     inner = bergman.radial_integrate
 
     def counted(*args, **kwargs):
-        seen.append(args)
-        return inner(*args, **kwargs)
+        quad = inner(*args, **kwargs)
+        seen.append(quad.method)
+        return quad
 
     monkeypatch.setattr(bergman, "radial_integrate", counted)
     g = gram_matrix(Ball(1.0, n), RadialWeight(U, k), MultiIndexBasis(n, d, k))
-    assert len(seen) == calls
+    # one quadrature per distinct (|alpha'|, |alpha''|), each on the Gauss–Jacobi ladder
+    assert seen == ["gauss-jacobi"] * calls
     assert len(g.basis) == math.comb(n + d, d)
+
+
+class _AdaptiveScaledLog(ScaledLogProfile):
+    """The scaled profile without its exponents, so its radial Gram runs the
+    adaptive rule alone: the reference for the fallback."""
+
+    exponents = None
+
+
+def test_radial_gram_falls_back_to_the_adaptive_rule(monkeypatch):
+    # at a = 0.3 the ladder's variable y = r^(1/a) makes r^(2 |alpha|) = y^(0.6 |alpha|),
+    # which no Jacobi weight carries: some entries do not converge on it
+    import holoext.bergman as bergman
+
+    fallbacks = []
+    inner = bergman.radial_integrate
+
+    def recorded(*args, **kwargs):
+        quad = inner(*args, **kwargs)
+        if quad.method == "adaptive-quadrature":
+            fallbacks.append(quad.value)
+        return quad
+
+    basis = MultiIndexBasis(1, 6, 1)
+    reference = gram_matrix(DISC, RadialWeight(_AdaptiveScaledLog(0.3), 1), basis)
+    monkeypatch.setattr(bergman, "radial_integrate", recorded)
+    g = gram_matrix(DISC, RadialWeight(ScaledLogProfile(0.3), 1), basis)
+    # the ladder keeps some of the seven degree pairs and hands the rest on
+    assert 0 < len(fallbacks) < len(basis)
+    assert g.excluded == reference.excluded == ()
+    assert g.basis.indices == reference.basis.indices
+    diag, ref = g.matrix.diagonal().real, reference.matrix.diagonal().real
+    np.testing.assert_allclose(diag, ref, rtol=1e-12, atol=0.0)
+    # on the disc an entry is its radial quadrature: each fallback keeps its bits
+    assert all(v in diag and v in ref for v in fallbacks)

@@ -31,7 +31,7 @@ def _point_scenario(n):
 
 def _margin(scenario):
     """Indicatrix bound minus lift-route bound, as bound_comparison reports it."""
-    return indicatrix_bound_rhs(scenario) - lift_route_rhs(scenario)
+    return indicatrix_bound_rhs(scenario) - lift_route_rhs(scenario).value
 
 
 def test_sigma_mu_small_cases():
@@ -96,7 +96,7 @@ def test_lift_route_closed_form(n, label):
     # V a point and f = 1: the lift route is the fiber integral of e^(-2n psi)
     profile, closed_form = LIFT_ROUTE_CASES[label]
     scenario = ExtensionScenario(ambient_dim=n, codim=n, profile=profile)
-    assert lift_route_rhs(scenario) == pytest.approx(closed_form(n), rel=1e-9)
+    assert lift_route_rhs(scenario).value == pytest.approx(closed_form(n), rel=1e-9)
     if label == "log_singular":
         assert closed_form(n) == pytest.approx(ball_bound_ratio(n), rel=1e-14)
 
@@ -223,7 +223,9 @@ def test_strictness_gap_zero_data_flagged_non_strict():
 
 def test_strictly_sharper_fails_on_a_zero_margin(monkeypatch):
     # an indicatrix bound equal to the lift route leaves no margin: not strict
-    monkeypatch.setattr(scenarios, "indicatrix_bound_rhs", scenarios.lift_route_rhs)
+    monkeypatch.setattr(
+        scenarios, "indicatrix_bound_rhs", lambda scenario: scenarios.lift_route_rhs(scenario).value
+    )
     report = run_scenario(ScenarioConfig("bound_comparison", {"n": 1, "k": 1}))
     record = {a.name: a for a in report.assertions}["strictly_sharper"]
     assert (record.passed, record.lhs, record.rhs, record.tol) == (False, 0.0, 0.0, 0.0)
@@ -258,14 +260,14 @@ def test_ball_bound_integral_mc_cross_check():
 def test_bound_report_disc():
     disc = _point_scenario(1)
     assert indicatrix_bound_rhs(disc) == pytest.approx(PI, rel=1e-14)
-    assert lift_route_rhs(disc) == pytest.approx(PI / 2, rel=1e-9)
+    assert lift_route_rhs(disc).value == pytest.approx(PI / 2, rel=1e-9)
     assert minimal_norm_squared(disc).norm_squared == pytest.approx(PI / 2, rel=1e-9)
     assert _margin(disc) > 0.0
 
 
 def test_bound_ordering_point_slices():
     for scenario in (_point_scenario(1), _point_scenario(2)):
-        lift = lift_route_rhs(scenario)
+        lift = lift_route_rhs(scenario).value
         assert minimal_norm_squared(scenario).norm_squared <= lift * (1 + 1e-6)
         assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
 
@@ -278,7 +280,7 @@ def test_bound_ordering_strict_slice():
         profile=LogSingularProfile(),
         degree=8,
     )
-    lift = lift_route_rhs(scenario)
+    lift = lift_route_rhs(scenario).value
     assert minimal_norm_squared(scenario).norm_squared < lift
     assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
     assert _margin(scenario) > 0.0
@@ -291,7 +293,7 @@ def test_bound_ordering_scaled_profile():
         profile=ScaledLogProfile(a=0.5),
         degree=10,
     )
-    lift = lift_route_rhs(scenario)
+    lift = lift_route_rhs(scenario).value
     assert minimal_norm_squared(scenario).norm_squared <= lift * (1 + 1e-4)
     assert lift <= indicatrix_bound_rhs(scenario) * (1 + 1e-12)
 
@@ -299,14 +301,14 @@ def test_bound_ordering_scaled_profile():
 def test_radial_optimality_equalities():
     for scenario in (_point_scenario(1), _point_scenario(2)):
         assert minimal_norm_squared(scenario).norm_squared == pytest.approx(
-            lift_route_rhs(scenario), rel=1e-6
+            lift_route_rhs(scenario).value, rel=1e-6
         )
 
 
 def test_improvement_factors():
     for n, factor in ((1, 2.0), (2, 6.0)):
         scenario = _point_scenario(n)
-        ratio = indicatrix_bound_rhs(scenario) / lift_route_rhs(scenario)
+        ratio = indicatrix_bound_rhs(scenario) / lift_route_rhs(scenario).value
         assert ratio == pytest.approx(factor, rel=1e-9)
 
 
@@ -322,7 +324,7 @@ def test_polynomial_data_moments():
     assert indicatrix_bound_rhs(scenario) == pytest.approx(PI**2 / 6, rel=1e-14)
     solved = minimal_norm_squared(scenario)
     assert solved.norm_squared == pytest.approx(PI**2 / 8, rel=1e-9)
-    assert solved.norm_squared < lift_route_rhs(scenario)
+    assert solved.norm_squared < lift_route_rhs(scenario).value
 
 
 def test_scenario_validation():

@@ -137,6 +137,39 @@ def test_adaptive_gauss_validates_interval():
         adaptive_gauss(lambda x: x, 1.0, 0.0)
 
 
+def _legendre_on_unit_interval(nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def test_adaptive_gauss_doubles_a_rule():
+    value, resid, nodes, converged = adaptive_gauss(
+        np.exp, 0.0, 1.0, rules=_legendre_on_unit_interval
+    )
+    assert (nodes, converged) == (16 + 32, True)
+    assert value == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert resid <= 1e-10 * value
+    # no rule, or a value that is not finite, ends the ladder unconverged
+    assert adaptive_gauss(np.exp, 0.0, 1.0, rules=lambda n: None)[2:] == (0, False)
+    infinite = lambda x: np.full_like(x, np.inf)
+    assert adaptive_gauss(infinite, 0.0, 1.0, rules=_legendre_on_unit_interval)[2:] == (16, False)
+
+
+def test_radial_integrate_vanishing_order():
+    # sqrt(1 - r) = (1 - r)^(-1/2 + 1): mu_1 integral_0^1 sqrt(1 - r) r dr = 2 pi B(2, 3/2)
+    exact = 2.0 * PI * 4.0 / 15.0
+    g = lambda r: np.sqrt(1.0 - r)
+    rule = radial_integrate(g, 1, exponents=(-0.5, 1.0), vanishing=1)
+    assert rule.method == "gauss-jacobi"
+    assert rule.value == pytest.approx(exact, rel=1e-14)
+    # no Jacobi rule carries (1 - r)^(-3/2), so bisection integrates the same g
+    bisected = radial_integrate(g, 1, exponents=(-1.5, 1.0), vanishing=2)
+    assert bisected.method == "adaptive-quadrature"
+    assert bisected.value == pytest.approx(exact, rel=1e-9)
+    # without the vanishing order the same edge is non-integrable
+    assert radial_integrate(g, 1, exponents=(-1.5, 1.0)).method == "endpoint-exponent"
+
+
 @pytest.mark.parametrize("profile", FUBINI_PROFILES, ids=lambda p: type(p).__name__)
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("z2_norm", [0.0, 0.3, 0.6])

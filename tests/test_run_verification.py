@@ -46,9 +46,9 @@ def test_battery_writes_one_report_per_config_and_passes(battery, capsys):
 
 
 def test_battery_exits_one_and_names_a_failed_assertion(battery, monkeypatch, capsys):
-    # the disc norm sits one ulp off pi/2: an unreachable tolerance fails it
+    # a negative tolerance fails norm_closed_form whatever the norm's rounding
     module, _, _ = battery
-    monkeypatch.setitem(SCENARIO_SPECS["radial_minimal"]["tolerances"], "closed_form", 1e-18)
+    monkeypatch.setitem(SCENARIO_SPECS["radial_minimal"]["tolerances"], "closed_form", -1.0)
     assert module.main() == 1
     out = capsys.readouterr().out
     assert "FAIL  radial_minimal_disc" in out
