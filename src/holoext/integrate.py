@@ -46,6 +46,14 @@ points that already passed the membership test and return N real values.
 Membership tests and integrands may run on several threads at once, each
 under a copy of the caller's context.  A non-finite integrand value counts
 as zero and is reported in the result's ``rejected_infinite``.
+
+Quadrature runs on [0, 1], the radius of a unit ball: ``radial_integrate``
+doubles the Gauss–Jacobi rules that carry a radial integrand's declared
+endpoint exponents, and ``adaptive_gauss`` bisects where there are none or
+the rules do not converge.  The two quadrature sides of the slice/fiber
+identity are the radial Gram entry and the lift's fiber integral, whose
+modules import this one, so ``bounds.fubini_sides`` holds them; the
+identity's Monte Carlo evidence, ``fubini_mc_oracle``, stays here.
 """
 
 from __future__ import annotations
@@ -72,14 +80,12 @@ __all__ = [
     "volume",
     "adaptive_gauss",
     "radial_integrate",
-    "fubini_sides",
     "fubini_mc_oracle",
 ]
 
 _SHARD_SIZE = 1_000_000
 _BLOCK = 16_384  # rows per drawn block: 1 MB of uniforms plus 1 MB of points on C^4
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_TAIL_CUT = 60.0  # truncation point for improper integrals over (-inf, 0]
 
 
 @dataclass(frozen=True)
@@ -322,20 +328,20 @@ def _gl15(f, a, b):
     return half * float(np.dot(_GL_WEIGHTS, fx))
 
 
-def adaptive_gauss(f, a, b, node_cap=10**6, rules=None):
-    """Adaptive Gauss quadrature on [a, b]: a composite 15-node Gauss rule
+def adaptive_gauss(f, node_cap=10**6, rules=None):
+    """Adaptive Gauss quadrature on [0, 1]: a composite 15-node Gauss rule
     refined by bisection or, given ``rules``, one weighted rule refined by
     doubling its nodes.
 
     Bisection subdivides until the local refinement residual fits a
     length-proportional share of the relative tolerance ``_RTOL``, down to a
-    width floor of 1e-14 relative to the interval.  Nodes never land on
+    width floor of 1e-14.  Nodes never land on
     interval endpoints and non-finite node values contribute zero, so
     integrable endpoint singularities are handled; their unresolved leftovers
     show up in the returned residual.
 
-    ``rules(N)`` returns the nodes in (a, b) and the weights of an N-node rule
-    for integral_a^b f(x) omega(x) dx, for a weight omega that the rules carry,
+    ``rules(N)`` returns the nodes in (0, 1) and the weights of an N-node rule
+    for integral_0^1 f(x) omega(x) dx, for a weight omega that the rules carry,
     or None if there is none.  N then doubles through ``_LADDER``, and the
     result is the first value Q_2N within ``_RTOL`` relative of the previous
     Q_N, with the residual |Q_2N - Q_N|.
@@ -345,14 +351,12 @@ def adaptive_gauss(f, a, b, node_cap=10**6, rules=None):
     accumulated residual stayed above 100x the relative target, or when the
     ladder ended, met a missing rule or a non-finite value first.
     """
-    if not b > a:
-        raise ValueError("need b > a")
     if rules is not None:
         return _doubling(f, rules)
-    whole = _gl15(f, a, b)
+    whole = _gl15(f, 0.0, 1.0)
     nodes = 15
     scale = max(abs(whole), 1e-300)
-    stack = [(a, b, whole)]
+    stack = [(0.0, 1.0, whole)]
     total = 0.0
     resid = 0.0
     capped = False
@@ -364,8 +368,8 @@ def adaptive_gauss(f, a, b, node_cap=10**6, rules=None):
         nodes += 30
         fine = left + right
         err = abs(fine - coarse)
-        budget = _RTOL * scale * (hi - lo) / (b - a)
-        if err <= budget or (hi - lo) <= 1e-14 * (b - a):
+        budget = _RTOL * scale * (hi - lo)
+        if err <= budget or (hi - lo) <= 1e-14:
             total += fine
             resid += err
             scale = max(scale, abs(total))
@@ -494,13 +498,13 @@ def radial_integrate(g, k: int, node_cap=10**6, exponents=None, vanishing=0):
         if edge + vanishing <= -1.0:
             return _non_integrable(edge + vanishing)
         value, resid, nodes, converged = adaptive_gauss(
-            g, 0.0, 1.0, rules=lambda n: _radial_rule(n, k, edge, power)
+            g, rules=lambda n: _radial_rule(n, k, edge, power)
         )
         if converged:
             return QuadratureResult(value, resid, nodes, method="gauss-jacobi")
     _, mu_k = sigma_mu(k)
     value, resid, nodes, converged = adaptive_gauss(
-        lambda r: g(r) * r ** (2 * k - 1), 0.0, 1.0, node_cap=node_cap
+        lambda r: g(r) * r ** (2 * k - 1), node_cap=node_cap
     )
     return QuadratureResult(
         value=mu_k * value,
@@ -512,68 +516,8 @@ def radial_integrate(g, k: int, node_cap=10**6, exponents=None, vanishing=0):
 
 
 # ---------------------------------------------------------------------------
-# The two sides of the slice/fiber integral identity
+# Monte Carlo evidence for the slice/fiber integral identity
 # ---------------------------------------------------------------------------
-
-
-def fubini_sides(profile: RadialProfile, k: int, z2_norm: float = 0.0):
-    """Both sides of the identity between a weighted slice integral and the
-    fiber integral of e^(-2k psi).
-
-    For a slice at |z''| = z2_norm the radial profile must blow up at
-    T = log(1 - z2_norm^2); the catalog profiles blow up at 0, so they are
-    translated by T, which leaves the z2_norm = 0 case untouched.  The left
-    side is
-
-        mu_k/2 * int_(-inf)^T e^(-k u(t-T)) e^(k t) dt
-
-    (the slice integral of e^(-phi) after the radial substitution), the right
-    side is
-
-        mu_k/(2k) * int_(-inf)^0 e^(k (T + u^(-1)(-t/k))) e^t dt
-
-    (the fiber integral of e^(-2k psi)).  Both improper integrals are
-    truncated 60 units below their upper limit; the analytic tail bound is
-    added to each error estimate.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if not 0.0 <= z2_norm < 1.0:
-        raise ValueError("z2_norm must lie in [0, 1)")
-    big_t = math.log1p(-(z2_norm**2))
-    _, mu_k = sigma_mu(k)
-
-    def lhs_integrand(t):
-        return np.exp(k * (t - profile.value(t - big_t)))
-
-    lhs_raw, lhs_resid, lhs_nodes, lhs_ok = adaptive_gauss(
-        lhs_integrand, big_t - _TAIL_CUT, big_t
-    )
-    # integrand <= e^(k t) below the cut since u >= 0
-    lhs_tail = math.exp(k * (big_t - _TAIL_CUT)) / k
-
-    def rhs_integrand(t):
-        return np.exp(k * (big_t + profile.inverse(-t / k)) + t)
-
-    rhs_raw, rhs_resid, rhs_nodes, rhs_ok = adaptive_gauss(
-        rhs_integrand, -_TAIL_CUT, 0.0
-    )
-    # integrand <= e^(k T) e^t below the cut since u^(-1) <= 0
-    rhs_tail = math.exp(k * big_t - _TAIL_CUT)
-
-    lhs = QuadratureResult(
-        value=0.5 * mu_k * lhs_raw,
-        error_estimate=0.5 * mu_k * (lhs_resid + lhs_tail),
-        samples_or_nodes=lhs_nodes,
-        converged=lhs_ok,
-    )
-    rhs = QuadratureResult(
-        value=0.5 * mu_k / k * rhs_raw,
-        error_estimate=0.5 * mu_k / k * (rhs_resid + rhs_tail),
-        samples_or_nodes=rhs_nodes,
-        converged=rhs_ok,
-    )
-    return lhs, rhs
 
 
 def fubini_mc_oracle(

@@ -23,14 +23,15 @@ from .bounds import (
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
+    fubini_sides,
     indicatrix_bound_rhs,
     lift_route_rhs,
     minimal_norm_squared,
 )
 from .errors import ConfigError
 from .green import BallPairModel, BallPointModel, RadialLiftModel, sublevel_scaling
-from .integrate import fubini_mc_oracle, fubini_sides, sigma_mu
-from .weights import PROFILE_PARAM_MAX, LogSingularProfile, make_profile
+from .integrate import fubini_mc_oracle, sigma_mu
+from .weights import PROFILE_PARAM_MAX, LogSingularProfile, ScaledLogProfile, make_profile
 
 __all__ = [
     "ScenarioConfig",
@@ -303,16 +304,20 @@ def _run_fubini(args, samples, seed, tol):
     lhs, rhs = fubini_sides(profile, k, z2)
     oracle = fubini_mc_oracle(profile, k, z2, samples, seed)
     values = [
-        ValueRecord("slice_integral", lhs.value, lhs.error_estimate, "adaptive-quadrature"),
-        ValueRecord("fiber_integral", rhs.value, rhs.error_estimate, "adaptive-quadrature"),
+        ValueRecord("slice_integral", lhs.value, lhs.error_estimate, lhs.method),
+        ValueRecord("fiber_integral", rhs.value, rhs.error_estimate, rhs.method),
         ValueRecord("lift_volume_over_sigma_k", oracle.value, oracle.error_estimate, "monte-carlo"),
     ]
     assertions = [
         _close("identity_relative", rhs.value, lhs.value, tol["identity"]),
         _close("mc_oracle_relative", oracle.value, lhs.value, tol["mc"]),
     ]
-    if isinstance(profile, LogSingularProfile):
-        closed = (1.0 - z2**2) ** k * ball_bound_ratio(k)
+    if isinstance(profile, ScaledLogProfile):
+        # (1 - z2^2)^k mu_k/2 a B(ka, ka + 1); a Gamma(ka) = Gamma(ka + 1)/k turns
+        # it into sigma_k Gamma(ka + 1)^2 / Gamma(2ka + 1), whose arguments are all >= 1
+        ka = k * profile.a
+        gammas = math.gamma(ka + 1.0) ** 2 / math.gamma(2.0 * ka + 1.0)
+        closed = (1.0 - z2**2) ** k * sigma_mu(k)[0] * gammas
         values.append(ValueRecord("closed_form", closed, 0.0, "closed-form"))
         assertions.insert(
             1, _close("closed_form_relative", lhs.value, closed, tol["closed_form"])
@@ -328,7 +333,7 @@ def _run_bound_ratio(args, samples, seed, tol):
     mc = ball_bound_integral_mc(n, samples, seed)
     values = [
         ValueRecord("bound_ratio", ratio, 0.0, "closed-form"),
-        ValueRecord("ball_weight_integral", quad.value, quad.error_estimate, "adaptive-quadrature"),
+        ValueRecord("ball_weight_integral", quad.value, quad.error_estimate, quad.method),
         ValueRecord("ball_weight_integral_mc", mc.value, mc.error_estimate, "monte-carlo"),
     ]
     assertions = [

@@ -18,6 +18,7 @@ from holoext.bounds import (
     ball_bound_integral_mc,
     ball_bound_integral,
     ball_bound_ratio,
+    fubini_sides,
     indicatrix_bound_rhs,
     lift_route_rhs,
     minimal_norm_squared,
@@ -30,7 +31,7 @@ from holoext.green import (
     RadialLiftModel,
     sublevel_scaling,
 )
-from holoext.integrate import fubini_mc_oracle, fubini_sides, volume
+from holoext.integrate import fubini_mc_oracle, volume
 from holoext.weights import (
     BallStandardWeight,
     LogSingularProfile,

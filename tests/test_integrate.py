@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from holoext import integrate
+from holoext.bergman import _radial_reduction
+from holoext.bounds import fubini_sides
 from holoext.errors import DegenerateDomainError
 from holoext.geometry import Ball, HartogsLift
+from holoext.green import RadialLiftModel
 from holoext.integrate import (
     _BLOCK,
     _SHARD_SIZE,
     _box_moments,
     adaptive_gauss,
     fubini_mc_oracle,
-    fubini_sides,
     mc_integrate,
     radial_integrate,
     rng_stream,
@@ -132,27 +134,20 @@ def test_radial_quadrature_flags_divergence():
     assert res.error_estimate > 1e-3 * abs(res.value)
 
 
-def test_adaptive_gauss_validates_interval():
-    with pytest.raises(ValueError):
-        adaptive_gauss(lambda x: x, 1.0, 0.0)
-
-
 def _legendre_on_unit_interval(nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 def test_adaptive_gauss_doubles_a_rule():
-    value, resid, nodes, converged = adaptive_gauss(
-        np.exp, 0.0, 1.0, rules=_legendre_on_unit_interval
-    )
+    value, resid, nodes, converged = adaptive_gauss(np.exp, rules=_legendre_on_unit_interval)
     assert (nodes, converged) == (16 + 32, True)
     assert value == pytest.approx(math.e - 1.0, rel=1e-15)
     assert resid <= 1e-10 * value
     # no rule, or a value that is not finite, ends the ladder unconverged
-    assert adaptive_gauss(np.exp, 0.0, 1.0, rules=lambda n: None)[2:] == (0, False)
+    assert adaptive_gauss(np.exp, rules=lambda n: None)[2:] == (0, False)
     infinite = lambda x: np.full_like(x, np.inf)
-    assert adaptive_gauss(infinite, 0.0, 1.0, rules=_legendre_on_unit_interval)[2:] == (16, False)
+    assert adaptive_gauss(infinite, rules=_legendre_on_unit_interval)[2:] == (16, False)
 
 
 def test_radial_integrate_vanishing_order():
@@ -176,6 +171,7 @@ def test_radial_integrate_vanishing_order():
 def test_fubini_identity_catalog(profile, k, z2_norm):
     lhs, rhs = fubini_sides(profile, k, z2_norm)
     assert lhs.converged and rhs.converged
+    assert (lhs.method, rhs.method) == ("gauss-jacobi", "gauss-jacobi")
     assert abs(lhs.value - rhs.value) <= 1e-5 * lhs.value
 
 
@@ -189,10 +185,15 @@ def test_fubini_closed_forms():
     assert rhs2.value == pytest.approx(PI**2 / 12, rel=1e-6)
 
 
-def test_fubini_error_estimates_include_tails():
-    lhs, rhs = fubini_sides(LogSingularProfile(), 1, 0.0)
-    assert lhs.error_estimate >= 0.5 * 2 * PI * math.exp(-60.0)
-    assert rhs.error_estimate > 0
+def test_fubini_error_estimates_are_the_rule_residuals():
+    # no truncated tail is left to bound: each side's error is the residual of
+    # its radial rule, times (1 - z2^2)^k like the value
+    u, k, z2 = LogSingularProfile(), 1, 0.3
+    _, factor, exponents = _radial_reduction(RadialWeight(u, k), k)
+    rules = radial_integrate(factor, k, exponents=exponents), RadialLiftModel(u, k, k).fiber_integral()
+    for side, rule in zip(fubini_sides(u, k, z2), rules):
+        assert side.error_estimate == (1.0 - z2**2) ** k * rule.error_estimate
+        assert 0.0 <= side.error_estimate <= 1e-10 * side.value
 
 
 def test_fubini_mc_oracle_matches_quadrature():

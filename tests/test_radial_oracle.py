@@ -1,6 +1,6 @@
 """The radial Gram diagonal and the lift-route fiber integral against 30-digit
 references (``radial_oracle``), by the Gauss–Jacobi ladder and by the
-adaptive rule."""
+adaptive rule, and the slice/fiber identity's two sides, which are the two."""
 
 import math
 from dataclasses import dataclass
@@ -11,6 +11,7 @@ import radial_oracle as ro
 
 from holoext import integrate
 from holoext.bergman import MultiIndexBasis, gram_matrix
+from holoext.bounds import ExtensionScenario, fubini_sides, lift_route_rhs, minimal_norm_squared
 from holoext.geometry import Ball
 from holoext.green import RadialLiftModel
 from holoext.integrate import radial_integrate
@@ -99,6 +100,21 @@ def test_lift_fiber_integral_matches_the_oracle(label, k):
     adaptive = RadialLiftModel(_Undeclared(CATALOG[label]), k, k).fiber_integral()
     assert adaptive.method == "adaptive-quadrature"
     assert abs(adaptive.value - exact) <= max(RTOL * exact, adaptive.error_estimate)
+
+
+@pytest.mark.parametrize("z2_norm", [0.0, 0.3])
+@pytest.mark.parametrize("label, k", [(label, k) for label in CATALOG for k in (1, 2)])
+def test_fubini_sides_are_the_extension_pair(label, k, z2_norm):
+    # the slice side is the least norm of f = 1 and the fiber side the lift
+    # route, with V a point, both times (1 - z2^2)^k
+    lhs, rhs = fubini_sides(CATALOG[label], k, z2_norm)
+    s = (1.0 - z2_norm**2) ** k
+    assert lhs.value == pytest.approx(s * ro.gram_diagonal(k, 0, *ro.PROFILES[label]), rel=RTOL)
+    assert rhs.value == pytest.approx(s * ro.lift_fiber(k, *ro.PROFILES[label]), rel=RTOL)
+    if z2_norm == 0.0:
+        scenario = ExtensionScenario(k, k, CATALOG[label], degree=0)
+        assert lhs.value == minimal_norm_squared(scenario).norm_squared
+        assert rhs.value == lift_route_rhs(scenario).value
 
 
 def test_non_integrable_exponent_evaluates_nothing():
