@@ -16,11 +16,9 @@ data f on V.  Three numbers are computed for it, each by one function; the
 Both bounds are sigma_k times a Green model's ``indicatrix_integral`` of f:
 the lift route that of ``RadialLiftModel``, the direct bound that of
 ``BallPointModel`` (V a point) or ``BallPairModel``.  For radial weights with
-V a point the first two numbers are equal: for f = 1 they are the slice
-integral of e^(-phi) and the fiber integral of e^(-2k psi), the two sides of
-the slice/fiber identity, which ``fubini_sides`` returns from the same two
-quadratures, scaled to a slice at |z''| = z2_norm.  All closed-form
-constants come from exact integer factorials times powers of pi.
+V a point the first two numbers are equal; for f = 1 they are the two sides
+of the slice/fiber identity (``fubini_sides``).  All closed-form constants
+come from exact integer factorials times powers of pi.
 """
 
 from __future__ import annotations
@@ -30,11 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bergman import (
-    MultiIndexBasis,
-    _check_data,
-    _radial_reduction,
-    gram_matrix,
-    min_norm_extension,
+    MultiIndexBasis, _check_data, _radial_reduction, gram_matrix, min_norm_extension
 )
 from .geometry import Ball
 from .green import BallPairModel, BallPointModel, RadialLiftModel
@@ -100,29 +94,22 @@ def lift_route_rhs(scenario: ExtensionScenario) -> QuadratureResult:
 
 
 def fubini_sides(profile: RadialProfile, k: int, z2_norm: float = 0.0):
-    """Both sides of the identity between the slice integral of e^(-phi) and
-    the fiber integral of e^(-2k psi), with V a point of B^k.
+    """The slice integral of e^(-phi) and the fiber integral of e^(-2k psi)
+    on a slice at |z''| = z2_norm, with V a point of B^k.
 
-    For a slice at |z''| = z2_norm the profile is translated to blow up at
-    T = log(1 - z2_norm^2); substituting t - T takes the translation out of
-    both t-integrals as the exact factor s = e^(kT) = (1 - z2_norm^2)^k.  The
-    slice side is s times the degree-0 radial Gram entry of
-    RadialWeight(profile, k) on B^k, the least norm of f = 1; the fiber side
-    is s times the lift model's ``fiber_integral``, the lift route.  Each side
-    keeps its quadrature's residual, node count, convergence and rule.
+    The slice's profile blows up at T = log(1 - z2_norm^2), and substituting
+    t - T takes T out of both t-integrals as the factor s = (1 - z2_norm^2)^k.
+    So the sides are s times the degree-0 radial Gram entry of
+    RadialWeight(profile, k), the least norm of f = 1, and s times the lift
+    model's ``fiber_integral``, the lift route; each keeps its quadrature.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     if not 0.0 <= z2_norm < 1.0:
         raise ValueError("z2_norm must lie in [0, 1)")
     s = (1.0 - z2_norm**2) ** k
     _, factor, exponents = _radial_reduction(RadialWeight(profile, k), k)
     slice_side = radial_integrate(factor, k, exponents=exponents)
-    fiber_side = RadialLiftModel(profile, k, k).fiber_integral()
-    return tuple(
-        replace(q, value=s * q.value, error_estimate=s * q.error_estimate)
-        for q in (slice_side, fiber_side)
-    )
+    sides = slice_side, RadialLiftModel(profile, k, k).fiber_integral()
+    return tuple(replace(q, value=s * q.value, error_estimate=s * q.error_estimate) for q in sides)
 
 
 def indicatrix_bound_rhs(scenario: ExtensionScenario) -> float:

@@ -47,13 +47,9 @@ Membership tests and integrands may run on several threads at once, each
 under a copy of the caller's context.  A non-finite integrand value counts
 as zero and is reported in the result's ``rejected_infinite``.
 
-Quadrature runs on [0, 1], the radius of a unit ball: ``radial_integrate``
-doubles the Gauss–Jacobi rules that carry a radial integrand's declared
-endpoint exponents, and ``adaptive_gauss`` bisects where there are none or
-the rules do not converge.  The two quadrature sides of the slice/fiber
-identity are the radial Gram entry and the lift's fiber integral, whose
-modules import this one, so ``bounds.fubini_sides`` holds them; the
-identity's Monte Carlo evidence, ``fubini_mc_oracle``, stays here.
+Quadrature runs on [0, 1], the radius of a unit ball, so the slice/fiber
+identity's sides are radial integrals (``bounds.fubini_sides``); its Monte
+Carlo evidence, ``fubini_mc_oracle``, is here.
 """
 
 from __future__ import annotations
@@ -335,10 +331,10 @@ def adaptive_gauss(f, node_cap=10**6, rules=None):
 
     Bisection subdivides until the local refinement residual fits a
     length-proportional share of the relative tolerance ``_RTOL``, down to a
-    width floor of 1e-14.  Nodes never land on
-    interval endpoints and non-finite node values contribute zero, so
-    integrable endpoint singularities are handled; their unresolved leftovers
-    show up in the returned residual.
+    width floor of 1e-14.  Nodes never land on interval endpoints and
+    non-finite node values contribute zero, so integrable endpoint
+    singularities are handled; their unresolved leftovers show up in the
+    returned residual.
 
     ``rules(N)`` returns the nodes in (0, 1) and the weights of an N-node rule
     for integral_0^1 f(x) omega(x) dx, for a weight omega that the rules carry,

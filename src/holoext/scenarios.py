@@ -313,8 +313,7 @@ def _run_fubini(args, samples, seed, tol):
         _close("mc_oracle_relative", oracle.value, lhs.value, tol["mc"]),
     ]
     if isinstance(profile, ScaledLogProfile):
-        # (1 - z2^2)^k mu_k/2 a B(ka, ka + 1); a Gamma(ka) = Gamma(ka + 1)/k turns
-        # it into sigma_k Gamma(ka + 1)^2 / Gamma(2ka + 1), whose arguments are all >= 1
+        # (1 - z2^2)^k mu_k/2 a B(ka, ka + 1), written with Gamma arguments >= 1
         ka = k * profile.a
         gammas = math.gamma(ka + 1.0) ** 2 / math.gamma(2.0 * ka + 1.0)
         closed = (1.0 - z2**2) ** k * sigma_mu(k)[0] * gammas

@@ -190,7 +190,8 @@ def test_fubini_error_estimates_are_the_rule_residuals():
     # its radial rule, times (1 - z2^2)^k like the value
     u, k, z2 = LogSingularProfile(), 1, 0.3
     _, factor, exponents = _radial_reduction(RadialWeight(u, k), k)
-    rules = radial_integrate(factor, k, exponents=exponents), RadialLiftModel(u, k, k).fiber_integral()
+    slice_rule = radial_integrate(factor, k, exponents=exponents)
+    rules = slice_rule, RadialLiftModel(u, k, k).fiber_integral()
     for side, rule in zip(fubini_sides(u, k, z2), rules):
         assert side.error_estimate == (1.0 - z2**2) ** k * rule.error_estimate
         assert 0.0 <= side.error_estimate <= 1e-10 * side.value

@@ -1,6 +1,7 @@
 """The radial Gram diagonal and the lift-route fiber integral against 30-digit
 references (``radial_oracle``), by the Gauss–Jacobi ladder and by the
-adaptive rule, and the slice/fiber identity's two sides, which are the two."""
+adaptive rule, and the two sides of the slice/fiber identity, which are these
+two integrals on B^k."""
 
 import math
 from dataclasses import dataclass
