@@ -10,10 +10,10 @@ the matrix is diagonal, and each diagonal entry reduces to a 1D radial
 integral against exact angular moments) or by shared-sample Monte Carlo.
 The radial integral depends on alpha only through (|alpha'|, |alpha''|), so
 an exact assembly runs one quadrature per distinct pair.  Those quadratures
-meet the same node arrays (the rungs of one Gauss–Jacobi ladder when the
-weight declares its endpoint exponents, else the subintervals of bisection),
-so within one assembly the weight's radial factor is evaluated once per node
-array.
+meet the same node arrays (the rungs of one Gauss–Jacobi ladder for every
+catalog profile; bisection's subintervals for a profile that declares no
+exponents), so within one assembly the weight's radial factor is evaluated
+once per node array.
 
 Monomial values are built as a product chain: each z^alpha is its parent
 z^(alpha - e_j), j the last nonzero coordinate, times z_j, so one complex
@@ -48,12 +48,7 @@ from .errors import (
 )
 from .geometry import Ball
 from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
-from .weights import (
-    BallStandardWeight,
-    EpsilonRegularizedWeight,
-    RadialWeight,
-    TrivialWeight,
-)
+from .weights import RadialWeight
 
 __all__ = [
     "MultiIndexBasis",
@@ -185,40 +180,27 @@ class GramMatrix:
         return float(np.real(np.vdot(c, self.matrix @ c)))
 
 
-def _radial_reduction(weight, n):
-    """Pole-block size, the radial factor e^(-phi(r)) of a torus-invariant
-    weight and its exponents (edge, power) as ``radial_integrate`` reads them
-    (None if undeclared), or raise if the weight has no single-radius
-    reduction."""
-    if isinstance(weight, TrivialWeight):
-        return n, lambda r: np.ones_like(r), (0.0, 1.0)
-    if isinstance(weight, BallStandardWeight):
-        return n, lambda r: (1.0 - r * r) ** weight.n, (float(weight.n), 1.0)
-    if isinstance(weight, RadialWeight):
-        prof, k = weight.profile, weight.k
+def _radial_reduction(weight):
+    """Pole-block size k, radial factor e^(-k u(log r^2)) and Gram exponents
+    (edge, power) of a ``RadialWeight``, the exponents None if its profile
+    declares none.  For the profile's (c, gamma) the edge is k c and the power
+    max(gamma, 1): at power 1, r^(2 |alpha'|) stays a polynomial and
+    e^(-k u) ~ 1 - k C r^(2/gamma) is smooth enough in r, where power
+    gamma < 1 makes neither smooth in the rule's variable."""
+    if not isinstance(weight, RadialWeight):
+        raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
+    prof, k = weight.profile, weight.k
 
-        def factor(r):
-            t = np.log(r * r)
-            out = np.zeros_like(r)
-            ok = t < prof.upper_limit
-            if ok.any():
-                out[ok] = np.exp(-k * prof.value(t[ok]))
-            return out
+    def factor(r):
+        t = np.log(r * r)
+        out = np.zeros_like(r)
+        ok = t < prof.upper_limit
+        if ok.any():
+            out[ok] = np.exp(-k * prof.value(t[ok]))
+        return out
 
-        # e^(-k u) ~ (-t)^(k c) at t -> 0-, and 1 - k C r^(2/gamma) at r -> 0
-        exps = prof.exponents
-        return k, factor, None if exps is None else (k * exps[0], exps[1])
-    if isinstance(weight, EpsilonRegularizedWeight):
-        kb, inner_factor, inner_exps = _radial_reduction(weight.inner, n)
-        if kb != n:
-            raise ValueError(
-                "regularized weight with a strict pole block is not radial in "
-                "a single radius; use method='monte_carlo'"
-            )
-        eps = weight.eps
-        exps = None if inner_exps is None else (inner_exps[0] + eps, max(inner_exps[1], 1.0))
-        return n, lambda r: inner_factor(r) * (1.0 - r * r) ** eps, exps
-    raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
+    exps = prof.exponents
+    return k, factor, None if exps is None else (k * exps[0], max(exps[1], 1.0))
 
 
 def _once_per_node_array(factor):
@@ -271,7 +253,7 @@ def gram_matrix(
 ) -> GramMatrix:
     """Assemble the Gram matrix of the truncated weighted Bergman space.
 
-    ``radial_exact`` applies to torus-invariant weights on the unit ball: the
+    ``radial_exact`` applies to a ``RadialWeight`` on the unit ball: the
     matrix is exactly diagonal and each entry is an exact angular moment times
     a 1D radial quadrature, run once per distinct (|alpha'|, |alpha''|) within
     the call, which also evaluates the weight's radial factor once per node
@@ -288,7 +270,7 @@ def gram_matrix(
     if method == "radial_exact":
         if not (isinstance(domain, Ball) and domain.radius == 1.0):
             raise ValueError("radial_exact requires the unit ball")
-        kb, radial_factor, exponents = _radial_reduction(weight, n)
+        kb, radial_factor, exponents = _radial_reduction(weight)
         radial_factor = _once_per_node_array(radial_factor)
         quads = {}
         diag = np.zeros(len(basis))

@@ -106,7 +106,7 @@ def fubini_sides(profile: RadialProfile, k: int, z2_norm: float = 0.0):
     if not 0.0 <= z2_norm < 1.0:
         raise ValueError("z2_norm must lie in [0, 1)")
     s = (1.0 - z2_norm**2) ** k
-    _, factor, exponents = _radial_reduction(RadialWeight(profile, k), k)
+    _, factor, exponents = _radial_reduction(RadialWeight(profile, k))
     slice_side = radial_integrate(factor, k, exponents=exponents)
     sides = slice_side, RadialLiftModel(profile, k, k).fiber_integral()
     return tuple(replace(q, value=s * q.value, error_estimate=s * q.error_estimate) for q in sides)
@@ -137,8 +137,10 @@ def ball_bound_ratio(n: int) -> float:
 
 
 def ball_bound_integral(n: int) -> QuadratureResult:
-    """integral_(B^n) (1 - |w|^2)^n dV by radial quadrature; equals the ratio."""
-    return radial_integrate(lambda r: (1.0 - r * r) ** n, n)
+    """integral_(B^n) (1 - |w|^2)^n dV by radial quadrature; equals the ratio.
+
+    (1 - r^2)^n = (1 - r)^n (1 + r)^n, so the rule carries the edge n."""
+    return radial_integrate(lambda r: (1.0 - r * r) ** n, n, exponents=(n, 1))
 
 
 def ball_bound_integral_mc(n: int, samples: int, seed: int) -> QuadratureResult:

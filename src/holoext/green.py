@@ -311,6 +311,7 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
                 value=scale * mean,
                 error_estimate=_Z99 * scale * stderr,
                 samples_or_nodes=samples,
+                method="monte-carlo",
                 rejected_infinite=n_bad,
             )
         )

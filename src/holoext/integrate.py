@@ -58,7 +58,7 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -92,10 +92,10 @@ class QuadratureResult:
     value: float
     error_estimate: float
     samples_or_nodes: int
+    method: str
     converged: bool = True
     rejected_infinite: int = 0
     note: str = ""
-    method: str = "adaptive-quadrature"
 
 
 def rng_stream(seed: int, shard: int = 0) -> np.random.Generator:
@@ -292,6 +292,7 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
         value=boxvol * mean,
         error_estimate=_Z99 * boxvol * stderr,
         samples_or_nodes=samples,
+        method="monte-carlo",
         rejected_infinite=n_bad,
     )
 
@@ -506,6 +507,7 @@ def radial_integrate(g, k: int, node_cap=10**6, exponents=None, vanishing=0):
         value=mu_k * value,
         error_estimate=mu_k * resid,
         samples_or_nodes=nodes,
+        method="adaptive-quadrature",
         converged=converged,
         note="" if converged else "residual target not reached within the node cap",
     )
@@ -536,10 +538,4 @@ def fubini_mc_oracle(
     )
     res = volume(lift, samples, seed)
     sigma_k, _ = sigma_mu(k)
-    return QuadratureResult(
-        value=res.value / sigma_k,
-        error_estimate=res.error_estimate / sigma_k,
-        samples_or_nodes=res.samples_or_nodes,
-        converged=res.converged,
-        rejected_infinite=res.rejected_infinite,
-    )
+    return replace(res, value=res.value / sigma_k, error_estimate=res.error_estimate / sigma_k)

@@ -306,7 +306,7 @@ def _run_fubini(args, samples, seed, tol):
     values = [
         ValueRecord("slice_integral", lhs.value, lhs.error_estimate, lhs.method),
         ValueRecord("fiber_integral", rhs.value, rhs.error_estimate, rhs.method),
-        ValueRecord("lift_volume_over_sigma_k", oracle.value, oracle.error_estimate, "monte-carlo"),
+        ValueRecord("lift_volume_over_sigma_k", oracle.value, oracle.error_estimate, oracle.method),
     ]
     assertions = [
         _close("identity_relative", rhs.value, lhs.value, tol["identity"]),
@@ -333,7 +333,7 @@ def _run_bound_ratio(args, samples, seed, tol):
     values = [
         ValueRecord("bound_ratio", ratio, 0.0, "closed-form"),
         ValueRecord("ball_weight_integral", quad.value, quad.error_estimate, quad.method),
-        ValueRecord("ball_weight_integral_mc", mc.value, mc.error_estimate, "monte-carlo"),
+        ValueRecord("ball_weight_integral_mc", mc.value, mc.error_estimate, mc.method),
     ]
     assertions = [
         _close("ratio_exact_arithmetic", ratio, exact, tol["exact"]),
@@ -435,9 +435,7 @@ def _run_scaling(args, samples, seed, tol):
     values = [ValueRecord("limit_value", limit, 0.0, "closed-form")]
     assertions = []
     for t, r in zip(ladder, sublevel_scaling(model, None, ladder, samples, seed)):
-        values.append(
-            ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, "monte-carlo")
-        )
+        values.append(ValueRecord(f"scaled_volume_t={t:g}", r.value, r.error_estimate, r.method))
         assertions.append(_close(f"matches_limit_t={t:g}", r.value, limit, tol_level))
     return values, assertions
 

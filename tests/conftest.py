@@ -2,7 +2,20 @@ import math
 
 import numpy as np
 
+from holoext.weights import RadialProfile
+
 ACCEPTANCE_LINES = []
+
+
+class ZeroProfile(RadialProfile):
+    """u = 0, a test-only profile: RadialWeight(ZeroProfile(), n) is the
+    trivial weight on the unit ball of C^n, whose radial factor 1 has the
+    exponents (0, 1)."""
+
+    exponents = (0.0, 1.0)
+
+    def value(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 def record_acceptance(line: str):

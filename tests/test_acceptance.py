@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import checked_azukawa, record_acceptance
+from conftest import ZeroProfile, checked_azukawa, record_acceptance
 from holoext.bergman import MultiIndexBasis, gram_matrix
 from holoext.bounds import (
     ExtensionScenario,
@@ -32,13 +32,7 @@ from holoext.green import (
     sublevel_scaling,
 )
 from holoext.integrate import fubini_mc_oracle, volume
-from holoext.weights import (
-    BallStandardWeight,
-    LogSingularProfile,
-    RadialWeight,
-    ScaledLogProfile,
-    TrivialWeight,
-)
+from holoext.weights import LogSingularProfile, RadialWeight, ScaledLogProfile
 
 PI = math.pi
 SEED = 2026
@@ -197,7 +191,11 @@ def test_criterion_6_property_suites():
             assert abs(doubled - value - math.log(2)) < 1e-12
 
         # Gram matrices: Hermitian positive definite, radial ones diagonal
-        for weight in (TrivialWeight(), RadialWeight(LogSingularProfile(), 1), BallStandardWeight(2)):
+        for weight in (
+            RadialWeight(ZeroProfile(), 2),
+            RadialWeight(LogSingularProfile(), 1),
+            RadialWeight(LogSingularProfile(), 2),
+        ):
             dim = 2
             basis = MultiIndexBasis(dim, 5, 1)
             gram = gram_matrix(Ball(1.0, dim), weight, basis)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import ZeroProfile
 
 from holoext import integrate
 from holoext.bergman import (
@@ -116,9 +117,28 @@ def test_gram_weighted_disc_monomial_norms():
 
 def test_gram_trivial_disc_monomial_norms():
     basis = MultiIndexBasis(1, 8, 1)
-    g = gram_matrix(DISC, TrivialWeight(), basis)
+    g = gram_matrix(DISC, RadialWeight(ZeroProfile(), 1), basis)
     for m in range(9):
         assert g.matrix[m, m].real == pytest.approx(PI / (m + 1), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        TrivialWeight(),
+        BallStandardWeight(1),
+        EpsilonRegularizedWeight(RadialWeight(U, 1), eps=0.1),
+        EpsilonRegularizedWeight(TrivialWeight(), eps=0.1),
+    ],
+    ids=["trivial", "ball_standard", "regularized_radial", "regularized_trivial"],
+)
+def test_radial_gram_takes_only_radial_weights(weight):
+    # the legacy weights have a RadialWeight equivalent and no radial reduction
+    # of their own; their Monte Carlo Gram still runs
+    with pytest.raises(ValueError, match="no radial reduction"):
+        gram_matrix(DISC, weight, MultiIndexBasis(1, 2, 1))
+    sampled = gram_matrix(DISC, weight, MultiIndexBasis(1, 2, 1), "monte_carlo", 20_000, 1)
+    assert np.all(sampled.matrix.diagonal().real > 0.0)
 
 
 def test_gram_radial_weight_is_exactly_diagonal():
@@ -131,9 +151,10 @@ def test_gram_radial_weight_is_exactly_diagonal():
 @pytest.mark.parametrize(
     "weight, basis",
     [
-        (EpsilonRegularizedWeight(RadialWeight(ScaledLogProfile(0.5), 3), eps=0.1), (3, 6, 3)),
+        # eps over the whole ball of C^3 is eps / 3 on the profile of the pole block z' = z
+        (RadialWeight(EpsilonRegularizedProfile(ScaledLogProfile(0.5), 0.1 / 3), 3), (3, 6, 3)),
         (RadialWeight(EpsilonRegularizedProfile(ScaledLogProfile(0.5), 0.1), 2), (3, 6, 2)),
-        (BallStandardWeight(2), (2, 8, 2)),
+        (RadialWeight(U, 2), (2, 8, 2)),
     ],
     ids=["regularized_weight", "mixed_profile", "ball_standard"],
 )
@@ -176,7 +197,7 @@ def test_radial_gram_evaluates_the_weight_once_per_node_array():
 
 
 def test_gram_is_hermitian_positive_definite():
-    for weight in (TrivialWeight(), RadialWeight(U, 2), BallStandardWeight(2)):
+    for weight in (RadialWeight(ZeroProfile(), 2), RadialWeight(U, 2)):
         g = gram_matrix(BALL2, weight, MultiIndexBasis(2, 6, 2))
         assert np.allclose(g.matrix, g.matrix.conj().T)
         assert np.all(np.linalg.eigvalsh(g.matrix) > 0)
@@ -343,7 +364,7 @@ def test_min_norm_infeasible_degree_reports_requirement():
 
 
 def test_min_norm_rejects_wrong_index_length():
-    g = gram_matrix(DISC, TrivialWeight(), MultiIndexBasis(1, 4, 1))
+    g = gram_matrix(DISC, RadialWeight(ZeroProfile(), 1), MultiIndexBasis(1, 4, 1))
     with pytest.raises(InfeasibleConstraintError):
         min_norm_extension({(1,): 1.0}, g)
 
@@ -371,7 +392,7 @@ def test_duality_with_kernel_diagonal():
 
 
 def test_kernel_diag_classical_value():
-    g = gram_matrix(DISC, TrivialWeight(), MultiIndexBasis(1, 8, 1))
+    g = gram_matrix(DISC, RadialWeight(ZeroProfile(), 1), MultiIndexBasis(1, 8, 1))
     assert kernel_diag_at(g, [0.0]) == pytest.approx(1.0 / PI, rel=1e-12)
 
 
@@ -388,7 +409,7 @@ def test_kernel_diag_monotone_in_degree():
 
 
 def test_kernel_diag_requires_interior_point():
-    g = gram_matrix(DISC, TrivialWeight(), MultiIndexBasis(1, 4, 1))
+    g = gram_matrix(DISC, RadialWeight(ZeroProfile(), 1), MultiIndexBasis(1, 4, 1))
     with pytest.raises(DomainError):
         kernel_diag_at(g, [1.0])
 
@@ -403,7 +424,8 @@ def test_norm_convergence_in_degree_for_radial_data():
 
 
 def test_regularized_weight_keeps_flat_minimizer():
-    weight = EpsilonRegularizedWeight(RadialWeight(U, 2), eps=0.5)
+    # eps = 0.5 over the whole ball of C^2 is eps / 2 on the profile
+    weight = RadialWeight(EpsilonRegularizedProfile(U, 0.5 / 2), 2)
     g = gram_matrix(BALL2, weight, MultiIndexBasis(2, 6, 2))
     res = min_norm_extension({(): 1.0}, g)
     assert res.max_pole_coefficient < 1e-8
@@ -587,9 +609,16 @@ class _AdaptiveScaledLog(ScaledLogProfile):
     exponents = None
 
 
+class _WrongEdgeScaledLog(ScaledLogProfile):
+    """The scaled profile at a = 0.3 declaring the boundary exponent 0.05
+    instead of 0.3, so the ladder's weight misses the factor (1 - r)^0.25."""
+
+    exponents = (0.05, 0.3)
+
+
 def test_radial_gram_falls_back_to_the_adaptive_rule(monkeypatch):
-    # at a = 0.3 the ladder's variable y = r^(1/a) makes r^(2 |alpha|) = y^(0.6 |alpha|),
-    # which no Jacobi weight carries: some entries do not converge on it
+    # no catalog profile falls back, so a wrong declared edge forces it: none
+    # of the seven degree pairs converges on the ladder
     import holoext.bergman as bergman
 
     fallbacks = []
@@ -604,9 +633,8 @@ def test_radial_gram_falls_back_to_the_adaptive_rule(monkeypatch):
     basis = MultiIndexBasis(1, 6, 1)
     reference = gram_matrix(DISC, RadialWeight(_AdaptiveScaledLog(0.3), 1), basis)
     monkeypatch.setattr(bergman, "radial_integrate", recorded)
-    g = gram_matrix(DISC, RadialWeight(ScaledLogProfile(0.3), 1), basis)
-    # the ladder keeps some of the seven degree pairs and hands the rest on
-    assert 0 < len(fallbacks) < len(basis)
+    g = gram_matrix(DISC, RadialWeight(_WrongEdgeScaledLog(0.3), 1), basis)
+    assert len(fallbacks) == len(basis)
     assert g.excluded == reference.excluded == ()
     assert g.basis.indices == reference.basis.indices
     diag, ref = g.matrix.diagonal().real, reference.matrix.diagonal().real

@@ -96,6 +96,28 @@ def test_report_body_matches_golden(config_path):
     assert json.loads(json.dumps(_body(config_path))) == golden
 
 
+def test_battery_quadrature_never_bisects(monkeypatch):
+    # every battery quadrature runs a Gauss–Jacobi ladder; the samples are cut
+    # because no quadrature depends on them
+    from holoext import integrate
+
+    bisections = []
+    adaptive = integrate.adaptive_gauss
+
+    def checked(*args, **kwargs):
+        if kwargs.get("rules") is None:
+            bisections.append(args)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "adaptive_gauss", checked)
+    for config_path in CONFIGS:
+        config = ScenarioConfig.from_mapping(json.loads(config_path.read_text()))
+        if config.samples:
+            config.samples = 100_000
+        run_scenario(config)
+        assert not bisections, config_path.stem
+
+
 def test_radial_grid_bodies_match_digests(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH_DIR))  # workloads imports its sibling oracle
     digests = _radial_grid_digests(importlib.import_module("workloads"))

@@ -10,7 +10,7 @@ from holoext.bergman import _radial_reduction
 from holoext.bounds import fubini_sides
 from holoext.errors import DegenerateDomainError
 from holoext.geometry import Ball, HartogsLift
-from holoext.green import RadialLiftModel
+from holoext.green import BallPointModel, RadialLiftModel, sublevel_scaling
 from holoext.integrate import (
     _BLOCK,
     _SHARD_SIZE,
@@ -189,7 +189,7 @@ def test_fubini_error_estimates_are_the_rule_residuals():
     # no truncated tail is left to bound: each side's error is the residual of
     # its radial rule, times (1 - z2^2)^k like the value
     u, k, z2 = LogSingularProfile(), 1, 0.3
-    _, factor, exponents = _radial_reduction(RadialWeight(u, k), k)
+    _, factor, exponents = _radial_reduction(RadialWeight(u, k))
     slice_rule = radial_integrate(factor, k, exponents=exponents)
     rules = slice_rule, RadialLiftModel(u, k, k).fiber_integral()
     for side, rule in zip(fubini_sides(u, k, z2), rules):
@@ -219,6 +219,18 @@ def test_quadrature_and_mc_agree_within_error_bars():
     mc = mc_integrate(Ball(1.0, 1), integrand, 500_000, seed=17)
     quad = radial_integrate(lambda r: 1.0 - r * r, 1)
     assert abs(mc.value - quad.value) <= 3 * (mc.error_estimate + quad.error_estimate)
+
+
+def test_monte_carlo_estimators_name_their_method():
+    disc = Ball(1.0, 1)
+    results = [
+        volume(disc, 1000, seed=0),
+        mc_integrate(disc, lambda pts: np.ones(len(pts)), 1000, seed=0),
+        sublevel_scaling(BallPointModel(1), None, -2.0, 1000, seed=0),
+        *sublevel_scaling(BallPointModel(1), None, [-2.0, -4.0], 1000, seed=0),
+        fubini_mc_oracle(LogSingularProfile(), 1, 0.0, 20_000, seed=1),
+    ]
+    assert [r.method for r in results] == ["monte-carlo"] * len(results)
 
 
 def test_bounded_lift_volume():

@@ -145,3 +145,34 @@ def test_a_tiny_power_runs_the_adaptive_rule():
     fiber = RadialLiftModel(ScaledLogProfile(1e-10), 1, 1).fiber_integral()
     assert fiber.method == "adaptive-quadrature"
     assert fiber.value == pytest.approx(math.pi, rel=1e-12)
+
+
+def _scaled_log_gram_entry(k, alpha, a):
+    """<z^alpha, z^alpha> on B^k for the weight k u(log |z|^2), u scaled_log a:
+    (k-1)! alpha! / (k-1+|alpha|)! * pi^k/(k-1)! * a B(a(|alpha| + k), ka + 1).
+    math.gamma is finite on this test's arguments (below 141) and within 1e-15
+    there, where exp of lgamma differences loses up to 9e-14."""
+    x, y = a * (sum(alpha) + k), k * a + 1.0
+    moment = math.prod(math.factorial(v) for v in alpha) / math.factorial(k - 1 + sum(alpha))
+    return moment * math.pi**k * a * math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.05, 0.1, 0.3, 0.5, 2.0, 5.0, 10.0])
+def test_scaled_log_gram_never_bisects(monkeypatch, a, k):
+    # power max(a, 1) keeps r^(2 |alpha|) a polynomial in the rule's variable
+    bisected = []
+    adaptive = integrate.adaptive_gauss
+
+    def counted(*args, **kwargs):
+        bisected.append(kwargs.get("rules") is None)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "adaptive_gauss", counted)
+    basis = MultiIndexBasis(k, 8, k)
+    gram = gram_matrix(Ball(1.0, k), RadialWeight(ScaledLogProfile(a), k), basis)
+    assert bisected and not any(bisected)
+    assert gram.basis.indices == basis.indices
+    for i, alpha in enumerate(basis.indices):
+        exact = _scaled_log_gram_entry(k, alpha, a)
+        assert gram.matrix[i, i].real == pytest.approx(exact, rel=1e-13, abs=0.0), alpha
