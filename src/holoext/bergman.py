@@ -181,12 +181,12 @@ class GramMatrix:
 
 
 def _radial_reduction(weight):
-    """Pole-block size k, radial factor e^(-k u(log r^2)) and Gram exponents
-    (edge, power) of a ``RadialWeight``, the exponents None if its profile
-    declares none.  For the profile's (c, gamma) the edge is k c and the power
-    max(gamma, 1): at power 1, r^(2 |alpha'|) stays a polynomial and
-    e^(-k u) ~ 1 - k C r^(2/gamma) is smooth enough in r, where power
-    gamma < 1 makes neither smooth in the rule's variable."""
+    """Radial factor e^(-k u(log r^2)) and Gram exponents (edge, power) of a
+    ``RadialWeight``, the exponents None if its profile declares none.  For
+    the profile's (c, gamma) the edge is k c and the power max(gamma, 1): at
+    power 1, r^(2 |alpha'|) stays a polynomial and e^(-k u) ~
+    1 - k C r^(2/gamma) is smooth enough in r, where power gamma < 1 makes
+    neither smooth in the rule's variable."""
     if not isinstance(weight, RadialWeight):
         raise ValueError(f"no radial reduction for weight {type(weight).__name__}")
     prof, k = weight.profile, weight.k
@@ -200,7 +200,7 @@ def _radial_reduction(weight):
         return out
 
     exps = prof.exponents
-    return k, factor, None if exps is None else (k * exps[0], max(exps[1], 1.0))
+    return factor, None if exps is None else (k * exps[0], max(exps[1], 1.0))
 
 
 def _once_per_node_array(factor):
@@ -270,13 +270,13 @@ def gram_matrix(
     if method == "radial_exact":
         if not (isinstance(domain, Ball) and domain.radius == 1.0):
             raise ValueError("radial_exact requires the unit ball")
-        kb, radial_factor, exponents = _radial_reduction(weight)
+        radial_factor, exponents = _radial_reduction(weight)
         radial_factor = _once_per_node_array(radial_factor)
         quads = {}
         diag = np.zeros(len(basis))
         bad, reasons = [], []
         for i, alpha in enumerate(basis.indices):
-            value, quad = _diag_entry(n, kb, radial_factor, exponents, alpha, quads)
+            value, quad = _diag_entry(n, weight.k, radial_factor, exponents, alpha, quads)
             if quad.converged and np.isfinite(value) and value > 0.0:
                 diag[i] = value
             else:

@@ -106,7 +106,7 @@ def fubini_sides(profile: RadialProfile, k: int, z2_norm: float = 0.0):
     if not 0.0 <= z2_norm < 1.0:
         raise ValueError("z2_norm must lie in [0, 1)")
     s = (1.0 - z2_norm**2) ** k
-    _, factor, exponents = _radial_reduction(RadialWeight(profile, k))
+    factor, exponents = _radial_reduction(RadialWeight(profile, k))
     slice_side = radial_integrate(factor, k, exponents=exponents)
     sides = slice_side, RadialLiftModel(profile, k, k).fiber_integral()
     return tuple(replace(q, value=s * q.value, error_estimate=s * q.error_estimate) for q in sides)

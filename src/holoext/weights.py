@@ -289,7 +289,9 @@ class EpsilonRegularizedWeight(_Weight):
     """inner weight plus -eps * log(1 - |z|^2) on the unit ball.
 
     The added term vanishes as eps -> 0 at interior points and forces the
-    weight to diverge at the boundary sphere.
+    weight to diverge at the boundary sphere.  Over RadialWeight(p, n) it is
+    RadialWeight(EpsilonRegularizedProfile(p, eps / n), n), the form that
+    the radial Gram takes; this class reaches only the Monte Carlo Gram.
     """
 
     inner: TrivialWeight | BallStandardWeight | RadialWeight

@@ -189,7 +189,7 @@ def test_fubini_error_estimates_are_the_rule_residuals():
     # no truncated tail is left to bound: each side's error is the residual of
     # its radial rule, times (1 - z2^2)^k like the value
     u, k, z2 = LogSingularProfile(), 1, 0.3
-    _, factor, exponents = _radial_reduction(RadialWeight(u, k))
+    factor, exponents = _radial_reduction(RadialWeight(u, k))
     slice_rule = radial_integrate(factor, k, exponents=exponents)
     rules = slice_rule, RadialLiftModel(u, k, k).fiber_integral()
     for side, rule in zip(fubini_sides(u, k, z2), rules):
