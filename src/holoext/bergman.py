@@ -38,7 +38,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -156,6 +155,15 @@ def monomial_values(basis: MultiIndexBasis, pts) -> np.ndarray:
     return rows.T
 
 
+def _cholesky(matrix):
+    """Lower Cholesky factor L, L L^H = matrix; GramConditioningError when
+    the matrix is not positive definite."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise GramConditioningError(str(exc))
+
+
 @dataclass
 class GramMatrix:
     """Hermitian positive definite Gram matrix over a monomial basis."""
@@ -169,10 +177,7 @@ class GramMatrix:
 
     def cholesky_factor(self):
         if self._chol is None:
-            try:
-                self._chol = cholesky(self.matrix, lower=True)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises
-                raise GramConditioningError(str(exc))
+            self._chol = _cholesky(self.matrix)
         return self._chol
 
     def norm_squared(self, coeffs):
@@ -420,11 +425,9 @@ def min_norm_extension(f_coeffs, gram: GramMatrix) -> ExtensionResult:
                 "the free block of the diagonal Gram matrix is not positive definite"
             )
     else:
-        try:
-            factor = cho_factor(g[np.ix_(free, free)])
-        except np.linalg.LinAlgError as exc:
-            raise GramConditioningError(str(exc))
-        coeffs[free] = -cho_solve(factor, g[np.ix_(free, pinned)] @ b)
+        factor = _cholesky(g[np.ix_(free, free)])
+        y = np.linalg.solve(factor, g[np.ix_(free, pinned)] @ b)
+        coeffs[free] = -np.linalg.solve(factor.conj().T, y)
     residual = float(np.max(np.abs(coeffs[pinned] - b))) if pinned else 0.0
     return ExtensionResult(
         coefficients=coeffs,
@@ -444,5 +447,5 @@ def kernel_diag_at(gram: GramMatrix, p) -> float:
     if not gram.domain.contains(p):
         raise DomainError("kernel evaluation point must be interior")
     v = monomial_values(gram.basis, p[None, :])[0]
-    y = solve_triangular(gram.cholesky_factor(), v, lower=True)
+    y = np.linalg.solve(gram.cholesky_factor(), v)
     return float(np.sum(np.abs(y) ** 2))

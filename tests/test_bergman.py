@@ -494,14 +494,18 @@ def test_min_norm_indefinite_free_block_raises():
 def test_min_norm_on_a_diagonal_gram_needs_no_factorisation(monkeypatch):
     import holoext.bergman as bergman
 
+    # built before counting: its own positive-definiteness check factors it
+    sampled = gram_matrix(
+        BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 2, 1), method="monte_carlo", samples=20_000, seed=1
+    )
     factored = []
-    inner = bergman.cho_factor
+    inner = bergman._cholesky
 
     def counted(*args, **kwargs):
         factored.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(bergman, "cho_factor", counted)
+    monkeypatch.setattr(bergman, "_cholesky", counted)
     g = gram_matrix(BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 6, 1))
     data = {(0,): 1.0, (2,): 0.5 - 0.2j}
     res = min_norm_extension(data, g)
@@ -511,9 +515,6 @@ def test_min_norm_on_a_diagonal_gram_needs_no_factorisation(monkeypatch):
     assert res.restriction_coefficients()[(2,)] == 0.5 - 0.2j
     assert res.constraint_residual == 0.0
     # a sampled Gram couples the blocks and is still solved by Cholesky
-    sampled = gram_matrix(
-        BALL2, RadialWeight(U, 1), MultiIndexBasis(2, 2, 1), method="monte_carlo", samples=20_000, seed=1
-    )
     min_norm_extension(data, sampled)
     assert len(factored) == 1
 

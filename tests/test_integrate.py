@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,10 @@ from holoext.geometry import Ball, HartogsLift
 from holoext.green import BallPointModel, RadialLiftModel, sublevel_scaling
 from holoext.integrate import (
     _BLOCK,
+    _LADDER,
     _SHARD_SIZE,
     _box_moments,
+    _radial_rule,
     adaptive_gauss,
     fubini_mc_oracle,
     mc_integrate,
@@ -148,6 +154,50 @@ def test_adaptive_gauss_doubles_a_rule():
     assert adaptive_gauss(np.exp, rules=lambda n: None)[2:] == (0, False)
     infinite = lambda x: np.full_like(x, np.inf)
     assert adaptive_gauss(infinite, rules=_legendre_on_unit_interval)[2:] == (16, False)
+
+
+def test_radial_rule_at_the_legendre_weight_is_gauss_legendre():
+    # k = 1, edge 0 and power 1/2 give the weight (1 - y)^0 y^0: r^2 = y is a
+    # Gauss-Legendre node mapped to [0, 1], and the weights integrate g = 1 to mu_1 / 2
+    eps = np.finfo(float).eps
+    for nodes in _LADDER:
+        r, w = _radial_rule(nodes, 1, 0.0, 0.5)
+        x = np.polynomial.legendre.leggauss(nodes)[0]
+        assert np.max(np.abs(r * r - 0.5 * (1.0 + x))) <= 4 * eps
+        assert w.sum() == pytest.approx(PI, rel=1e-14)
+
+
+_RULE_DIGEST = """
+import hashlib
+from holoext.integrate import _LADDER, _radial_rule
+
+digest = hashlib.sha256()
+for k, edge, power in [(1, 0.0, 0.5), (2, -0.9, 1.0), (3, 30.0, 0.25), (1, 1.5, 1e-3), (2, 0.1, 10.0)]:
+    for nodes in _LADDER:
+        for part in _radial_rule(nodes, k, edge, power):
+            digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_radial_rule_does_not_depend_on_blas_threads():
+    # numpy's eigvalsh runs LAPACK's blocked tridiagonal reduction, which may thread
+    digests = {}
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _RULE_DIGEST],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=300,
+        )
+        digests[threads] = proc.stdout
+    assert digests["1"] == digests[None]
 
 
 def test_radial_integrate_vanishing_order():

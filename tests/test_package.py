@@ -1,5 +1,7 @@
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +62,38 @@ def test_benchmark_tracer_wraps_the_layers_and_restores_them(monkeypatch):
         moved = [key for key, value in names.items() if after[space][key] is not value]
         assert not moved, (space, moved)
     assert not hasattr(bergman.gram_matrix, "__wrapped__")
+
+
+_NUMPY_ALONE = """
+import sys
+from holoext.bergman import MultiIndexBasis, gram_matrix, kernel_diag_at, min_norm_extension
+from holoext.geometry import Ball
+from holoext.scenarios import ScenarioConfig, run_scenario
+from holoext.weights import LogSingularProfile, RadialWeight
+
+run_scenario(ScenarioConfig("radial_minimal", {"n": 2, "k": 2, "degree": 6}))
+run_scenario(ScenarioConfig("fubini_identity", samples=20_000, seed=1))
+run_scenario(ScenarioConfig("bound_ratio", samples=20_000, seed=1))
+gram = gram_matrix(
+    Ball(1.0, 2), RadialWeight(LogSingularProfile(), 1), MultiIndexBasis(2, 4, 1),
+    method="monte_carlo", samples=20_000, seed=1,
+)
+min_norm_extension({(0,): 1.0, (2,): 0.5}, gram)
+kernel_diag_at(gram, [0.1, 0.2])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_runs_on_numpy_alone():
+    # importing scipy.linalg costs a process about 0.3 s and 25 MB; the
+    # quadrature, the scenarios and the Monte Carlo Gram and solves need none of it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ALONE],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.stdout.strip() == "[]"
