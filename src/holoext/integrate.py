@@ -50,9 +50,10 @@ as zero and is reported in the result's ``rejected_infinite``.
 Quadrature runs on [0, 1], the radius of a unit ball, so the slice/fiber
 identity's sides are radial integrals (``bounds.fubini_sides``); its Monte
 Carlo evidence, ``fubini_mc_oracle``, is here.  The Gauss–Jacobi rules take
-their nodes from numpy's dense symmetric eigensolver, which gave the bits of
-scipy's tridiagonal solver on all 1,650 rules compared (every ladder size,
-k = 1..6, edge -0.9..30, power 1e-3..10), so the module needs numpy alone.
+their nodes from numpy's dense symmetric eigensolver, whose eigenvalues match
+LAPACK's tridiagonal solver bit for bit on all 1,650 rules compared (every
+ladder size, k = 1..6, edge -0.9..30, power 1e-3..10), so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
