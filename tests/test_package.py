@@ -85,7 +85,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_the_package_runs_on_numpy_alone():
-    # importing scipy.linalg costs a process about 0.3 s and 25 MB; the
+    # importing scipy.linalg costs a process about 0.3 s and 26 MB; the
     # quadrature, the scenarios and the Monte Carlo Gram and solves need none of it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
