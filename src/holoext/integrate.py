@@ -50,10 +50,8 @@ as zero and is reported in the result's ``rejected_infinite``.
 Quadrature runs on [0, 1], the radius of a unit ball, so the slice/fiber
 identity's sides are radial integrals (``bounds.fubini_sides``); its Monte
 Carlo evidence, ``fubini_mc_oracle``, is here.  The Gauss–Jacobi rules take
-their nodes from numpy's dense symmetric eigensolver, whose eigenvalues match
-LAPACK's tridiagonal solver bit for bit on all 1,650 rules compared (every
-ladder size, k = 1..6, edge -0.9..30, power 1e-3..10), so the module needs
-numpy alone.
+their nodes from numpy's dense symmetric eigensolver (N <= 256), whose bits
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -424,11 +422,11 @@ def _radial_rule(nodes: int, k: int, edge: float, power: float):
     As in Golub and Welsch (1969), the nodes are the eigenvalues x of the
     Jacobi matrix of (1 - x)^edge (1 + x)^beta on [-1, 1], mapped by
     y = (1 + x)/2.  ``np.linalg.eigvalsh`` on the dense matrix (N <= 256)
-    gives them, with the same bits on one BLAS thread or two.  Each w_i is the weight's mass B(edge + 1, beta + 1) over
-    sum_j p_j(x_i)^2, the orthonormal polynomials p_0 .. p_(N-1) of the
-    matrix: the squared first component of x_i's unit eigenvector, but to
-    full relative precision where it is tiny.  The arrays are shared and
-    read-only.
+    gives them, with the same bits on one BLAS thread or two.  Each w_i is
+    the weight's mass B(edge + 1, beta + 1) over sum_j p_j(x_i)^2, the
+    orthonormal polynomials p_0 .. p_(N-1) of the matrix: the squared first
+    component of x_i's unit eigenvector, but to full relative precision where
+    it is tiny.  The arrays are shared and read-only.
 
     None when the weight is not integrable in floating point, the weights are
     not finite, or the power is below ``_MIN_POWER``: near r = 1 the rounded

@@ -114,7 +114,13 @@ class LogSingularProfile(ScaledLogProfile):
     a: float = field(default=1.0, init=False, repr=False)
 
 
-_NEWTON_STEPS = 60  # the benchmark grid settles within 14 steps, the test suite within 35
+# Newton from above near t = 0, where the sum is -c log(-t) + k, closes the
+# gap d = log(root / t) as d <- d - log(1 + d).  At the start one summand is s
+# and the other at most s, so c d0 <= s = -c log(-root) + k; with
+# log(-t0) >= -744.4 (the least subnormal) that gives 2 d0 <= 744.4 + k / c,
+# about 372, and d0 = 372 closes in about 85 steps.  In the tail t -> -inf the
+# start lies within gamma log 2 of the root and closes in a few steps.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,12 @@ class EpsilonRegularizedProfile(RadialProfile):
     have no elementary inverse; those run Newton steps from the lower of the
     two summands' closed-form inverses, which bounds the root from above.  The
     sum is convex and increasing, so the iterates fall monotonically to the
-    root, and each node stops once its iterate stops moving.  At small s
-    the rounded residual can sit on a plateau, where an iterate creeps down a
-    few ulps per step for ever, so a node still moving after
-    ``_NEWTON_STEPS`` steps raises DomainError naming s.
+    root, and each node stops once its iterate stops moving.  A genuine run
+    needs about 85 steps at most (see ``_NEWTON_STEPS``).  Where the rounded
+    value is flat in t the residual stops falling and the iterate creeps
+    down a few ulps per step, for ever or until the value steps down, far
+    past the root; a node still moving after ``_NEWTON_STEPS`` steps raises
+    DomainError naming s.
     """
 
     inner: RadialProfile

@@ -1,5 +1,4 @@
 import math
-import time
 
 import mpmath
 import numpy as np
@@ -86,10 +85,8 @@ def test_mixed_scale_gap_next_to_the_fiber_boundary_raises_instead_of_hanging():
     # s = -log(1 - 1e-15) = 2.0e-15: the Newton inverse's rounded residual
     # never settles there, and the iterate crept down a few ulps per step for ever
     profile = EpsilonRegularizedProfile(ScaledLogProfile(a=0.5), eps=0.1)
-    start = time.perf_counter()
     with pytest.raises(DomainError, match=r"EpsilonRegularizedProfile.*s = \[1\.99"):
         RadialLiftModel(profile, 1, 1).gap([0.0, 1.0 - 1e-15])
-    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))

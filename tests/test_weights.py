@@ -108,7 +108,7 @@ def _mixed_root(a, eps, s):
     return -mpmath.exp((lo + hi) / 2)
 
 
-@pytest.mark.parametrize("a, eps", [(0.5, 0.1), (2.0, 0.1)])
+@pytest.mark.parametrize("a, eps", [(0.5, 0.1), (2.0, 0.1), (0.5, 0.5)])
 def test_mixed_profile_inverse_against_mpmath(a, eps):
     profile = EpsilonRegularizedProfile(ScaledLogProfile(a), eps)
     s = np.geomspace(1e-2, 300.0, 25)
@@ -117,6 +117,20 @@ def test_mixed_profile_inverse_against_mpmath(a, eps):
     wide = np.geomspace(1e-300, 700.0, 400)
     assert np.all(np.isfinite(profile.inverse(wide)))
     assert profile.inverse(0.0) == -math.inf
+
+
+def test_mixed_profile_inverse_closes_the_widest_start_gap():
+    # at a = eps the start sits about s / (2a) below the root in log(-t); past
+    # s = 709a the step's derivative overflows, so s = 700a is about the widest
+    # gap a start can have, and it takes 80 of the _NEWTON_STEPS Newton steps.
+    # The grid above runs to s = 300, past where this a's inverse returns its
+    # underflowed start unrefined, so this a gets its own s
+    a = 0.05
+    profile = EpsilonRegularizedProfile(ScaledLogProfile(a), a)
+    s = np.array([30.0 * a, 600.0 * a, 700.0 * a])
+    exact = [float(_mixed_root(a, a, x)) for x in s]
+    np.testing.assert_allclose(profile.inverse(s), exact, rtol=1e-13, atol=0.0)
+    assert np.all(np.isfinite(profile.inverse(np.geomspace(1e-300, 700.0, 400))))
 
 
 def test_profile_inverse_rejects_negative():
