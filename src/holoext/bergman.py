@@ -45,7 +45,7 @@ from .errors import (
     GramConditioningError,
     InfeasibleConstraintError,
 )
-from .geometry import Ball
+from .geometry import Ball, compress_rows
 from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
 from .weights import RadialWeight
 
@@ -134,8 +134,10 @@ def monomial_values(basis: MultiIndexBasis, pts) -> np.ndarray:
 
     Each z^alpha is its parent's values times one coordinate (see
     ``_product_chain``): one complex multiplication per monomial and point.
-    The result is the transpose of a C-ordered (width, N) array, so
-    ``monomial_values(...).T`` gives contiguous rows, one per monomial.
+    The coordinates are read as the rows of ``pts.T``, copied only if those
+    are not contiguous.  The result is the transpose of a C-ordered
+    (width, N) array, so ``monomial_values(...).T`` gives contiguous rows,
+    one per monomial.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
     if pts.ndim != 2 or pts.shape[1] != basis.ambient_dim:
@@ -143,7 +145,7 @@ def monomial_values(basis: MultiIndexBasis, pts) -> np.ndarray:
             f"points of shape {pts.shape} for a basis of C^{basis.ambient_dim}"
         )
     steps, pos = _product_chain(basis.ambient_dim, basis.degree)
-    coords = pts.T.copy()
+    coords = np.ascontiguousarray(pts.T)
     rows = np.empty((len(steps), len(pts)), dtype=complex)
     for i, (parent, j) in enumerate(steps):
         if parent < 0:
@@ -301,17 +303,24 @@ def gram_matrix(
 
     radii = domain.bounding_radii()
     boxvol = _box_volume(radii)
-    width = len(basis)
+    m, width = len(radii), len(basis)
+    centre = np.concatenate([radii, radii]).reshape(2 * m, 1)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
     # one thread, shards in order: see the integrate module docstring
     for shard, size in _shards(samples):
-        for _, pts in _shard_blocks([radii], seed, shard, size):
-            mask = domain.contains_batch(pts)
+        for _, u in _shard_blocks([2.0 * centre], seed, shard, size):
+            parts = u.T  # (2m, b): the real parts, then the imaginary parts
+            parts -= centre
+            x = np.square(parts[:m])
+            x += np.square(parts[m:])
+            mask = domain.contains_batch(x.T)
             if mask.any():
-                inside = np.compress(mask, pts, axis=0)
-                rows = monomial_values(basis, inside).T
-                wts = np.exp(-weight.value_batch(inside))
+                sel = np.compress(mask, parts, axis=1)
+                z = np.empty((m, sel.shape[1]), dtype=complex)
+                z.real, z.imag = sel[:m], sel[m:]
+                rows = monomial_values(basis, z.T).T
+                wts = np.exp(-weight.value_batch(compress_rows(mask, x.T)))
                 w = rows.conj()
                 w *= wts
                 acc += w @ rows.T

@@ -1,7 +1,10 @@
 """Model domains and Hartogs lifts.
 
 All domains are open; boundary points test negative.  Values are immutable
-after construction and safe to share across integration workers.
+after construction and safe to share across integration workers.  Every
+domain is Reinhardt, so its batch test ``contains_batch`` takes an (N, m)
+array of squared moduli x_i = |z_i|^2, as the Monte Carlo kernel draws them
+(``integrate._shard_blocks``); the scalar ``contains`` takes a complex point.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ __all__ = [
     "Polydisc",
     "HartogsLift",
     "as_point",
-    "sq_norm",
+    "sq_moduli",
+    "compress_rows",
 ]
 
 
@@ -33,23 +37,25 @@ def as_point(coords, ambient_dim=None):
     return p
 
 
-def sq_norm(pts):
-    """|z|^2 of each row of an (N, m) array whose last axis is contiguous.
+def sq_moduli(pts):
+    """|z_i|^2 of every coordinate of a complex point or array of points."""
+    p = np.asarray(pts, dtype=complex)
+    return p.real * p.real + p.imag * p.imag
 
-    The sum of the squares of the real and imaginary parts, taken on the
-    float64 view without a temporary; it can differ from
-    np.sum(np.abs(pts) ** 2, axis=1) in the last few bits, so it serves
-    where the result is only compared.
-    """
-    v = np.asarray(pts, dtype=complex).view(np.float64)
-    return np.einsum("ij,ij->i", v, v)
+
+def compress_rows(mask, x):
+    """The rows of the (N, m) array ``x`` where ``mask`` holds, as an array
+    whose columns are contiguous; copied along the columns of ``x``, which
+    are contiguous where the sampler made it."""
+    return np.compress(mask, x.T, axis=1).T
 
 
 class _Domain:
     """Scalar membership through the batch test of the concrete domain."""
 
     def contains(self, p):
-        return bool(self.contains_batch(as_point(p, self.ambient_dim)[None, :])[0])
+        x = sq_moduli(as_point(p, self.ambient_dim))
+        return bool(self.contains_batch(x[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,8 @@ class Ball(_Domain):
     def ambient_dim(self):
         return self.dim
 
-    def contains_batch(self, pts):
-        return sq_norm(pts) < self.radius**2
+    def contains_batch(self, x):
+        return x.sum(axis=1) < self.radius**2
 
     def bounding_radii(self):
         return np.full(self.dim, self.radius)
@@ -91,8 +97,8 @@ class Polydisc(_Domain):
     def ambient_dim(self):
         return len(self.radii)
 
-    def contains_batch(self, pts):
-        return np.all(np.abs(pts) < np.asarray(self.radii), axis=1)
+    def contains_batch(self, x):
+        return np.all(x < np.square(self.radii), axis=1)
 
     def bounding_radii(self):
         return np.asarray(self.radii)
@@ -119,16 +125,16 @@ class HartogsLift(_Domain):
     def ambient_dim(self):
         return self.base.ambient_dim + self.fiber_dim
 
-    def contains_batch(self, pts):
+    def contains_batch(self, x):
         nb = self.base.ambient_dim
-        mask = self.base.contains_batch(pts[:, :nb])
-        out = np.zeros(len(pts), dtype=bool)
+        mask = self.base.contains_batch(x[:, :nb])
+        out = np.zeros(len(x), dtype=bool)
         if mask.any():
-            sel = np.compress(mask, pts, axis=0)
+            sel = compress_rows(mask, x)
             phi = self.weight.value_batch(sel[:, :nb])
-            out[mask] = sq_norm(sel[:, nb:]) < np.exp(-phi / self.fiber_dim)
+            out[mask] = sel[:, nb:].sum(axis=1) < np.exp(-phi / self.fiber_dim)
         return out
 
     def bounding_radii(self):
-        """Base box times the unit fiber box; valid because phi >= 0."""
+        """Base radii, then radius 1 for the fiber; valid because phi >= 0."""
         return np.concatenate([self.base.bounding_radii(), np.ones(self.fiber_dim)])

@@ -5,10 +5,12 @@ two batch formulas, ``green_batch`` for the Green function G with
 logarithmic poles along V and ``gap_batch`` for the gap function B, defined
 by the exact rearrangement B(p) = log |psi(p)| - G(p) with psi the
 generator tuple (so the defining inequality log |psi| - B <= G holds with
-equality).  Everything else is derived from these once, in ``_GreenModel``:
+equality).  Both take an (N, ambient_dim) array of squared moduli
+x_i = |z_i|^2: every model is Reinhardt.  Everything else is derived from
+these once, in ``_GreenModel``:
 
   * the scalar ``green`` and ``gap``, which check the domain and run the
-    batch formula on one row,
+    batch formula on the squared moduli of one complex point,
   * the Azukawa directional form A(X) = lim_(a -> 0) G(aX, v) - log |a| at a
     point v of V, which is log |X| - B(0, v); its sublevel set {A < 0}, the
     indicatrix I_v, is the ball of radius e^(B(0, v)) in C^k, so
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, DomainError
-from .geometry import Ball, HartogsLift, as_point, sq_norm
+from .geometry import Ball, HartogsLift, as_point, compress_rows, sq_moduli
 from .integrate import (
     QuadratureResult,
     _box_moments,
-    _box_volume,
     _data_moment,
+    _polydisc_volume,
     _Z99,
     radial_integrate,
 )
@@ -71,11 +73,12 @@ class _GreenModel:
     """Scalar Green and gap functions and the Azukawa form, from the batch formulas."""
 
     def _row(self, p):
-        """One point of the domain as a (1, ambient_dim) array; DomainError if outside."""
-        p = as_point(p, self.ambient_dim)
-        if not self.domain().contains(p):
+        """The squared moduli of one point of the domain as a (1, ambient_dim)
+        array; DomainError if the point lies outside."""
+        x = sq_moduli(as_point(p, self.ambient_dim))[None, :]
+        if not self.domain().contains_batch(x)[0]:
             raise DomainError("point lies outside the model domain")
-        return p[None, :]
+        return x
 
     def green(self, p):
         """G at one point of the domain; -inf on the pole set."""
@@ -121,12 +124,12 @@ class BallPointModel(_GreenModel):
     def domain(self):
         return Ball(radius=1.0, dim=self.n)
 
-    def green_batch(self, pts):
+    def green_batch(self, x):
         with np.errstate(divide="ignore"):
-            return 0.5 * np.log(sq_norm(pts))
+            return 0.5 * np.log(x.sum(axis=1))
 
-    def gap_batch(self, pts):
-        return np.zeros(len(pts))
+    def gap_batch(self, x):
+        return np.zeros(len(x))
 
     def indicatrix_integral(self, f_coeffs=None):
         """|f(0)|^2: V is the origin, where B = 0."""
@@ -156,14 +159,14 @@ class BallPairModel(_GreenModel):
     def domain(self):
         return Ball(radius=1.0, dim=self.ambient_dim)
 
-    def green_batch(self, pts):
-        r2 = sq_norm(pts[:, : self.pole_dim])
-        w2 = sq_norm(pts[:, self.pole_dim :])
+    def green_batch(self, x):
+        r2 = x[:, : self.pole_dim].sum(axis=1)
+        w2 = x[:, self.pole_dim :].sum(axis=1)
         with np.errstate(divide="ignore"):
             return 0.5 * (np.log(r2) - np.log1p(-w2))
 
-    def gap_batch(self, pts):
-        return 0.5 * np.log1p(-sq_norm(pts[:, self.pole_dim :]))
+    def gap_batch(self, x):
+        return 0.5 * np.log1p(-x[:, self.pole_dim :].sum(axis=1))
 
     def indicatrix_integral(self, f_coeffs=None):
         """sum_beta |f_beta|^2 integral_(B^n) |z''^beta|^2 (1 - |z''|^2)^k, in closed form."""
@@ -202,9 +205,9 @@ class RadialLiftModel(_GreenModel):
             fiber_dim=self.pole_dim,
         )
 
-    def green_batch(self, pts):
-        r2 = sq_norm(pts[:, : self.pole_dim])
-        w2 = sq_norm(pts[:, self.base_dim :])
+    def green_batch(self, x):
+        r2 = x[:, : self.pole_dim].sum(axis=1)
+        w2 = x[:, self.base_dim :].sum(axis=1)
         with np.errstate(divide="ignore"):
             return 0.5 * np.log(r2) + _psi_batch(self.profile, w2)
 
@@ -212,8 +215,8 @@ class RadialLiftModel(_GreenModel):
         """B = -psi(w) as a function of |w|^2."""
         return -_psi_batch(self.profile, w2)
 
-    def gap_batch(self, pts):
-        return self._fiber_gap(sq_norm(pts[:, self.base_dim :]))
+    def gap_batch(self, x):
+        return self._fiber_gap(x[:, self.base_dim :].sum(axis=1))
 
     def fiber_integral(self) -> QuadratureResult:
         """integral_(B^k) e^(2k B(w)) dV(w) by one radial quadrature.
@@ -251,12 +254,12 @@ def _sublevel_test(model, t):
     """Membership mask of {G < t/2} inside the model domain."""
     domain = model.domain()
 
-    def inside(pts):
-        mask = domain.contains_batch(pts)
+    def inside(x):
+        mask = domain.contains_batch(x)
         if mask.all():  # every point is inside: test the block itself, no copy
-            return model.green_batch(pts) < 0.5 * t
+            return model.green_batch(x) < 0.5 * t
         if mask.any():
-            mask[mask] = model.green_batch(np.compress(mask, pts, axis=0)) < 0.5 * t
+            mask[mask] = model.green_batch(compress_rows(mask, x)) < 0.5 * t
         return mask
 
     return inside
@@ -265,20 +268,21 @@ def _sublevel_test(model, t):
 def sublevel_scaling(model, chi, t, samples: int, seed: int):
     """Rescaled sublevel integral e^(-k t) * integral_{G < t/2} chi.
 
-    Samples the sublevel set's own bounding box (the domain box would almost
-    never hit {G < t/2} for very negative t).  ``chi`` is a vectorized
-    nonnegative integrand; a non-finite value of it counts as zero and is
+    Samples the moduli of the sublevel set's own bounding polydisc (the
+    domain's would almost never hit {G < t/2} for very negative t).  ``chi``
+    is a vectorized nonnegative integrand of the (N, ambient_dim) squared
+    moduli; a non-finite value of it counts as zero and is
     reported in ``rejected_infinite``.  A ``chi`` of None is the constant 1,
     so the result is e^(-k t) vol{G < t/2}; the hits are counted without
     evaluating anything, with the bits of a ``chi`` of ones.  A level whose
-    box draws no hit at all raises DegenerateDomainError naming it; there is
+    polydisc draws no hit at all raises DegenerateDomainError naming it; there is
     no hit-rate floor beyond that.
 
     ``t`` is one level, which returns one QuadratureResult, or a sequence of
     levels, which returns one result per level.  Every level must be finite
     and negative, and e^(-k t) must not overflow; a ValueError names the
     first level that fails.  The levels of a sequence share one pass of
-    draws: each block is drawn once and scaled to each level's box in turn,
+    draws: each block is drawn once and scaled to each level's polydisc in turn,
     so every result has the bits of a call at its level alone, for the draws
     of one call.
     """
@@ -303,9 +307,9 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
         if n_hit == 0:
             raise DegenerateDomainError(
                 f"0 of {samples} samples hit the sublevel set at t = {level!r}; "
-                "its bounding box does not resolve it"
+                "its bounding polydisc does not resolve it"
             )
-        scale = grow * _box_volume(r)
+        scale = grow * _polydisc_volume(r)
         results.append(
             QuadratureResult(
                 value=scale * mean,

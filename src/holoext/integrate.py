@@ -2,22 +2,37 @@
 
 Every Monte Carlo estimator in the package (``mc_integrate`` and ``volume``
 here, ``green.sublevel_scaling`` and the Monte Carlo ``bergman.gram_matrix``)
-draws through one kernel, ``_shard_blocks``: uniform points in a bounding
-box with plain rejection, in shards of ``_SHARD_SIZE`` points.  Shard j is
-drawn from a counter-based (Philox) generator keyed by (seed, j), in
-consecutive blocks of ``_BLOCK`` points.  Each worker holds two buffers,
-allocated once per shard and refilled in place, so the membership test and
-the integrand run on cache-sized arrays: the complex point buffer, whose
-float64 view takes the draws, and the block's 2u - 1 laid out once in
-complex order (re_1, im_1, re_2, ...).
-The kernel takes a list of levels, each a box: each level fills the point
-buffer with one contiguous product of the 2u - 1 buffer and its radii, so a
-ladder of levels (the sublevel sets of ``sublevel_scaling``) pays for one
-draw, and each level sees exactly the points a draw for it alone would
-make.
+draws through one kernel, ``_shard_blocks``, in shards of ``_SHARD_SIZE``
+draws.  Shard j is drawn from an SFC64 generator seeded by (seed, j), in
+consecutive blocks of ``_BLOCK`` draws.  A block is coordinate-major: an
+(m, b) array of uniforms whose row i holds the b draws of coordinate i, so
+every per-coordinate operation runs on contiguous memory.  The kernel takes
+a list of levels, each a row of per-coordinate scales c_i, and writes each
+level as u_i * c_i with one contiguous product per coordinate, every value
+rounded once.  So a ladder of levels (the sublevel sets of
+``sublevel_scaling``) pays for one draw, and each level sees exactly the
+values a draw for it alone would make.  The consumers get each level as an
+(N, m) view whose columns are contiguous.
 
-Scheduling.  ``_box_moments`` (behind ``mc_integrate``, ``volume`` and
-``sublevel_scaling``) runs its shards on a thread pool of
+The domains, the Green functions and the weights are Reinhardt: they depend
+on the point through its squared moduli x_i = |z_i|^2 alone.  If z_i is
+uniform on the disc of radius r_i, then x_i is uniform on [0, r_i^2].  So
+the estimators behind ``_box_moments`` (``mc_integrate``, ``volume`` and
+``sublevel_scaling``) draw the moduli directly, with the scales r_i^2, and
+their integrands and membership tests take (N, m) arrays of squared moduli.
+The estimate is the polydisc volume prod pi r_i^2 times the sample mean.
+A draw takes m uniforms, and the unit polydisc holds the unit ball of C^m
+in 1/m! of its volume.
+
+The Monte Carlo Gram integrates z^alpha conj(z^beta), which depends on the
+phases, so it keeps its box in R^(2m): it draws (2m, b) blocks at the
+scales 2 r_i, centres them on 0, and reads the real parts from the first m
+rows and the imaginary parts from the last m.  A polydisc box would raise
+its acceptance on the ball of C^2 from 31% to 50%, but to do that it would
+push 1.6 times the rows through the two GEMMs of each block, which take
+most of its time.
+
+Scheduling.  ``_box_moments`` runs its shards on a thread pool of
 min(usable cores, shards) workers; with one shard or one usable core it
 runs inline.  Each shard returns its partial sums per level, which are
 added in shard order.  Inside a shard each block adds, per level, the sum
@@ -41,11 +56,11 @@ cannot set the BLAS threads of one worker (threadpoolctl could).  On one
 thread the BLAS threads give no measurable gain: a 500k-sample Gram took
 0.24-0.29 s at one BLAS thread and 0.22-0.36 s at two.
 
-Integrands are vectorized: they receive an (N, ambient_dim) complex array of
-points that already passed the membership test and return N real values.
-Membership tests and integrands may run on several threads at once, each
-under a copy of the caller's context.  A non-finite integrand value counts
-as zero and is reported in the result's ``rejected_infinite``.
+Integrands are vectorized: they receive an (N, ambient_dim) array of the
+squared moduli of points that already passed the membership test and return
+N real values.  Membership tests and integrands may run on several threads
+at once, each under a copy of the caller's context.  A non-finite integrand
+value counts as zero and is reported in the result's ``rejected_infinite``.
 
 Quadrature runs on [0, 1], the radius of a unit ball, so the slice/fiber
 identity's sides are radial integrals (``bounds.fubini_sides``); its Monte
@@ -66,7 +81,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDomainError
-from .geometry import Ball, HartogsLift
+from .geometry import Ball, HartogsLift, compress_rows
 from .weights import RadialProfile, RadialWeight, ShiftedProfile
 
 __all__ = [
@@ -81,7 +96,7 @@ __all__ = [
 ]
 
 _SHARD_SIZE = 1_000_000
-_BLOCK = 16_384  # rows per drawn block: 1 MB of uniforms plus 1 MB of points on C^4
+_BLOCK = 16_384  # draws per block: 512 KB of uniforms on C^4
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -100,17 +115,23 @@ class QuadratureResult:
 
 
 def rng_stream(seed: int, shard: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, shard).
+    """SFC64 generator seeded by (seed mod 2^64, shard).
 
     Identical keys reproduce identical sample sequences across platforms, so
     sharded estimates reduced in fixed shard order are bit-stable.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shard], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, shard])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _box_volume(radii):
+    """Volume of the box |Re z_i|, |Im z_i| < radii_i in R^(2m)."""
     return float(np.prod((2.0 * radii) ** 2))
+
+
+def _polydisc_volume(radii):
+    """Volume of the polydisc |z_i| < radii_i."""
+    return float(np.prod(math.pi * np.square(radii)))
 
 
 def _usable_cores() -> int:
@@ -129,51 +150,47 @@ def _shards(samples: int):
     ]
 
 
-def _shard_blocks(radii, seed: int, shard: int, size: int):
-    """Yield (level, points) for the ``size`` uniform draws of one shard.
+def _shard_blocks(scales, seed: int, shard: int, size: int):
+    """Yield (level, x) for the ``size`` uniform draws of one shard.
 
-    ``radii`` holds one row of box radii per level, the box of a row being
-    prod |z_i| < radii_i.  The draws come from rng_stream(seed, shard) in
-    consecutive blocks of at most ``_BLOCK`` rows, each row holding the real
-    parts of its m coordinates, then their imaginary parts.  A block is drawn
-    into the float64 view of the point buffer and written once as 2u - 1, in
-    complex order (re_1, im_1, re_2, ...), into a second buffer; each level
-    then fills the point buffer with one contiguous product of that buffer
-    and its radii, each repeated twice.  Every coordinate is (2u - 1) * r_i
-    with one rounding, so each level sees exactly the points a draw for it
-    alone would make.  Both buffers are reused for the whole shard, and the
-    points are valid only until the next yield.
+    ``scales`` holds one row of per-coordinate scales c_i per level.  The
+    draws come from rng_stream(seed, shard) in consecutive blocks of at most
+    ``_BLOCK`` draws, each block an (m, b) array of uniforms u, coordinate by
+    coordinate, as rng.random((m, b)) makes it.  Each level writes u_i * c_i
+    with one contiguous product per coordinate, so each level sees exactly
+    the values a draw for it alone would make, and ``x`` is that (m, b)
+    array seen as (b, m), its columns contiguous.  The buffers are reused for
+    the whole shard; a single level is written over its uniforms.  ``x`` is
+    valid only until the next yield, and the caller may overwrite it.
     """
-    m = len(radii[0])
+    m = len(scales[0])
     rows = min(_BLOCK, size)
-    unit = np.empty((rows, m, 2))
-    pts = np.empty((rows, m), dtype=complex)
-    flat = pts.view(np.float64)
-    scales = [np.repeat(r, 2) for r in radii]
+    unit = np.empty(m * rows)
+    out = unit if len(scales) == 1 else np.empty(m * rows)
+    columns = [np.asarray(c, dtype=float).reshape(m, 1) for c in scales]
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
-        ub, fb = unit[:b], flat[:b]
-        rng.random(out=fb)
-        np.multiply(fb.reshape(b, 2, m).transpose(0, 2, 1), 2.0, out=ub)
-        ub -= 1.0
-        for level, scale in enumerate(scales):
-            np.multiply(ub.reshape(b, 2 * m), scale, out=fb)
-            yield level, pts[:b]
+        ub, xb = unit[: m * b].reshape(m, b), out[: m * b].reshape(m, b)
+        rng.random(out=ub)
+        for level, column in enumerate(columns):
+            np.multiply(ub, column, out=xb)
+            yield level, xb.T
 
 
 def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     """Per level, [sum, sum of squares, inside count, non-finite count] over one shard.
 
-    Each block adds the sum of its inside values, then the sum of their
-    squares; values outside the level's set are zero and add nothing.  An
+    The moduli of a level with radii r are drawn at the scales r^2.  Each
+    block adds the sum of its inside values, then the sum of their squares;
+    values outside the level's set are zero and add nothing.  An
     ``integrand`` of None is the constant 1: a block adds its inside count to
     both sums, which is what summing that many ones gives, bit for bit.
     """
     radii, tests = zip(*levels)
     parts = [[0.0, 0.0, 0, 0] for _ in levels]
-    for level, pts in _shard_blocks(radii, seed, shard, size):
-        mask = tests[level](pts)
+    for level, x in _shard_blocks([np.square(r) for r in radii], seed, shard, size):
+        mask = tests[level](x)
         hits = int(np.count_nonzero(mask))
         part = parts[level]
         if hits and integrand is None:
@@ -181,7 +198,7 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
             part[1] += float(hits)
         elif hits:
             # a copy, so that squaring in place leaves the integrand's array alone
-            vals = np.array(integrand(np.compress(mask, pts, axis=0)), dtype=float)
+            vals = np.array(integrand(compress_rows(mask, x)), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
                 part[3] += int(bad.sum())
@@ -194,11 +211,11 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
 
 
 def _box_moments(levels, integrand, samples: int, seed: int):
-    """Moments of the masked integrand over the box draws of each level.
+    """Moments of the masked integrand over the polydisc draws of each level.
 
     ``levels`` is a list of (radii, inside) pairs that share the draws:
-    ``inside`` maps a block of points in the box of ``radii`` to its
-    membership mask, and ``integrand`` maps the inside points to real
+    ``inside`` maps a block of squared moduli in the polydisc of ``radii`` to
+    its membership mask, and ``integrand`` maps the inside moduli to real
     values, or is None to count them.  The shards run and are reduced as the module docstring
     describes; each worker runs under a copy of the caller's context, so
     ``np.errstate`` carries over.  Returns, per level, the sample mean, its
@@ -272,8 +289,10 @@ def _data_moment(m: int, f_coeffs, q: int) -> float:
 def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:
     """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
 
-    The estimator is box volume times the mean of chi_domain * integrand over
-    the box; the error_estimate is a 99% confidence half-width.  An
+    The estimator is the volume of the polydisc of the domain's bounding radii
+    times the mean of chi_domain * integrand over it; ``integrand`` maps an
+    (N, ambient_dim) array of squared moduli |z_i|^2 to N values.  The
+    error_estimate is a 99% confidence half-width.  An
     ``integrand`` of None is the constant 1 (the domain's volume), counted
     without evaluating anything and with the bits of an integrand of ones.
     Raises DegenerateDomainError when fewer than 0.1% of the samples land
@@ -286,12 +305,12 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
     if n_inside < 0.001 * samples:
         raise DegenerateDomainError(
             f"only {n_inside} of {samples} samples hit the domain; "
-            "the bounding box does not resolve it"
+            "the bounding polydisc does not resolve it"
         )
-    boxvol = _box_volume(radii)
+    vol = _polydisc_volume(radii)
     return QuadratureResult(
-        value=boxvol * mean,
-        error_estimate=_Z99 * boxvol * stderr,
+        value=vol * mean,
+        error_estimate=_Z99 * vol * stderr,
         samples_or_nodes=samples,
         method="monte-carlo",
         rejected_infinite=n_bad,

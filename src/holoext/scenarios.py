@@ -452,9 +452,11 @@ def _extension_params(n: int) -> tuple:
     )
 
 
-# Bounds: fubini k = 3 and bound_ratio n = 6 fall under the sampler's 0.1%
-# hit floor for the log-singular profile; radial degree 20 at n = k = 3 runs
-# in about a second; levels down to -100 keep e^(-3t) finite.
+# Bounds: the sampler hits the unit ball of C^n in 1/n! of its draws and the
+# log-singular lift of fubini at k in 1/(2k)!, so fubini k = 4 and bound_ratio
+# n = 7 would fall under its 0.1% hit floor; k <= 2 and n <= 5 are the ranges
+# that the tests cover.  Radial degree 20 at n = k = 3 runs in about a second;
+# levels down to -100 keep e^(-3t) finite.
 _MODELS = ("ball_point", "ball_pair", "radial_lift")
 SCENARIO_SPECS = {
     "fubini_identity": {

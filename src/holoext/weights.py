@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import as_point
+from .geometry import as_point, sq_moduli
 
 __all__ = [
     "RadialProfile",
@@ -244,13 +244,15 @@ def _psi_batch(profile: RadialProfile, r2):
 class _Weight:
     """Scalar evaluation through the batch formula of the concrete weight.
 
-    The batch formula returns +inf outside the weight's domain; the scalar
-    entry point raises DomainError there.
+    Every weight is Reinhardt: the batch formula ``value_batch`` takes an
+    (N, m) array of squared moduli |z_i|^2 and returns +inf outside the
+    weight's domain.  The scalar entry point takes a complex point and raises
+    DomainError there.
     """
 
     def value(self, p):
         p = as_point(p)
-        out = float(self.value_batch(p[None, :])[0])
+        out = float(self.value_batch(sq_moduli(p)[None, :])[0])
         if out == np.inf:
             raise DomainError(f"the weight is +inf at {p}: outside its domain")
         return out
@@ -260,8 +262,8 @@ class _Weight:
 class TrivialWeight(_Weight):
     """phi identically 0."""
 
-    def value_batch(self, pts):
-        return np.zeros(len(pts))
+    def value_batch(self, x):
+        return np.zeros(len(x))
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,8 @@ class BallStandardWeight(_Weight):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
 
-    def value_batch(self, pts):
-        r2 = np.sum(np.abs(pts) ** 2, axis=1)
+    def value_batch(self, x):
+        r2 = x.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = -self.n * np.log1p(-r2)
         return np.where(r2 < 1.0, out, np.inf)
@@ -292,9 +294,9 @@ class RadialWeight(_Weight):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
 
-    def value_batch(self, pts):
-        r2 = np.sum(np.abs(pts[:, : self.k]) ** 2, axis=1)
-        out = np.full(len(pts), np.inf)
+    def value_batch(self, x):
+        r2 = x[:, : self.k].sum(axis=1)
+        out = np.full(len(x), np.inf)
         zero = r2 == 0.0
         out[zero] = 0.0
         ok = (~zero) & (np.log(np.where(zero, 1.0, r2)) < self.profile.upper_limit)
@@ -320,11 +322,11 @@ class EpsilonRegularizedWeight(_Weight):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
-    def value_batch(self, pts):
-        r2 = np.sum(np.abs(pts) ** 2, axis=1)
+    def value_batch(self, x):
+        r2 = x.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             extra = -self.eps * np.log1p(-r2)
-        return np.where(r2 < 1.0, self.inner.value_batch(pts) + extra, np.inf)
+        return np.where(r2 < 1.0, self.inner.value_batch(x) + extra, np.inf)
 
 
 _PROFILE_PARAMS = {  # kind -> the parameters its config mapping may carry

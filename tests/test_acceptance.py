@@ -24,7 +24,7 @@ from holoext.bounds import (
     minimal_norm_squared,
     sigma_mu,
 )
-from holoext.geometry import Ball
+from holoext.geometry import Ball, sq_moduli
 from holoext.green import (
     BallPairModel,
     BallPointModel,
@@ -152,7 +152,8 @@ def test_criterion_6_property_suites():
             while sum(len(p) for p in pts) < 100_000:
                 block = rng.uniform(-1, 1, (200_000, 2 * len(radii)))
                 cand = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
-                pts.append(cand[domain.contains_batch(cand)])
+                x = sq_moduli(cand)
+                pts.append(x[domain.contains_batch(x)])
             sample = np.concatenate(pts)[:100_000]
             assert np.all(model.green_batch(sample) < 0.0)
 
@@ -165,13 +166,13 @@ def test_criterion_6_property_suites():
                 radii = domain.bounding_radii()
                 block = rng.uniform(-1, 1, (500, 2 * len(radii)))
                 cand = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
-                cand = cand[domain.contains_batch(cand)]
+                cand = cand[domain.contains_batch(sq_moduli(cand))]
                 for p in cand:
                     if checked >= 20:
                         break
                     v = rng.normal(size=len(p)) + 1j * rng.normal(size=len(p))
                     v /= np.linalg.norm(v)
-                    circle = p[None, :] + 0.02 * np.outer(np.exp(1j * theta), v)
+                    circle = sq_moduli(p[None, :] + 0.02 * np.outer(np.exp(1j * theta), v))
                     if not domain.contains_batch(circle).all():
                         continue
                     center = model.green(p)

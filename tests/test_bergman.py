@@ -22,7 +22,7 @@ from holoext.errors import (
     GramConditioningError,
     InfeasibleConstraintError,
 )
-from holoext.geometry import Ball
+from holoext.geometry import Ball, sq_moduli
 from holoext.integrate import _BLOCK, _box_volume, _Z99, rng_stream
 from holoext.weights import (
     BallStandardWeight,
@@ -214,18 +214,21 @@ def test_gram_monte_carlo_agrees_with_exact():
 
 
 def _whole_shard_gram(domain, weight, basis, samples, seed):
-    """Reference Monte Carlo Gram: each shard drawn and reduced in one GEMM."""
+    """Reference Monte Carlo Gram: each shard's blocks drawn as
+    rng.random((2m, b)), the real parts first, joined and reduced in one GEMM."""
     radii = domain.bounding_radii()
     m, width = len(radii), len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))
     for shard, done in enumerate(range(0, samples, integrate._SHARD_SIZE)):
         size = min(integrate._SHARD_SIZE, samples - done)
-        u = 2.0 * rng_stream(seed, shard).random((size, 2 * m)) - 1.0
-        pts = (u[:, :m] + 1j * u[:, m:]) * radii
-        inside = pts[domain.contains_batch(pts)]
+        rng = rng_stream(seed, shard)
+        blocks = [rng.random((2 * m, min(_BLOCK, size - lo))) for lo in range(0, size, _BLOCK)]
+        u = 2.0 * np.concatenate(blocks, axis=1) - 1.0
+        pts = (u[:m] + 1j * u[m:]).T * radii
+        inside = pts[domain.contains_batch(sq_moduli(pts))]
         vals = _power_prod_values(basis, inside)
-        wts = np.exp(-weight.value_batch(inside))
+        wts = np.exp(-weight.value_batch(sq_moduli(inside)))
         acc += (vals * wts[:, None]).conj().T @ vals
         p2 = np.abs(vals) ** 2
         acc2 += (p2 * (wts**2)[:, None]).T @ p2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoext.errors import DimensionMismatchError
-from holoext.geometry import Ball, HartogsLift, Polydisc, as_point, sq_norm
+from holoext.geometry import Ball, HartogsLift, Polydisc, as_point, sq_moduli
 from holoext.integrate import _shard_blocks
 from holoext.weights import (
     BallStandardWeight,
@@ -42,8 +42,8 @@ def test_zero_weight_lift_is_the_bidisc():
     lift = HartogsLift(Ball(1.0, 1), TrivialWeight(), 1)
     bidisc = Polydisc((1.0, 1.0))
     rng = np.random.default_rng(0)
-    pts = rng.uniform(-1.1, 1.1, (4000, 4)).view(complex)
-    assert np.array_equal(lift.contains_batch(pts), bidisc.contains_batch(pts))
+    x = sq_moduli(rng.uniform(-1.1, 1.1, (4000, 4)).view(complex))
+    assert np.array_equal(lift.contains_batch(x), bidisc.contains_batch(x))
 
 
 def test_ball_lift_identity_on_random_points():
@@ -51,16 +51,16 @@ def test_ball_lift_identity_on_random_points():
     lift = HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
     ball = Ball(1.0, 2)
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-1.0, 1.0, (100_000, 4)).view(complex)
-    assert np.array_equal(lift.contains_batch(pts), ball.contains_batch(pts))
+    x = sq_moduli(rng.uniform(-1.0, 1.0, (100_000, 4)).view(complex))
+    assert np.array_equal(lift.contains_batch(x), ball.contains_batch(x))
 
 
 def test_ball2_lift_of_double_weight_is_ball4():
     lift = HartogsLift(Ball(1.0, 2), BallStandardWeight(2), 2)
     ball4 = Ball(1.0, 4)
     rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.8, 0.8, (50_000, 8)).view(complex)
-    assert np.array_equal(lift.contains_batch(pts), ball4.contains_batch(pts))
+    x = sq_moduli(rng.uniform(-0.8, 0.8, (50_000, 8)).view(complex))
+    assert np.array_equal(lift.contains_batch(x), ball4.contains_batch(x))
 
 
 def test_lift_membership_rule():
@@ -124,39 +124,35 @@ SCALAR_BATCH_DOMAINS = [
 def test_scalar_contains_is_the_batch_row(coords):
     for domain in SCALAR_BATCH_DOMAINS:
         p = np.asarray(coords[: domain.ambient_dim])
-        assert domain.contains(p) == domain.contains_batch(p[None, :])[0]
+        assert domain.contains(p) == domain.contains_batch(sq_moduli(p)[None, :])[0]
 
 
-def _old_sq_norm(pts):
-    return np.sum(np.abs(pts) ** 2, axis=1)
-
-
-def test_sq_norm_is_the_squared_modulus_to_a_few_ulp():
-    # squaring the hypot of np.abs doubles its rounding error: on 10^6 uniform
-    # rows of C^1 to C^5 the two formulas differed by at most 5 ulp
+def test_sq_moduli_is_the_squared_modulus_to_a_few_ulp():
+    # squaring the hypot of np.abs doubles its rounding error
     rng = np.random.default_rng(2026)
     pts = rng.normal(size=(20_000, 8)).view(complex) * np.logspace(-100, 100, 20_000)[:, None]
-    point = as_point([0.3 - 0.4j, 1e-200j, 7.0])[None, :]
-    for case in (pts, pts[:, :2], pts[:, 2:], pts[:, 1:3], point, rng.normal(size=(100, 3))):
-        np.testing.assert_array_max_ulp(sq_norm(case), _old_sq_norm(case), maxulp=6)
-    assert np.array_equal(sq_norm(np.zeros((4, 3), dtype=complex)), np.zeros(4))
+    point = as_point([0.3 - 0.4j, 1e-200j, 7.0])
+    for case in (pts, pts[:, :2], pts[:, 1:3], point, rng.normal(size=(100, 3))):
+        np.testing.assert_array_max_ulp(sq_moduli(case), np.abs(case) ** 2, maxulp=4)
+    assert np.array_equal(sq_moduli(np.zeros((4, 3), dtype=complex)), np.zeros((4, 3)))
 
 
-def _old_lift_mask(lift, pts):
-    """HartogsLift membership as it was written with |.|^2 by np.abs and boolean rows."""
+def _old_lift_mask(lift, x):
+    """HartogsLift membership written plainly, on C-ordered rows with boolean rows."""
+    x = np.ascontiguousarray(x)
     nb = lift.base.ambient_dim
-    mask = _old_sq_norm(pts[:, :nb]) < lift.base.radius**2
-    out = np.zeros(len(pts), dtype=bool)
+    mask = np.sum(x[:, :nb], axis=1) < lift.base.radius**2
+    out = np.zeros(len(x), dtype=bool)
     if mask.any():
-        phi = lift.weight.value_batch(pts[mask, :nb])
-        out[mask] = _old_sq_norm(pts[mask, nb:]) < np.exp(-phi / lift.fiber_dim)
+        phi = lift.weight.value_batch(x[mask, :nb])
+        out[mask] = np.sum(x[mask, nb:], axis=1) < np.exp(-phi / lift.fiber_dim)
     return out
 
 
 def test_masks_match_the_old_formulas_on_a_million_draws():
     ball = Ball(1.0, 4)
     lift = HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 2), 2)  # fubini_k2
-    # shard 0 of seed 2026: a million draws in blocks
-    for _, pts in _shard_blocks([ball.bounding_radii()], 2026, 0, 1_000_000):
-        assert np.array_equal(ball.contains_batch(pts), _old_sq_norm(pts) < 1.0)
-        assert np.array_equal(lift.contains_batch(pts), _old_lift_mask(lift, pts))
+    # shard 0 of seed 2026: a million moduli draws in coordinate-major blocks
+    for _, x in _shard_blocks([ball.bounding_radii() ** 2], 2026, 0, 1_000_000):
+        assert np.array_equal(ball.contains_batch(x), np.sum(np.ascontiguousarray(x), axis=1) < 1.0)
+        assert np.array_equal(lift.contains_batch(x), _old_lift_mask(lift, x))

@@ -47,13 +47,28 @@ FUBINI_PROFILES = [
 
 
 def test_disc_area():
+    # the unit disc is its own bounding polydisc: every draw hits, so the
+    # estimate is exact; the ball of C^2 fills half of its polydisc
     res = volume(Ball(1.0, 1), 1_000_000, seed=42)
-    assert res.value == pytest.approx(PI, rel=1e-2)
+    assert (res.value, res.error_estimate) == (PI, 0.0)
+    res = volume(Ball(1.0, 2), 1_000_000, seed=42)
+    assert res.value == pytest.approx(PI**2 / 2, rel=1e-2)
     assert res.error_estimate > 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ball_hits_its_polydisc_at_one_over_n_factorial(n):
+    # the moduli |z_i|^2 of the polydisc's draws are uniform on [0, 1], so the
+    # ball's hit count is binomial with p = 1/n! (a complex box would give
+    # p = pi^n / (n! 4^n))
+    samples = 1_000_000
+    hits = volume(Ball(1.0, n), samples, seed=38).value / PI**n * samples
+    p = 1.0 / math.factorial(n)
+    assert abs(hits - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
+
+
 def test_weighted_ball_integral():
-    integrand = lambda pts: (1.0 - np.sum(np.abs(pts) ** 2, axis=1)) ** 2
+    integrand = lambda x: (1.0 - x.sum(axis=1)) ** 2
     res = mc_integrate(Ball(1.0, 2), integrand, 1_000_000, seed=42)
     assert res.value == pytest.approx(PI**2 / 12, rel=1e-2)
 
@@ -93,9 +108,8 @@ def test_mc_error_bar_covers_truth():
 
 def test_mc_counts_nonfinite_integrand_values():
     # integrand is +inf on the inner disc; those samples are dropped
-    def integrand(pts):
-        r2 = np.sum(np.abs(pts) ** 2, axis=1)
-        return np.where(r2 < 0.25, np.inf, 1.0)
+    def integrand(x):
+        return np.where(x.sum(axis=1) < 0.25, np.inf, 1.0)
 
     res = mc_integrate(Ball(1.0, 1), integrand, 400_000, seed=5)
     assert res.rejected_infinite > 0
@@ -103,10 +117,9 @@ def test_mc_counts_nonfinite_integrand_values():
 
 
 def test_mc_degenerate_domain_raises():
-    # steep weight: the lift fills a vanishing fraction of its bounding box
-    lift = HartogsLift(Ball(1.0, 2), RadialWeight(ScaledLogProfile(a=2.5), 2), 2)
+    # the ball of C^8 fills 1/8! = 2.5e-5 of its bounding polydisc, under the 0.1% floor
     with pytest.raises(DegenerateDomainError):
-        volume(lift, 50_000, seed=1)
+        volume(Ball(1.0, 8), 50_000, seed=1)
 
 
 def test_radial_quadrature_examples():
@@ -263,9 +276,7 @@ def test_fubini_mc_oracle_off_center_slice():
 
 def test_quadrature_and_mc_agree_within_error_bars():
     u = LogSingularProfile()
-    integrand = lambda pts: np.exp(
-        -RadialWeight(u, 1).value_batch(pts)
-    )
+    integrand = lambda x: np.exp(-RadialWeight(u, 1).value_batch(x))
     mc = mc_integrate(Ball(1.0, 1), integrand, 500_000, seed=17)
     quad = radial_integrate(lambda r: 1.0 - r * r, 1)
     assert abs(mc.value - quad.value) <= 3 * (mc.error_estimate + quad.error_estimate)
@@ -302,30 +313,33 @@ def test_invalid_arguments():
 
 
 # ---------------------------------------------------------------------------
-# The blocked, threaded sampler against a whole-shard reference
+# The blocked, threaded sampler against a one-thread reference
 # ---------------------------------------------------------------------------
 
 
-def _whole_shard_draw(radii, size, seed, shard):
-    """One shard drawn in a single call, as before blocking."""
-    m = len(radii)
-    u = 2.0 * rng_stream(seed, shard).random((size, 2 * m)) - 1.0
-    return (u[:, :m] + 1j * u[:, m:]) * radii
+def _reference_blocks(scales, seed, shard, size):
+    """Reference for _shard_blocks: each block drawn as rng.random((m, b)),
+    then each level's scale of coordinate i broadcast along row i."""
+    m = len(scales[0])
+    rng = rng_stream(seed, shard)
+    for lo in range(0, size, _BLOCK):
+        u = rng.random((m, min(_BLOCK, size - lo)))
+        for level, c in enumerate(scales):
+            yield level, (u * np.asarray(c)[:, None]).T
 
 
 def _whole_shard_moments(levels, integrand, samples, seed):
     """Reference for _box_moments: for each level on its own, each shard drawn
-    whole on one thread, then masked and reduced in _BLOCK slices over the
-    inside values, shards in order."""
+    on one thread by ``_reference_blocks`` at the scales r^2, masked and
+    reduced block by block over the inside values, shards in order."""
     moments = []
     for radii, inside in levels:
         s1 = s2 = 0.0
         n_inside = n_bad = 0
         for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
-            pts = _whole_shard_draw(radii, min(_SHARD_SIZE, samples - done), seed, shard)
+            size = min(_SHARD_SIZE, samples - done)
             t1 = t2 = 0.0
-            for lo in range(0, len(pts), _BLOCK):
-                block = pts[lo : lo + _BLOCK]
+            for _, block in _reference_blocks([radii * radii], seed, shard, size):
                 mask = inside(block)
                 n_inside += int(mask.sum())
                 if mask.any():
@@ -343,15 +357,16 @@ def _whole_shard_moments(levels, integrand, samples, seed):
     return moments
 
 
-def _nan_on_left_half(pts):
-    # 1/|z|^2 spans many magnitudes, so any change of summation order shows
-    vals = 1.0 / np.sum(np.abs(pts) ** 2, axis=1)
-    vals[pts[:, 0].real < -0.5] = np.nan
+def _nan_on_left_half(x):
+    # 1/|z|^2 spans many magnitudes, so any change of summation order shows;
+    # NaN where |z_1|^2 < 1/4, half of |z_1|^2 < r_1^2 at the cut level
+    vals = 1.0 / x.sum(axis=1)
+    vals[x[:, 0] < 0.25] = np.nan
     return vals
 
 
 def _ball_levels(inside):
-    """The unit ball of C^2 sampled in its own box, then in a box cut to |Re, Im z_1| < 0.7."""
+    """The unit ball of C^2 sampled in its own polydisc, then in one cut to |z_1| < 0.7."""
     radii = Ball(1.0, 2).bounding_radii()
     return [(radii, inside), (np.array([0.7, 1.0]), inside)]
 
@@ -400,8 +415,8 @@ def test_box_moments_workers_run_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
     domain = Ball(1.0, 1)
 
-    def sqrt_of_negative(pts):
-        return np.sqrt(np.abs(pts[:, 0]) ** 2 - 0.5)
+    def sqrt_of_negative(x):
+        return np.sqrt(x[:, 0] - 0.5)
 
     with np.errstate(invalid="raise"):
         with pytest.raises(FloatingPointError):
@@ -409,45 +424,40 @@ def test_box_moments_workers_run_under_the_callers_errstate(monkeypatch):
 
 
 def test_shard_blocks_concatenate_to_the_whole_shard_draw():
-    radii = Ball(1.0, 3).bounding_radii()
+    # on C^1 a block is one row of draws, so the blocks of a shard, in order,
+    # are its whole stream drawn in one call
+    radii = Ball(1.0, 1).bounding_radii()
     sizes = (_SHARD_SIZE, _BLOCK + 5)
     assert integrate._shards(sum(sizes)) == list(enumerate(sizes))
     want_lens = ([_BLOCK] * (_SHARD_SIZE // _BLOCK) + [_SHARD_SIZE % _BLOCK], [_BLOCK, 5])
     for shard, size in enumerate(sizes):
-        blocks = [pts.copy() for _, pts in integrate._shard_blocks([radii], 11, shard, size)]
+        blocks = [x.copy() for _, x in integrate._shard_blocks([radii * 0.5], 11, shard, size)]
         assert [len(b) for b in blocks] == want_lens[shard]
-        want = _whole_shard_draw(radii, size, 11, shard)
+        want = rng_stream(11, shard).random((size, 1)) * 0.5
         assert np.concatenate(blocks).tobytes() == want.tobytes()
-
-
-def _row_broadcast_blocks(radii, seed, shard, size):
-    """Reference for _shard_blocks: each block drawn as 2u - 1, then each level's
-    radii broadcast over the rows, into the real parts from the first m columns
-    and into the imaginary parts from the last m."""
-    m = len(radii[0])
-    rng = rng_stream(seed, shard)
-    for lo in range(0, size, _BLOCK):
-        u = 2.0 * rng.random((min(_BLOCK, size - lo), 2 * m)) - 1.0
-        for level, r in enumerate(radii):
-            pts = np.empty((len(u), m), dtype=complex)
-            np.multiply(u[:, :m], r, out=pts.real)
-            np.multiply(u[:, m:], r, out=pts.imag)
-            yield level, pts
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_shard_blocks_match_the_row_broadcast_layout(m):
-    # three levels whose rows differ in some columns only; the last block is partial
+    # three levels whose scales differ in some coordinates only, then the same
+    # draws as one level, written over its uniforms; two shards, each ending
+    # in a partial block
     base = np.linspace(0.4, 1.0, m)
-    radii = [base, base.copy(), base * 0.5]
-    radii[1][0] = 0.05
+    scales = [base, base.copy(), base * 0.5]
+    scales[1][0] = 0.05
     size = 2 * _BLOCK + 7
-    got = [(level, pts.copy()) for level, pts in integrate._shard_blocks(radii, 2041, 3, size)]
-    want = list(_row_broadcast_blocks(radii, 2041, 3, size))
-    assert [level for level, _ in got] == [level for level, _ in want] == [0, 1, 2] * 3
-    assert [len(pts) for _, pts in got] == [_BLOCK] * 6 + [7] * 3
-    for (_, g), (_, w) in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    for shard in (0, 3):
+        for levels in (scales, scales[2:]):
+            got = [(level, x.copy()) for level, x in integrate._shard_blocks(levels, 2041, shard, size)]
+            want = list(_reference_blocks(levels, 2041, shard, size))
+            count = len(levels)
+            assert [level for level, _ in got] == [level for level, _ in want] == list(range(count)) * 3
+            assert [len(x) for _, x in got] == [_BLOCK] * 2 * count + [7] * count
+            for (_, g), (_, w) in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+    # the consumers see (b, m) views of coordinate-major blocks
+    _, x = next(integrate._shard_blocks(scales, 2041, 0, size))
+    assert x.shape == (_BLOCK, m) and x.T.flags.c_contiguous
 
 
 _FUBINI_K2_LIFT = HartogsLift(
@@ -457,7 +467,7 @@ _FUBINI_K2_LIFT = HartogsLift(
 
 @pytest.mark.parametrize("domain", [Ball(1.0, 2), _FUBINI_K2_LIFT], ids=["ball", "fubini_k2_lift"])
 def test_volume_counts_with_the_bits_of_integrating_ones(domain, monkeypatch):
-    ones = lambda pts: np.ones(len(pts))
+    ones = lambda x: np.ones(len(x))
     samples = _SHARD_SIZE + _BLOCK + 3
     for cores in (1, 2):
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)

@@ -97,3 +97,28 @@ def test_the_package_runs_on_numpy_alone():
         timeout=300,
     )
     assert proc.stdout.strip() == "[]"
+
+
+_RADIAL_PATH = """
+import sys
+from holoext.scenarios import ScenarioConfig, run_scenario
+
+for kind in ("radial_minimal", "bound_comparison"):
+    run_scenario(ScenarioConfig(kind, {"n": 2, "k": 2}))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_the_radial_path_never_loads_numpy_random():
+    # numpy loads numpy.random on first use, which costs a process 11-17 ms
+    # on 2 vCPUs; only the samplers need it, and the radial scenarios sample nothing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RADIAL_PATH],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.stdout.strip() == "False"

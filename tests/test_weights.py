@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoext.errors import DomainError
+from holoext.geometry import sq_moduli
 from holoext.green import RadialLiftModel
 from holoext.weights import (
     BallStandardWeight,
@@ -331,7 +332,7 @@ SCALAR_BATCH_WEIGHTS = [
 def test_scalar_value_is_the_batch_row(coords):
     p = np.asarray(coords)
     for weight in SCALAR_BATCH_WEIGHTS:
-        batch = weight.value_batch(p[None, :])[0]
+        batch = weight.value_batch(sq_moduli(p)[None, :])[0]
         if batch == np.inf:
             with pytest.raises(DomainError):
                 weight.value(p)
@@ -366,6 +367,6 @@ NONNEGATIVE_WEIGHTS = [
 )
 def test_weights_are_nonnegative_on_the_unit_ball(coords):
     # phi >= 0 is what bounds the Hartogs lift's fiber by the unit ball
-    p = np.asarray(coords)[None, :]
+    x = sq_moduli(np.asarray(coords))[None, :]
     for weight in NONNEGATIVE_WEIGHTS:
-        assert weight.value_batch(p)[0] >= 0.0
+        assert weight.value_batch(x)[0] >= 0.0
