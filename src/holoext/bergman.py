@@ -45,7 +45,7 @@ from .errors import (
     GramConditioningError,
     InfeasibleConstraintError,
 )
-from .geometry import Ball, compress_rows
+from .geometry import Ball, _compress_rows
 from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
 from .weights import RadialWeight
 
@@ -320,7 +320,7 @@ def gram_matrix(
                 z = np.empty((m, sel.shape[1]), dtype=complex)
                 z.real, z.imag = sel[:m], sel[m:]
                 rows = monomial_values(basis, z.T).T
-                wts = np.exp(-weight.value_batch(compress_rows(mask, x.T)))
+                wts = np.exp(-weight.value_batch(_compress_rows(mask, x.T)))
                 w = rows.conj()
                 w *= wts
                 acc += w @ rows.T

@@ -21,7 +21,6 @@ __all__ = [
     "HartogsLift",
     "as_point",
     "sq_moduli",
-    "compress_rows",
 ]
 
 
@@ -43,10 +42,10 @@ def sq_moduli(pts):
     return p.real * p.real + p.imag * p.imag
 
 
-def compress_rows(mask, x):
-    """The rows of the (N, m) array ``x`` where ``mask`` holds, as an array
-    whose columns are contiguous; copied along the columns of ``x``, which
-    are contiguous where the sampler made it."""
+def _compress_rows(mask, x):
+    """The rows of the (N, m) array ``x`` where ``mask`` holds, copied
+    column by column: the sampler's columns are contiguous, and so are the
+    result's."""
     return np.compress(mask, x.T, axis=1).T
 
 
@@ -130,7 +129,7 @@ class HartogsLift(_Domain):
         mask = self.base.contains_batch(x[:, :nb])
         out = np.zeros(len(x), dtype=bool)
         if mask.any():
-            sel = compress_rows(mask, x)
+            sel = _compress_rows(mask, x)
             phi = self.weight.value_batch(sel[:, :nb])
             out[mask] = sel[:, nb:].sum(axis=1) < np.exp(-phi / self.fiber_dim)
         return out

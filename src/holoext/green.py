@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDomainError, DomainError
-from .geometry import Ball, HartogsLift, as_point, compress_rows, sq_moduli
+from .geometry import Ball, HartogsLift, _compress_rows, as_point, sq_moduli
 from .integrate import (
     QuadratureResult,
     _box_moments,
@@ -259,7 +259,7 @@ def _sublevel_test(model, t):
         if mask.all():  # every point is inside: test the block itself, no copy
             return model.green_batch(x) < 0.5 * t
         if mask.any():
-            mask[mask] = model.green_batch(compress_rows(mask, x)) < 0.5 * t
+            mask[mask] = model.green_batch(_compress_rows(mask, x)) < 0.5 * t
         return mask
 
     return inside

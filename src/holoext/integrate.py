@@ -81,7 +81,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDomainError
-from .geometry import Ball, HartogsLift, compress_rows
+from .geometry import Ball, HartogsLift, _compress_rows
 from .weights import RadialProfile, RadialWeight, ShiftedProfile
 
 __all__ = [
@@ -198,7 +198,7 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
             part[1] += float(hits)
         elif hits:
             # a copy, so that squaring in place leaves the integrand's array alone
-            vals = np.array(integrand(compress_rows(mask, x)), dtype=float)
+            vals = np.array(integrand(_compress_rows(mask, x)), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
                 part[3] += int(bad.sum())

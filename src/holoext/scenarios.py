@@ -428,7 +428,7 @@ def _run_scaling(args, samples, seed, tol):
     # the limit is integral_V vol(I_v): sigma_k times the indicatrix integral of f = 1
     limit = sigma_mu(model.pole_dim)[0] * model.indicatrix_integral()
     # every level is checked against the limit; the pair model's set fills
-    # limit / 4^(n+k) of its box, too little for 1% at n + k >= 5, and the
+    # 1/(n+k)! of its polydisc, too little for 1% at n + k >= 6, and the
     # k < n lift only approaches the limit, so both get the 5% tolerance
     tol_level = tol["each_level" if isinstance(model, BallPointModel) else "limit"]
     ladder = args["t_ladder"]

@@ -359,7 +359,8 @@ def _whole_shard_moments(levels, integrand, samples, seed):
 
 def _nan_on_left_half(x):
     # 1/|z|^2 spans many magnitudes, so any change of summation order shows;
-    # NaN where |z_1|^2 < 1/4, half of |z_1|^2 < r_1^2 at the cut level
+    # NaN where |z_1|^2 < 1/4: a quarter of the first level's draws and
+    # about half of the cut level's
     vals = 1.0 / x.sum(axis=1)
     vals[x[:, 0] < 0.25] = np.nan
     return vals
