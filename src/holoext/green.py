@@ -21,17 +21,33 @@ is integral_V |f|^2 e^(2k B) for polynomial data f on V (None is f = 1), so
 sigma_k times it is the paper's integral_V vol(I_v) |f|^2.  The bounds and
 the sublevel scaling limit are this one integral for different models and
 data.
+
+Every model has G = log |z'| - B with B free of z', so for a level t < 0 the
+sublevel set {G < t/2} of the domain is the domain's part of
+{|z'|^2 < e^t e^(2B)}, the e^(t/2)-dilate of the indicatrix bundle
+{(X, v) : X in I_v} along the pole block.  Each model writes its mask on
+squared moduli once, as ``sublevel_batch(x, t)``; none evaluates G, and none
+an inverse profile:
+
+  * ball point (B = 0): sum x_i < e^t, inside the ball because e^t < 1;
+  * ball pair (e^(2B) = 1 - |z''|^2): |z'|^2 < e^t (1 - |z''|^2), which
+    gives |z|^2 < 1, so no domain test is needed;
+  * radial lift (e^(2B) = e^(u^(-1)(-log |w|^2))): u is increasing, so
+    G < t/2 holds exactly when |z'|^2 < e^t and |w|^2 < e^(-u(log |z'|^2 - t)).
+    Since t < 0 that fiber bound lies below the lift's e^(-u(log |z'|^2)),
+    but z'' is free when k < n, so the base ball test stays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDomainError, DomainError
-from .geometry import Ball, HartogsLift, _compress_rows, as_point, sq_moduli
+from .geometry import Ball, HartogsLift, as_point, sq_moduli
 from .integrate import (
     QuadratureResult,
     _box_moments,
@@ -67,6 +83,14 @@ class AzukawaForm:
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
         return math.log(norm) + self.log_shift
+
+
+def _dilation(t):
+    """e^t, the squared dilation of the sublevel set {G < t/2}, for a finite
+    level t < 0; every closed form relies on e^t < 1."""
+    if not (math.isfinite(t) and t < 0.0):
+        raise ValueError(f"the level t must be finite and negative, got t = {t!r}")
+    return math.exp(t)
 
 
 class _GreenModel:
@@ -131,6 +155,10 @@ class BallPointModel(_GreenModel):
     def gap_batch(self, x):
         return np.zeros(len(x))
 
+    def sublevel_batch(self, x, t):
+        """The mask of {G < t/2} = {|z|^2 < e^t}."""
+        return x.sum(axis=1) < _dilation(t)
+
     def indicatrix_integral(self, f_coeffs=None):
         """|f(0)|^2: V is the origin, where B = 0."""
         return _data_moment(0, f_coeffs, 0)
@@ -167,6 +195,14 @@ class BallPairModel(_GreenModel):
 
     def gap_batch(self, x):
         return 0.5 * np.log1p(-x[:, self.pole_dim :].sum(axis=1))
+
+    def sublevel_batch(self, x, t):
+        """The mask of {G < t/2} = {|z'|^2 < e^t (1 - |z''|^2)}."""
+        e_t, k = _dilation(t), self.pole_dim
+        bound = x[:, k:].sum(axis=1)
+        np.subtract(1.0, bound, out=bound)  # in place: each temporary is a block long
+        bound *= e_t
+        return x[:, :k].sum(axis=1) < bound
 
     def indicatrix_integral(self, f_coeffs=None):
         """sum_beta |f_beta|^2 integral_(B^n) |z''^beta|^2 (1 - |z''|^2)^k, in closed form."""
@@ -218,6 +254,18 @@ class RadialLiftModel(_GreenModel):
     def gap_batch(self, x):
         return self._fiber_gap(x[:, self.base_dim :].sum(axis=1))
 
+    def sublevel_batch(self, x, t):
+        """The mask of {G < t/2}: the base ball, |z'|^2 < e^t and
+        |w|^2 < e^(-u(log |z'|^2 - t)), from u alone (u(-inf) = 0 at z' = 0)."""
+        e_t, n = _dilation(t), self.base_dim
+        r2 = x[:, : self.pole_dim].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN where r2 >= e^t
+            fiber = np.exp(-self.profile.value(np.log(r2) - t))
+        mask = Ball(radius=1.0, dim=n).contains_batch(x[:, :n])
+        mask &= r2 < e_t
+        mask &= x[:, n:].sum(axis=1) < fiber
+        return mask
+
     def fiber_integral(self) -> QuadratureResult:
         """integral_(B^k) e^(2k B(w)) dV(w) by one radial quadrature.
 
@@ -248,21 +296,6 @@ def _sublevel_radii(model, t):
     cap = math.exp(0.5 * t)
     radii[: model.pole_dim] = np.minimum(radii[: model.pole_dim], cap)
     return radii
-
-
-def _sublevel_test(model, t):
-    """Membership mask of {G < t/2} inside the model domain."""
-    domain = model.domain()
-
-    def inside(x):
-        mask = domain.contains_batch(x)
-        if mask.all():  # every point is inside: test the block itself, no copy
-            return model.green_batch(x) < 0.5 * t
-        if mask.any():
-            mask[mask] = model.green_batch(_compress_rows(mask, x)) < 0.5 * t
-        return mask
-
-    return inside
 
 
 def sublevel_scaling(model, chi, t, samples: int, seed: int):
@@ -300,7 +333,7 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
         except OverflowError:
             raise ValueError(f"e^(-k t) overflows at t = {level!r} (k = {k})") from None
     radii = [_sublevel_radii(model, level) for level in ladder]
-    levels = [(r, _sublevel_test(model, level)) for r, level in zip(radii, ladder)]
+    levels = [(r, partial(model.sublevel_batch, t=level)) for r, level in zip(radii, ladder)]
     moments = _box_moments(levels, chi, samples, seed)
     results = []
     for level, grow, r, (mean, stderr, n_hit, n_bad) in zip(ladder, growth, radii, moments):

@@ -58,8 +58,13 @@ thread the BLAS threads give no measurable gain: a 500k-sample Gram took
 
 Integrands are vectorized: they receive an (N, ambient_dim) array of the
 squared moduli of points that already passed the membership test and return
-N real values.  Membership tests and integrands may run on several threads
-at once, each under a copy of the caller's context.  A non-finite integrand
+N real values.  A membership test maps a whole block to its boolean mask:
+a domain's ``contains_batch`` for ``mc_integrate`` and ``volume``, and for
+``sublevel_scaling`` the Green model's ``sublevel_batch`` at one level, a
+closed form of the domain's part of {G < t/2} that evaluates neither G nor
+a domain test of its own on the ball models.  Membership tests and
+integrands may run on several threads at once, each under a copy of the
+caller's context.  A non-finite integrand
 value counts as zero and is reported in the result's ``rejected_infinite``.
 
 Quadrature runs on [0, 1], the radius of a unit ball, so the slice/fiber

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import checked_azukawa
 from holoext import green, integrate
 from holoext.errors import DegenerateDomainError, DomainError
-from holoext.geometry import sq_moduli
+from holoext.geometry import Ball, sq_moduli
 from holoext.green import (
     AzukawaForm,
     BallPairModel,
@@ -480,25 +480,75 @@ def test_sublevel_counting_has_the_bits_of_ones(model, shard_size, monkeypatch):
         assert sublevel_scaling(model, None, ladder, samples, 2043) == want
 
 
-@pytest.mark.parametrize(
-    "model, box_inside",
-    [(BallPointModel(2), True), (BallPairModel(2, 2), False)],
-    ids=["ball_point", "ball_pair"],
+# the five profiles of the benchmark's radial grid
+GRID_PROFILES = [
+    LogSingularProfile(),
+    ScaledLogProfile(a=0.5),
+    ScaledLogProfile(a=2.0),
+    EpsilonRegularizedProfile(LogSingularProfile(), eps=0.1),
+    EpsilonRegularizedProfile(ScaledLogProfile(a=0.5), eps=0.1),
+]
+SUBLEVEL_MODELS = (
+    [BallPointModel(n) for n in (1, 2, 3)]
+    + [BallPairModel(k, n) for k, n in ((1, 1), (2, 2), (1, 3))]
+    + [
+        RadialLiftModel(p, pole_dim=k, base_dim=n)
+        for p in GRID_PROFILES
+        for n, k in ((1, 1), (2, 1), (2, 2), (3, 2))
+    ]
 )
-def test_sublevel_test_on_a_box_inside_and_outside_the_domain(model, box_inside):
-    # the level polydisc of ball_point at t = -4 lies inside the ball, so the
-    # mask comes from the whole block; ball_pair's pokes out and is masked first
-    t = -4.0
+
+
+@pytest.mark.parametrize("model", SUBLEVEL_MODELS, ids=lambda m: repr(m))
+def test_sublevel_batch_is_the_domain_and_green_mask(model):
+    # the closed form against its definition, the domain's part of {G < t/2},
+    # row for row on the sampler's own blocks of the level polydisc
     domain = model.domain()
-    inside = green._sublevel_test(model, t)
-    radii = green._sublevel_radii(model, t)
-    for _, x in integrate._shard_blocks([radii**2], 2044, 0, 3 * _BLOCK):
-        mask = domain.contains_batch(x)
-        assert mask.all() == box_inside
-        want = mask.copy()
-        want[mask] = model.green_batch(x[mask]) < 0.5 * t
-        assert np.array_equal(inside(x), want)
-        assert want.any()
+    for t in (-1.0, -4.0, -12.0):
+        radii = green._sublevel_radii(model, t)
+        for _, x in integrate._shard_blocks([radii**2], 2044, 0, 3 * _BLOCK):
+            want = domain.contains_batch(x)
+            want[want] = model.green_batch(x[want]) < 0.5 * t
+            assert np.array_equal(model.sublevel_batch(x, t), want)
+            assert want.any()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the sublevel sets need neither G, nor u^(-1), nor a domain test")
+
+
+@pytest.mark.parametrize(
+    "model, patched",
+    [
+        (BallPointModel(2), [(BallPointModel, "green_batch"), (Ball, "contains_batch")]),
+        (BallPairModel(2, 2), [(BallPairModel, "green_batch"), (Ball, "contains_batch")]),
+        # the mixed-scale lift, whose u^(-1) is a Newton solve; it keeps its base ball test
+        (
+            RadialLiftModel(GRID_PROFILES[4], pole_dim=1, base_dim=2),
+            [(RadialLiftModel, "green_batch"), (EpsilonRegularizedProfile, "inverse")],
+        ),
+    ],
+    ids=["ball_point", "ball_pair", "mixed_scale_lift"],
+)
+def test_sublevel_scaling_evaluates_no_green_function(model, patched, monkeypatch):
+    ladder, samples = [-4.0, -8.0, -12.0], 3 * _BLOCK + 5
+    want = sublevel_scaling(model, None, ladder, samples, 2045)
+    for cls, attr in patched:
+        monkeypatch.setattr(cls, attr, _unreachable)
+    assert sublevel_scaling(model, None, ladder, samples, 2045) == want
+
+
+@pytest.mark.parametrize("level", [0.0, 0.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "model",
+    [BallPointModel(1), BallPairModel(1, 1), RadialLiftModel(LogSingularProfile(), 1, 1)],
+    ids=lambda m: repr(m),
+)
+def test_sublevel_batch_rejects_bad_levels(model, level):
+    # every closed form relies on e^t < 1
+    x = np.zeros((1, model.ambient_dim))
+    with pytest.raises(ValueError, match=f"finite and negative, got t = {level!r}"):
+        model.sublevel_batch(x, level)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
