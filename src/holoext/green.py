@@ -200,7 +200,8 @@ class BallPairModel(_GreenModel):
         """The mask of {G < t/2} = {|z'|^2 < e^t (1 - |z''|^2)}."""
         e_t, k = _dilation(t), self.pole_dim
         bound = x[:, k:].sum(axis=1)
-        np.subtract(1.0, bound, out=bound)  # in place: each temporary is a block long
+        # in place: a new block-long array costs more than the arithmetic on it
+        np.subtract(1.0, bound, out=bound)
         bound *= e_t
         return x[:, :k].sum(axis=1) < bound
 
@@ -259,7 +260,7 @@ class RadialLiftModel(_GreenModel):
         |w|^2 < e^(-u(log |z'|^2 - t)), from u alone (u(-inf) = 0 at z' = 0)."""
         e_t, n = _dilation(t), self.base_dim
         r2 = x[:, : self.pole_dim].sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN where r2 >= e^t
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0; NaN where r2 >= e^t
             fiber = np.exp(-self.profile.value(np.log(r2) - t))
         mask = Ball(radius=1.0, dim=n).contains_batch(x[:, :n])
         mask &= r2 < e_t
