@@ -201,7 +201,7 @@ def _radial_reduction(weight):
     def factor(r):
         t = np.log(r * r)
         out = np.zeros_like(r)
-        ok = t < prof.upper_limit
+        ok = t < 0.0
         if ok.any():
             out[ok] = np.exp(-k * prof.value(t[ok]))
         return out

@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import DegenerateDomainError
 from .geometry import Ball, HartogsLift, _compress_rows
-from .weights import RadialProfile, RadialWeight, ShiftedProfile
+from .weights import RadialProfile, RadialWeight
 
 __all__ = [
     "QuadratureResult",
@@ -549,19 +549,17 @@ def fubini_mc_oracle(
 ) -> QuadratureResult:
     """Monte Carlo cross-check of the slice integral via a lifted volume.
 
-    The volume of {(z', w) : |z'| < slice radius, |w|^2 < e^(-u(log |z'|^2))}
-    equals sigma_k times the weighted slice integral, so dividing the sampled
-    volume by sigma_k must reproduce both quadrature sides.
+    The slice at |z''| = z2_norm is the ball of radius rho = sqrt(1 - z2_norm^2),
+    and z' -> rho z' maps the centred lift onto the slice's with Jacobian
+    rho^(2k).  So the sampled centred volume times rho^(2k) / sigma_k must
+    reproduce both quadrature sides.
     """
     if not 0.0 <= z2_norm < 1.0:
         raise ValueError("z2_norm must lie in [0, 1)")
-    big_t = math.log1p(-(z2_norm**2))
-    prof = profile if big_t == 0.0 else ShiftedProfile(profile, big_t)
-    lift = HartogsLift(
-        base=Ball(radius=math.sqrt(1.0 - z2_norm**2), dim=k),
-        weight=RadialWeight(prof, k),
-        fiber_dim=k,
-    )
+    lift = HartogsLift(base=Ball(radius=1.0, dim=k), weight=RadialWeight(profile, k), fiber_dim=k)
     res = volume(lift, samples, seed)
+    s = (1.0 - z2_norm**2) ** k
     sigma_k, _ = sigma_mu(k)
-    return replace(res, value=res.value / sigma_k, error_estimate=res.error_estimate / sigma_k)
+    return replace(
+        res, value=s * res.value / sigma_k, error_estimate=s * res.error_estimate / sigma_k
+    )

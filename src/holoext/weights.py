@@ -1,7 +1,7 @@
 """Radial convex profiles and the plurisubharmonic weights built from them.
 
 A profile is a convex increasing function u on (-inf, 0) with u(t) -> 0 as
-t -> -inf and u(t) -> +inf at the upper end of its interval of definition.
+t -> -inf and u(t) -> +inf as t -> 0-: every profile diverges at t = 0.
 A radial weight evaluates as phi(z) = k * u(log |z'|^2) where z' is the
 leading coordinate block of length k.  Profiles carry exact inverses so that
 the fiber function psi(w) = -u^{-1}(-log |w|^2) / 2 and the change-of-variable
@@ -23,7 +23,6 @@ __all__ = [
     "LogSingularProfile",
     "ScaledLogProfile",
     "EpsilonRegularizedProfile",
-    "ShiftedProfile",
     "TrivialWeight",
     "BallStandardWeight",
     "RadialWeight",
@@ -47,14 +46,13 @@ class RadialProfile:
     """Base class for the closed-form profile catalog.
 
     Subclasses implement ``value``, ``derivative`` and ``inverse``; all three
-    accept floats or numpy arrays.  ``upper_limit`` is the t at which the
-    profile diverges (0.0 for the base catalog entries).  ``exponents`` is
+    accept floats or numpy arrays.  Every profile diverges at t = 0, so an
+    off-centre slice is a scale factor, not a shifted profile.  ``exponents`` is
     (c, gamma) when u(t) ~ -c log(-t) as t -> 0- (the boundary exponent) and
     u(t) ~ C e^(t/gamma) as t -> -inf (the tail exponent); radial integrals
     of a profile that declares none (None) run the adaptive rule.
     """
 
-    upper_limit = 0.0
     exponents = None
 
     def value(self, t):
@@ -67,10 +65,8 @@ class RadialProfile:
         raise NotImplementedError
 
     def _check_scalar_t(self, t):
-        if np.isscalar(t) and t >= self.upper_limit:
-            raise DomainError(
-                f"profile defined for t < {self.upper_limit}, got t = {t}"
-            )
+        if np.isscalar(t) and t >= 0.0:
+            raise DomainError(f"profile defined for t < 0, got t = {t}")
 
     @staticmethod
     def _check_scalar_s(s):
@@ -193,47 +189,13 @@ class EpsilonRegularizedProfile(RadialProfile):
         return t.reshape(np.shape(s))
 
 
-@dataclass(frozen=True)
-class ShiftedProfile(RadialProfile):
-    """inner translated so its blow-up sits at ``shift`` instead of 0.
-
-    Used to build profiles that diverge at the boundary of an off-center
-    slice: u_T(t) = inner(t - T) diverges as t -> T.  Internal plumbing: the
-    subtraction t - shift cancels near the blow-up, so unlike the catalog
-    entries this wrapper cannot resolve values above roughly -log(ulp(shift)).
-    """
-
-    inner: RadialProfile
-    shift: float
-
-    def __post_init__(self):
-        if not self.shift <= 0:
-            raise ValueError("shift must be <= 0")
-
-    @property
-    def upper_limit(self):
-        return self.shift
-
-    def value(self, t):
-        self._check_scalar_t(t)
-        return self.inner.value(np.asarray(t, dtype=float) - self.shift)
-
-    def derivative(self, t):
-        self._check_scalar_t(t)
-        return self.inner.derivative(np.asarray(t, dtype=float) - self.shift)
-
-    def inverse(self, s):
-        self._check_scalar_s(s)
-        return self.inner.inverse(s) + self.shift
-
-
 def _psi_batch(profile: RadialProfile, r2):
     """psi(w) = -u^{-1}(-log |w|^2) / 2 as a function of |w|^2 < 1, with its
     limit value at w = 0; trusted in-range input."""
     r2 = np.asarray(r2, dtype=float)
     with np.errstate(divide="ignore"):
         s = -np.log(r2)
-    return -0.5 * np.where(r2 == 0.0, profile.upper_limit, profile.inverse(s))
+    return -0.5 * np.where(r2 == 0.0, 0.0, profile.inverse(s))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +258,8 @@ class RadialWeight(_Weight):
 
     def value_batch(self, x):
         r2 = x[:, : self.k].sum(axis=1)
-        out = np.full(len(x), np.inf)
-        zero = r2 == 0.0
-        out[zero] = 0.0
-        ok = (~zero) & (np.log(np.where(zero, 1.0, r2)) < self.profile.upper_limit)
+        out = np.where(r2 == 0.0, 0.0, np.inf)
+        ok = (0.0 < r2) & (r2 < 1.0)
         if ok.any():
             out[ok] = self.k * self.profile.value(np.log(r2[ok]))
         return out

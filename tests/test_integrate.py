@@ -274,6 +274,21 @@ def test_fubini_mc_oracle_off_center_slice():
     assert oracle.value == pytest.approx(lhs.value, rel=2e-2)
 
 
+@pytest.mark.parametrize("profile", [LogSingularProfile(), ScaledLogProfile(a=0.5)], ids=repr)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("z2_norm", [0.3, 0.6, 0.95])
+def test_fubini_mc_oracle_offset_is_a_pure_scale(profile, k, z2_norm):
+    # z' -> rho z' maps the centred lift onto the off-centre one, so the same
+    # draws give the centred estimate times (1 - z2^2)^k, value and error alike
+    centred = fubini_mc_oracle(profile, k, 0.0, 50_000, seed=40)
+    off = fubini_mc_oracle(profile, k, z2_norm, 50_000, seed=40)
+    s = (1.0 - z2_norm**2) ** k
+    assert off.samples_or_nodes == centred.samples_or_nodes
+    for got, base in [(off.value, centred.value), (off.error_estimate, centred.error_estimate)]:
+        assert base > 0.0
+        assert abs(got - s * base) <= 4 * math.ulp(s * base)
+
+
 def test_quadrature_and_mc_agree_within_error_bars():
     u = LogSingularProfile()
     integrand = lambda x: np.exp(-RadialWeight(u, 1).value_batch(x))

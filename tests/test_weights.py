@@ -16,7 +16,6 @@ from holoext.weights import (
     RadialWeight,
     ScaledLogProfile,
     EpsilonRegularizedWeight,
-    ShiftedProfile,
     TrivialWeight,
     make_profile,
 )
@@ -270,14 +269,6 @@ def test_psi_subharmonic_circle_means():
             assert _psi(profile, w0) <= mean + 1e-8
 
 
-def test_shifted_profile_translates_blow_up():
-    shift = math.log(1 - 0.09)
-    prof = ShiftedProfile(LogSingularProfile(), shift)
-    assert prof.upper_limit == shift
-    assert prof.value(shift - 1.0) == pytest.approx(LogSingularProfile().value(-1.0))
-    assert prof.inverse(2.0) == pytest.approx(LogSingularProfile().inverse(2.0) + shift)
-
-
 def test_make_profile_parsing():
     assert isinstance(make_profile("log_singular"), LogSingularProfile)
     scaled = make_profile({"kind": "scaled_log", "a": 2.0})
@@ -316,7 +307,7 @@ SCALAR_BATCH_WEIGHTS = [
     TrivialWeight(),
     BallStandardWeight(2),
     *(RadialWeight(profile, 1) for profile in CATALOG),
-    RadialWeight(ShiftedProfile(LogSingularProfile(), math.log(1 - 0.09)), 2),
+    RadialWeight(LogSingularProfile(), 2),
     EpsilonRegularizedWeight(RadialWeight(ScaledLogProfile(a=0.5), 1), 0.3),
 ]
 
@@ -370,3 +361,30 @@ def test_weights_are_nonnegative_on_the_unit_ball(coords):
     x = sq_moduli(np.asarray(coords))[None, :]
     for weight in NONNEGATIVE_WEIGHTS:
         assert weight.value_batch(x)[0] >= 0.0
+
+
+# the profiles of the benchmark's radial_grid workload
+GRID_PROFILE_SPECS = [
+    "log_singular",
+    {"kind": "scaled_log", "a": 0.5},
+    {"kind": "scaled_log", "a": 2.0},
+    {"kind": "epsilon_regularized", "eps": 0.1},
+    {"kind": "epsilon_regularized", "eps": 0.1, "inner": {"kind": "scaled_log", "a": 0.5}},
+]
+
+
+@pytest.mark.parametrize("spec", GRID_PROFILE_SPECS, ids=str)
+@pytest.mark.parametrize("k", [1, 2])
+def test_radial_weight_batch_is_finite_exactly_below_the_unit_slice(spec, k):
+    # 0 < |z'|^2 < 1 is where log |z'|^2 < 0, the profile's domain; the
+    # trailing coordinate is not part of z' and does not count
+    profile = make_profile(spec)
+    inside = [5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
+    outside = [1.0, 1.0 + 2.0**-52, 2.0]
+    x = np.zeros((1 + len(inside) + len(outside), k + 1))
+    x[:, 0] = [0.0, *inside, *outside]
+    x[:, k] = 0.7
+    expected = np.concatenate(
+        [[0.0], k * profile.value(np.log(np.array(inside))), np.full(len(outside), np.inf)]
+    )
+    assert RadialWeight(profile, k).value_batch(x).tobytes() == expected.tobytes()
