@@ -46,8 +46,8 @@ class RadialProfile:
     """Base class for the closed-form profile catalog.
 
     Subclasses implement ``value``, ``derivative`` and ``inverse``; all three
-    accept floats or numpy arrays.  Every profile diverges at t = 0, so an
-    off-centre slice is a scale factor, not a shifted profile.  ``exponents`` is
+    accept floats or numpy arrays.  Every profile diverges at t = 0 (an
+    off-centre slice enters as a scale factor).  ``exponents`` is
     (c, gamma) when u(t) ~ -c log(-t) as t -> 0- (the boundary exponent) and
     u(t) ~ C e^(t/gamma) as t -> -inf (the tail exponent); radial integrals
     of a profile that declares none (None) run the adaptive rule.
