@@ -18,7 +18,14 @@ once per node array.
 Monomial values are built as a product chain: each z^alpha is its parent
 z^(alpha - e_j), j the last nonzero coordinate, times z_j, so one complex
 multiplication per monomial and point.  The Monte Carlo assembly reduces each
-sampler block with one GEMM for the first moments and one for the second.
+sampler block with two real SYRKs (v @ v.T on one buffer).  For the first
+moments the chain starts from e^(-phi/2), so the rows are e^(-phi/2) z^alpha,
+and v stacks their real parts over their imaginary parts; Re G and Im G are
+sums and differences of its four blocks.  For the second moments,
+|z^alpha|^2 = x^alpha with x the squared moduli, so a real chain over x
+started from e^(-phi) gives the rows e^(-phi) |z^alpha|^2 directly.  OpenBLAS
+splits a SYRK's output across its threads and never a sum, so the Gram's bits
+do not depend on the BLAS thread count.
 
 The least-norm extension of boundary data f living on V = {z' = 0} minimizes
 c^H G c subject to pinning every pole-free coefficient of F to the matching
@@ -45,7 +52,7 @@ from .errors import (
     GramConditioningError,
     InfeasibleConstraintError,
 )
-from .geometry import Ball, _compress_rows
+from .geometry import Ball
 from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
 from .weights import RadialWeight
 
@@ -128,33 +135,41 @@ def _product_chain(ambient_dim, degree):
     return tuple(steps), pos
 
 
+def _chain_rows(basis: MultiIndexBasis, coords, first) -> np.ndarray:
+    """Rows first * c^alpha, one per basis index, over the columns of the
+    C-ordered (ambient_dim, N) array ``coords``, in its dtype.
+
+    Each row is its parent's row times one coordinate (see
+    ``_product_chain``): one multiplication per monomial and point.  The
+    constant row is ``first``, a scalar or one value per column.
+    """
+    steps, pos = _product_chain(basis.ambient_dim, basis.degree)
+    rows = np.empty((len(steps), coords.shape[1]), dtype=coords.dtype)
+    for i, (parent, j) in enumerate(steps):
+        if parent < 0:
+            rows[i] = first
+        else:
+            np.multiply(rows[parent], coords[j], out=rows[i])
+    if len(basis) < len(steps):
+        rows = rows[[pos[a] for a in basis.indices]]
+    return rows
+
+
 def monomial_values(basis: MultiIndexBasis, pts) -> np.ndarray:
     """Matrix of monomial values, one row per point and one column per basis
     index.
 
-    Each z^alpha is its parent's values times one coordinate (see
-    ``_product_chain``): one complex multiplication per monomial and point.
-    The coordinates are read as the rows of ``pts.T``, copied only if those
-    are not contiguous.  The result is the transpose of a C-ordered
-    (width, N) array, so ``monomial_values(...).T`` gives contiguous rows,
-    one per monomial.
+    The columns come from ``_chain_rows`` over the coordinates, read as the
+    rows of ``pts.T`` and copied only if those are not contiguous.  The
+    result is the transpose of a C-ordered (width, N) array, so
+    ``monomial_values(...).T`` gives contiguous rows, one per monomial.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
     if pts.ndim != 2 or pts.shape[1] != basis.ambient_dim:
         raise DimensionMismatchError(
             f"points of shape {pts.shape} for a basis of C^{basis.ambient_dim}"
         )
-    steps, pos = _product_chain(basis.ambient_dim, basis.degree)
-    coords = np.ascontiguousarray(pts.T)
-    rows = np.empty((len(steps), len(pts)), dtype=complex)
-    for i, (parent, j) in enumerate(steps):
-        if parent < 0:
-            rows[i] = 1.0
-        else:
-            np.multiply(rows[parent], coords[j], out=rows[i])
-    if len(basis) < len(steps):
-        rows = rows[[pos[a] for a in basis.indices]]
-    return rows.T
+    return _chain_rows(basis, np.ascontiguousarray(pts.T), 1.0).T
 
 
 def _cholesky(matrix):
@@ -305,7 +320,7 @@ def gram_matrix(
     boxvol = _box_volume(radii)
     m, width = len(radii), len(basis)
     centre = np.concatenate([radii, radii]).reshape(2 * m, 1)
-    acc = np.zeros((width, width), dtype=complex)
+    acc = np.zeros((2 * width, 2 * width))
     acc2 = np.zeros((width, width))
     # one thread, shards in order: see the integrate module docstring
     for shard, size in _shards(samples):
@@ -317,17 +332,19 @@ def gram_matrix(
             mask = domain.contains_batch(x.T)
             if mask.any():
                 sel = np.compress(mask, parts, axis=1)
+                xs = np.compress(mask, x, axis=1)
                 z = np.empty((m, sel.shape[1]), dtype=complex)
                 z.real, z.imag = sel[:m], sel[m:]
-                rows = monomial_values(basis, z.T).T
-                wts = np.exp(-weight.value_batch(_compress_rows(mask, x.T)))
-                w = rows.conj()
-                w *= wts
-                acc += w @ rows.T
-                p2 = np.square(rows.real)
-                p2 += np.square(rows.imag)
-                acc2 += (p2 * (wts * wts)) @ p2.T
-    mean = acc / samples
+                wts = np.exp(-weight.value_batch(xs.T))
+                rows = _chain_rows(basis, z, np.sqrt(wts))
+                v = np.concatenate([rows.real, rows.imag])
+                acc += v @ v.T
+                q = _chain_rows(basis, xs, wts)
+                acc2 += q @ q.T
+    # acc holds [[ReRe, ReIm], [ImRe, ImIm]]; mean[a, b] estimates the
+    # integral of e^(-phi) conj(z^a) z^b
+    re, im = acc[:width], acc[width:]
+    mean = (re[:, :width] + im[:, width:] + 1j * (re[:, width:] - im[:, :width])) / samples
     gram = boxvol * 0.5 * (mean + mean.conj().T)
     var = np.maximum(acc2 / samples - np.abs(mean) ** 2, 0.0)
     half = _Z99 * boxvol * np.sqrt(var / samples)
