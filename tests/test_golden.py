@@ -9,9 +9,12 @@ are.  ``tests/golden/radial_grid.json`` holds, for each of the benchmark's
 as ``json.dumps(body, sort_keys=True)``, keyed by the workload's operation
 label.  ``tests/golden/mc_gram.json`` holds the SHA-256 of the matrix and
 half-widths of one Monte Carlo Gram matrix at a fixed seed, so a change to
-its draws, its masks or its weights shows up bit for bit.  Its per-block
-products run through BLAS, whose bits depend on the thread count, so the
-digest is taken in a process with one OpenBLAS thread.
+its draws, its masks, its weights or its reduction shows up bit for bit.
+Each block is reduced by two BLAS SYRKs, which split their output, never a
+sum, across threads; with numpy 2.4.6 and OpenBLAS 0.3.31 the digest was the
+same at 1, 2, 3, 4 and 8 OpenBLAS threads on a 2-vCPU x86-64 machine.  Its
+golden test runs at one thread, and a second test compares one thread with
+the default count.
 Any such change must regenerate the files on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -75,19 +78,29 @@ def _mc_gram_digest():
     return {"gram_ball2_log_singular_d8_s500000_seed2026": digest.hexdigest()}
 
 
-def _mc_gram_digest_on_one_blas_thread():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def _stdout_at_blas_threads(threads, script, *args):
+    """Standard output of ``python -c script *args`` in a process with
+    OPENBLAS_NUM_THREADS set to ``threads``, or unset when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join([str(SRC_ROOT), str(Path(__file__).parent)])
-    script = "import json, test_golden; print(json.dumps(test_golden._mc_gram_digest()))"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         check=True,
         env=env,
         timeout=300,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+_MC_GRAM_SCRIPT = "import json, test_golden; print(json.dumps(test_golden._mc_gram_digest()))"
+
+
+def _mc_gram_digest_on_one_blas_thread():
+    return json.loads(_stdout_at_blas_threads("1", _MC_GRAM_SCRIPT))
 
 
 @pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
@@ -131,27 +144,18 @@ def test_monte_carlo_gram_matches_digest():
     assert _mc_gram_digest_on_one_blas_thread() == json.loads(MC_GRAM_GOLDEN.read_text())
 
 
+def test_monte_carlo_gram_does_not_depend_on_blas_threads():
+    digests = {t: json.loads(_stdout_at_blas_threads(t, _MC_GRAM_SCRIPT)) for t in ("1", None)}
+    assert digests["1"] == digests[None] == json.loads(MC_GRAM_GOLDEN.read_text())
+
+
 def test_bound_ratio_body_does_not_depend_on_blas_threads():
     script = (
         "import json, sys; from pathlib import Path; import test_golden; "
         "print(json.dumps(test_golden._body(Path(sys.argv[1])), sort_keys=True))"
     )
     config = str(CONFIG_DIR / "bound_ratio.json")
-    bodies = {}
-    for threads in ("1", None):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join([str(SRC_ROOT), str(Path(__file__).parent)])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, config],
-            capture_output=True,
-            text=True,
-            check=True,
-            env=env,
-            timeout=300,
-        )
-        bodies[threads] = proc.stdout
+    bodies = {t: _stdout_at_blas_threads(t, script, config) for t in ("1", None)}
     assert bodies["1"] == bodies[None]
     golden = json.loads((GOLDEN_DIR / "bound_ratio.json").read_text())
     assert json.loads(bodies[None]) == golden
