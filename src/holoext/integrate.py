@@ -29,8 +29,8 @@ phases, so it keeps its box in R^(2m): it draws (2m, b) blocks at the
 scales 2 r_i, centres them on 0, and reads the real parts from the first m
 rows and the imaginary parts from the last m.  A polydisc box would raise
 its acceptance on the ball of C^2 from 31% to 50%, but to do that it would
-push 1.6 times the rows through the two GEMMs of each block, which take
-most of its time.
+push 1.6 times the rows through the product chains and the two SYRKs of
+each block, which take most of its time.
 
 Scheduling.  ``_box_moments`` runs its shards on a thread pool of
 min(usable cores, shards) workers; with one shard or one usable core it
@@ -47,14 +47,17 @@ workers and any BLAS thread count.  Memory is one block per worker,
 however many levels share it.
 
 The Monte Carlo Gram walks the same shards and blocks in order on one
-thread and reduces each block with two GEMMs; it holds one block plus its
-accumulators.  It stays off the pool because each pooled GEMM would start
-its own BLAS threads, which oversubscribe the cores: on 2 vCPUs, 3 x 10^6
-samples took 2.2-2.5 s with shards on two workers against 1.3-1.5 s on one
-thread; the pool wins (1.0-1.1 s) only with OPENBLAS_NUM_THREADS=1, and numpy
-cannot set the BLAS threads of one worker (threadpoolctl could).  On one
-thread the BLAS threads give no measurable gain: a 500k-sample Gram took
-0.24-0.29 s at one BLAS thread and 0.22-0.36 s at two.
+thread and reduces each block with two SYRKs (``bergman`` module
+docstring); it holds one block plus its accumulators.  A SYRK splits its
+output across the BLAS threads and never a sum, so the Gram's bits do not
+depend on their number either.  It stays off the pool because each pooled
+SYRK starts its own BLAS threads, which oversubscribe the cores: on 2
+vCPUs, 3 x 10^6 samples took 1.0-1.2 s with shards on two workers against
+0.75-0.82 s on one thread; the pool wins (0.60-0.71 s) only with
+OPENBLAS_NUM_THREADS=1, and numpy cannot set the BLAS threads of one worker
+(threadpoolctl could).  On one thread the BLAS threads give no measurable
+gain: a 500k-sample Gram took 0.139-0.149 s at one BLAS thread and
+0.137-0.162 s at two.
 
 Integrands are vectorized: they receive an (N, ambient_dim) array of the
 squared moduli of points that already passed the membership test and return
