@@ -341,8 +341,8 @@ def gram_matrix(
                 acc += v @ v.T
                 q = _chain_rows(basis, xs, wts)
                 acc2 += q @ q.T
-    # acc holds [[ReRe, ReIm], [ImRe, ImIm]]; mean[a, b] estimates the
-    # integral of e^(-phi) conj(z^a) z^b
+    # acc holds [[ReRe, ReIm], [ImRe, ImIm]]; mean[a, b] is the sample mean
+    # of e^(-phi) conj(z^a) z^b (zero outside the domain)
     re, im = acc[:width], acc[width:]
     mean = (re[:, :width] + im[:, width:] + 1j * (re[:, width:] - im[:, :width])) / samples
     gram = boxvol * 0.5 * (mean + mean.conj().T)
