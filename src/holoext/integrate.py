@@ -48,8 +48,8 @@ however many levels share it.
 
 The Monte Carlo Gram walks the same shards and blocks in order on one
 thread and reduces each block with two SYRKs (``bergman`` module
-docstring); it holds one block plus its accumulators.  A SYRK splits its
-output across the BLAS threads and never a sum, so the Gram's bits do not
+docstring); it holds one block plus its accumulators.  OpenBLAS splits a
+SYRK's output across its threads and never a sum, so the Gram's bits do not
 depend on their number either.  It stays off the pool because each pooled
 SYRK starts its own BLAS threads, which oversubscribe the cores: on 2
 vCPUs, 3 x 10^6 samples took 1.0-1.2 s with shards on two workers against
