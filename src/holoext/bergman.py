@@ -53,7 +53,9 @@ from .errors import (
     InfeasibleConstraintError,
 )
 from .geometry import Ball
-from .integrate import _ball_moment, _box_volume, _shard_blocks, _shards, _Z99, radial_integrate
+from .integrate import (
+    _ball_moment, _box_volume, _disc_radii, _shard_blocks, _shards, _Z99, radial_integrate
+)
 from .weights import RadialWeight
 
 __all__ = [
@@ -316,7 +318,7 @@ def gram_matrix(
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    radii = domain.bounding_radii()
+    radii = _disc_radii(domain.bounding_balls())
     boxvol = _box_volume(radii)
     m, width = len(radii), len(basis)
     centre = np.concatenate([radii, radii]).reshape(2 * m, 1)
@@ -324,7 +326,7 @@ def gram_matrix(
     acc2 = np.zeros((width, width))
     # one thread, shards in order: see the integrate module docstring
     for shard, size in _shards(samples):
-        for _, u in _shard_blocks([2.0 * centre], seed, shard, size):
+        for _, u in _shard_blocks([1] * (2 * m), [2.0 * centre], seed, shard, size):
             parts = u.T  # (2m, b): the real parts, then the imaginary parts
             parts -= centre
             x = np.square(parts[:m])

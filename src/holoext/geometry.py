@@ -5,6 +5,12 @@ after construction and safe to share across integration workers.  Every
 domain is Reinhardt, so its batch test ``contains_batch`` takes an (N, m)
 array of squared moduli x_i = |z_i|^2, as the Monte Carlo kernel draws them
 (``integrate._shard_blocks``); the scalar ``contains`` takes a complex point.
+
+Each domain names its Monte Carlo proposal with ``bounding_balls()``: a
+product of centred balls that holds it, as (k, r) pairs, one per ball of
+radius r in C^k over consecutive coordinates.  A ball is its own proposal,
+so every draw for it hits; a polydisc is a product of discs (k = 1); a
+Hartogs lift is its base's proposal times the unit ball of its fiber.
 """
 
 from __future__ import annotations
@@ -42,13 +48,6 @@ def sq_moduli(pts):
     return p.real * p.real + p.imag * p.imag
 
 
-def _compress_rows(mask, x):
-    """The rows of the (N, m) array ``x`` where ``mask`` holds, copied
-    column by column: the sampler's columns are contiguous, and so are the
-    result's."""
-    return np.compress(mask, x.T, axis=1).T
-
-
 class _Domain:
     """Scalar membership through the batch test of the concrete domain."""
 
@@ -77,8 +76,8 @@ class Ball(_Domain):
     def contains_batch(self, x):
         return x.sum(axis=1) < self.radius**2
 
-    def bounding_radii(self):
-        return np.full(self.dim, self.radius)
+    def bounding_balls(self):
+        return ((self.dim, self.radius),)
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ class Polydisc(_Domain):
     def contains_batch(self, x):
         return np.all(x < np.square(self.radii), axis=1)
 
-    def bounding_radii(self):
-        return np.asarray(self.radii)
+    def bounding_balls(self):
+        return tuple((1, r) for r in self.radii)
 
 
 @dataclass(frozen=True)
@@ -125,15 +124,18 @@ class HartogsLift(_Domain):
         return self.base.ambient_dim + self.fiber_dim
 
     def contains_batch(self, x):
-        nb = self.base.ambient_dim
-        mask = self.base.contains_batch(x[:, :nb])
-        out = np.zeros(len(x), dtype=bool)
-        if mask.any():
-            sel = _compress_rows(mask, x)
-            phi = self.weight.value_batch(sel[:, :nb])
-            out[mask] = sel[:, nb:].sum(axis=1) < np.exp(-phi / self.fiber_dim)
-        return out
+        """The fiber test and the base test, each on every row.
 
-    def bounding_radii(self):
-        """Base radii, then radius 1 for the fiber; valid because phi >= 0."""
-        return np.concatenate([self.base.bounding_radii(), np.ones(self.fiber_dim)])
+        The proposal's draws lie in the base already, so the weight runs on
+        the whole block with nothing copied; the base test stays for rows
+        drawn from any other proposal.
+        """
+        nb = self.base.ambient_dim
+        phi = self.weight.value_batch(x[:, :nb])
+        inside = x[:, nb:].sum(axis=1) < np.exp(-phi / self.fiber_dim)
+        inside &= self.base.contains_batch(x[:, :nb])
+        return inside
+
+    def bounding_balls(self):
+        """The base's balls, then the unit ball of the fiber; valid because phi >= 0."""
+        return self.base.bounding_balls() + ((self.fiber_dim, 1.0),)

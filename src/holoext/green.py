@@ -50,9 +50,10 @@ from .errors import DegenerateDomainError, DomainError
 from .geometry import Ball, HartogsLift, as_point, sq_moduli
 from .integrate import (
     QuadratureResult,
+    _ball_volume,
     _box_moments,
     _data_moment,
-    _polydisc_volume,
+    _disc_radii,
     _Z99,
     radial_integrate,
 )
@@ -292,8 +293,9 @@ class RadialLiftModel(_GreenModel):
 
 
 def _sublevel_radii(model, t):
-    """Bounding radii of {G < t/2}: the pole block shrinks to e^(t/2)."""
-    radii = model.domain().bounding_radii().copy()
+    """Radii of a polydisc that holds {G < t/2}: the domain's bounding balls
+    split into discs, the pole block shrunk to e^(t/2)."""
+    radii = _disc_radii(model.domain().bounding_balls())
     cap = math.exp(0.5 * t)
     radii[: model.pole_dim] = np.minimum(radii[: model.pole_dim], cap)
     return radii
@@ -303,7 +305,10 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
     """Rescaled sublevel integral e^(-k t) * integral_{G < t/2} chi.
 
     Samples the moduli of the sublevel set's own bounding polydisc (the
-    domain's would almost never hit {G < t/2} for very negative t).  ``chi``
+    domain's would almost never hit {G < t/2} for very negative t).  The
+    proposal stays a product of discs even where the domain's is a ball: at
+    the ball point the set is a ball, and its own proposal would give every
+    level a half-width of 0.  ``chi``
     is a vectorized nonnegative integrand of the (N, ambient_dim) squared
     moduli; a non-finite value of it counts as zero and is
     reported in ``rejected_infinite``.  A ``chi`` of None is the constant 1,
@@ -334,16 +339,17 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
         except OverflowError:
             raise ValueError(f"e^(-k t) overflows at t = {level!r} (k = {k})") from None
     radii = [_sublevel_radii(model, level) for level in ladder]
-    levels = [(r, partial(model.sublevel_batch, t=level)) for r, level in zip(radii, ladder)]
+    discs = [[(1, ri) for ri in r] for r in radii]
+    levels = [(d, partial(model.sublevel_batch, t=level)) for d, level in zip(discs, ladder)]
     moments = _box_moments(levels, chi, samples, seed)
     results = []
-    for level, grow, r, (mean, stderr, n_hit, n_bad) in zip(ladder, growth, radii, moments):
+    for level, grow, d, (mean, stderr, n_hit, n_bad) in zip(ladder, growth, discs, moments):
         if n_hit == 0:
             raise DegenerateDomainError(
                 f"0 of {samples} samples hit the sublevel set at t = {level!r}; "
                 "its bounding polydisc does not resolve it"
             )
-        scale = grow * _polydisc_volume(r)
+        scale = grow * _ball_volume(d)
         results.append(
             QuadratureResult(
                 value=scale * mean,

@@ -89,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDomainError
-from .geometry import Ball, HartogsLift, _compress_rows
+from .geometry import Ball, HartogsLift
 from .weights import RadialProfile, RadialWeight
 
 __all__ = [
@@ -137,9 +137,21 @@ def _box_volume(radii):
     return float(np.prod((2.0 * radii) ** 2))
 
 
-def _polydisc_volume(radii):
-    """Volume of the polydisc |z_i| < radii_i."""
-    return float(np.prod(math.pi * np.square(radii)))
+def _disc_radii(balls):
+    """The radius of each coordinate of a product of balls given as (k, r) pairs."""
+    return np.repeat([float(r) for _, r in balls], [k for k, _ in balls])
+
+
+def _ball_volume(balls):
+    """Volume prod pi^k r^(2k) / k! of a product of balls given as (k, r) pairs."""
+    return float(np.prod([math.pi**k * (r * r) ** k / math.factorial(k) for k, r in balls]))
+
+
+def _compress_rows(mask, x):
+    """The rows of the (N, m) array ``x`` where ``mask`` holds, copied
+    column by column: the sampler's columns are contiguous, and so are the
+    result's."""
+    return np.compress(mask, x.T, axis=1).T
 
 
 def _usable_cores() -> int:
@@ -158,29 +170,58 @@ def _shards(samples: int):
     ]
 
 
-def _shard_blocks(scales, seed: int, shard: int, size: int):
-    """Yield (level, x) for the ``size`` uniform draws of one shard.
+def _simplex_spacings(u, spare):
+    """Write over the k rows of uniforms ``u`` the spacings of their sorted values.
 
-    ``scales`` holds one row of per-coordinate scales c_i per level.  The
-    draws come from rng_stream(seed, shard) in consecutive blocks of at most
-    ``_BLOCK`` draws, each block an (m, b) array of uniforms u, coordinate by
-    coordinate, as rng.random((m, b)) makes it.  Each level writes u_i * c_i
-    with one contiguous product per coordinate, so each level sees exactly
-    the values a draw for it alone would make, and ``x`` is that (m, b)
-    array seen as (b, m), its columns contiguous.  The buffers are reused for
-    the whole shard; a single level is written over its uniforms.  ``x`` is
-    valid only until the next yield, and the caller may overwrite it.
+    Column by column, the sorted values s_1 <= ... <= s_k become
+    s_1, s_2 - s_1, ..., s_k - s_(k-1): a uniform point of the simplex
+    {x >= 0, sum x < 1}.  The sort is an odd-even transposition network of
+    row-wise minima and maxima (k = 2 is one comparator), with ``spare`` one
+    row of scratch.  The uniforms are multiples of 2^-53 in [0, 1), so every
+    difference is exact and the spacings of a column add up to its s_k.
+    """
+    k = len(u)
+    for phase in range(k):
+        for i in range(phase % 2, k - 1, 2):
+            np.minimum(u[i], u[i + 1], out=spare)
+            np.maximum(u[i], u[i + 1], out=u[i + 1])
+            u[i] = spare
+    for i in range(k - 1, 0, -1):
+        np.subtract(u[i], u[i - 1], out=u[i])
+
+
+def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
+    """Yield (level, x) for the ``size`` draws of one shard.
+
+    ``dims`` splits the m coordinates into consecutive groups, one per ball
+    of the proposal, and ``scales`` holds one row of per-coordinate scales
+    c_i per level.  The draws come from rng_stream(seed, shard) in
+    consecutive blocks of at most ``_BLOCK`` draws, each block an (m, b)
+    array of uniforms u, coordinate by coordinate, as rng.random((m, b))
+    makes it.  The rows of each group of k >= 2 coordinates then become, in
+    place, the spacings of their sorted uniforms (``_simplex_spacings``); a
+    group of one keeps its uniform.  Each level writes u_i * c_i with one
+    contiguous product per coordinate, so each level sees exactly the values
+    a draw for it alone would make, and ``x`` is that (m, b) array seen as
+    (b, m), its columns contiguous.  The buffers are reused for the whole
+    shard; a single level is written over its uniforms.  ``x`` is valid only
+    until the next yield, and the caller may overwrite it.
     """
     m = len(scales[0])
     rows = min(_BLOCK, size)
     unit = np.empty(m * rows)
     out = unit if len(scales) == 1 else np.empty(m * rows)
+    spare = np.empty(rows)
+    starts = np.cumsum((0, *dims))
+    groups = [(lo, hi) for lo, hi in zip(starts[:-1], starts[1:]) if hi - lo > 1]
     columns = [np.asarray(c, dtype=float).reshape(m, 1) for c in scales]
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
         ub, xb = unit[: m * b].reshape(m, b), out[: m * b].reshape(m, b)
         rng.random(out=ub)
+        for first, end in groups:
+            _simplex_spacings(ub[first:end], spare[:b])
         for level, column in enumerate(columns):
             np.multiply(ub, column, out=xb)
             yield level, xb.T
@@ -189,15 +230,17 @@ def _shard_blocks(scales, seed: int, shard: int, size: int):
 def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     """Per level, [sum, sum of squares, inside count, non-finite count] over one shard.
 
-    The moduli of a level with radii r are drawn at the scales r^2.  Each
-    block adds the sum of its inside values, then the sum of their squares;
-    values outside the level's set are zero and add nothing.  An
+    The moduli of a level with balls (k, r) are drawn at the scales r^2.
+    Each block adds the sum of its inside values, then the sum of their
+    squares; values outside the level's set are zero and add nothing.  An
     ``integrand`` of None is the constant 1: a block adds its inside count to
     both sums, which is what summing that many ones gives, bit for bit.
     """
-    radii, tests = zip(*levels)
+    balls, tests = zip(*levels)
+    dims = [k for k, _ in balls[0]]
+    scales = [np.square(_disc_radii(b)) for b in balls]
     parts = [[0.0, 0.0, 0, 0] for _ in levels]
-    for level, x in _shard_blocks([np.square(r) for r in radii], seed, shard, size):
+    for level, x in _shard_blocks(dims, scales, seed, shard, size):
         mask = tests[level](x)
         hits = int(np.count_nonzero(mask))
         part = parts[level]
@@ -219,16 +262,18 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
 
 
 def _box_moments(levels, integrand, samples: int, seed: int):
-    """Moments of the masked integrand over the polydisc draws of each level.
+    """Moments of the masked integrand over the proposal draws of each level.
 
-    ``levels`` is a list of (radii, inside) pairs that share the draws:
-    ``inside`` maps a block of squared moduli in the polydisc of ``radii`` to
-    its membership mask, and ``integrand`` maps the inside moduli to real
-    values, or is None to count them.  The shards run and are reduced as the module docstring
-    describes; each worker runs under a copy of the caller's context, so
-    ``np.errstate`` carries over.  Returns, per level, the sample mean, its
-    standard error, the inside count and the non-finite count, with the bits
-    of a call for that level alone.
+    ``levels`` is a list of (balls, inside) pairs that share the draws:
+    ``balls`` is the level's proposal, a product of balls given as (k, r)
+    pairs with the same dimensions k at every level; ``inside`` maps a block
+    of squared moduli drawn in it to its membership mask, and ``integrand``
+    maps the inside moduli to real values, or is None to count them.  The
+    shards run and are reduced as the module docstring describes; each
+    worker runs under a copy of the caller's context, so ``np.errstate``
+    carries over.  Returns, per level, the sample mean, its standard error,
+    the inside count and the non-finite count, with the bits of a call for
+    that level alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -297,25 +342,26 @@ def _data_moment(m: int, f_coeffs, q: int) -> float:
 def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult:
     """Monte Carlo estimate of the integral of ``integrand`` over ``domain``.
 
-    The estimator is the volume of the polydisc of the domain's bounding radii
-    times the mean of chi_domain * integrand over it; ``integrand`` maps an
+    The draws are uniform in the product of the domain's bounding balls,
+    and the estimator is that product's volume prod pi^k r^(2k) / k! times
+    the mean of chi_domain * integrand over them; ``integrand`` maps an
     (N, ambient_dim) array of squared moduli |z_i|^2 to N values.  The
-    error_estimate is a 99% confidence half-width.  An
-    ``integrand`` of None is the constant 1 (the domain's volume), counted
-    without evaluating anything and with the bits of an integrand of ones.
-    Raises DegenerateDomainError when fewer than 0.1% of the samples land
-    inside.
+    error_estimate is a 99% confidence half-width; it is 0 for the volume of
+    a set that equals its proposal, such as a ball.  An ``integrand`` of
+    None is the constant 1 (the domain's volume), counted without evaluating
+    anything and with the bits of an integrand of ones.  Raises
+    DegenerateDomainError when fewer than 0.1% of the samples land inside.
     """
-    radii = domain.bounding_radii()
+    balls = domain.bounding_balls()
     [(mean, stderr, n_inside, n_bad)] = _box_moments(
-        [(radii, domain.contains_batch)], integrand, samples, seed
+        [(balls, domain.contains_batch)], integrand, samples, seed
     )
     if n_inside < 0.001 * samples:
         raise DegenerateDomainError(
             f"only {n_inside} of {samples} samples hit the domain; "
-            "the bounding polydisc does not resolve it"
+            "the product of its bounding balls does not resolve it"
         )
-    vol = _polydisc_volume(radii)
+    vol = _ball_volume(balls)
     return QuadratureResult(
         value=vol * mean,
         error_estimate=_Z99 * vol * stderr,

@@ -258,8 +258,10 @@ class RadialWeight(_Weight):
 
     def value_batch(self, x):
         r2 = x[:, : self.k].sum(axis=1)
-        out = np.where(r2 == 0.0, 0.0, np.inf)
         ok = (0.0 < r2) & (r2 < 1.0)
+        if ok.all():  # the usual block: the same values, with no copy or scatter
+            return self.k * self.profile.value(np.log(r2))
+        out = np.where(r2 == 0.0, 0.0, np.inf)
         if ok.any():
             out[ok] = self.k * self.profile.value(np.log(r2[ok]))
         return out

@@ -31,7 +31,7 @@ from holoext.green import (
     RadialLiftModel,
     sublevel_scaling,
 )
-from holoext.integrate import fubini_mc_oracle, volume
+from holoext.integrate import _disc_radii, fubini_mc_oracle, volume
 from holoext.weights import LogSingularProfile, RadialWeight, ScaledLogProfile
 
 PI = math.pi
@@ -147,7 +147,7 @@ def test_criterion_6_property_suites():
         # Green negativity on 1e5 interior samples per model
         for model in models:
             domain = model.domain()
-            radii = domain.bounding_radii()
+            radii = _disc_radii(domain.bounding_balls())
             pts = []
             while sum(len(p) for p in pts) < 100_000:
                 block = rng.uniform(-1, 1, (200_000, 2 * len(radii)))
@@ -163,7 +163,7 @@ def test_criterion_6_property_suites():
             domain = model.domain()
             checked = 0
             while checked < 20:
-                radii = domain.bounding_radii()
+                radii = _disc_radii(domain.bounding_balls())
                 block = rng.uniform(-1, 1, (500, 2 * len(radii)))
                 cand = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
                 cand = cand[domain.contains_batch(sq_moduli(cand))]

@@ -23,7 +23,7 @@ from holoext.errors import (
     InfeasibleConstraintError,
 )
 from holoext.geometry import Ball, sq_moduli
-from holoext.integrate import _BLOCK, _box_volume, _Z99, rng_stream
+from holoext.integrate import _BLOCK, _box_volume, _disc_radii, _Z99, rng_stream
 from holoext.weights import (
     BallStandardWeight,
     EpsilonRegularizedProfile,
@@ -216,7 +216,7 @@ def test_gram_monte_carlo_agrees_with_exact():
 def _whole_shard_gram(domain, weight, basis, samples, seed):
     """Reference Monte Carlo Gram: each shard's blocks drawn as
     rng.random((2m, b)), the real parts first, joined and reduced in one GEMM."""
-    radii = domain.bounding_radii()
+    radii = _disc_radii(domain.bounding_balls())
     m, width = len(radii), len(basis)
     acc = np.zeros((width, width), dtype=complex)
     acc2 = np.zeros((width, width))

@@ -152,7 +152,19 @@ def _old_lift_mask(lift, x):
 def test_masks_match_the_old_formulas_on_a_million_draws():
     ball = Ball(1.0, 4)
     lift = HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 2), 2)  # fubini_k2
-    # shard 0 of seed 2026: a million moduli draws in coordinate-major blocks
-    for _, x in _shard_blocks([ball.bounding_radii() ** 2], 2026, 0, 1_000_000):
-        assert np.array_equal(ball.contains_batch(x), np.sum(np.ascontiguousarray(x), axis=1) < 1.0)
-        assert np.array_equal(lift.contains_batch(x), _old_lift_mask(lift, x))
+    # shard 0 of seed 2026: a million moduli draws in coordinate-major blocks,
+    # in the polydisc, whose draws leave the lift's base, and in the lift's proposal
+    for dims in ((1, 1, 1, 1), (2, 2)):
+        for _, x in _shard_blocks(dims, [np.ones(4)], 2026, 0, 1_000_000):
+            want = np.sum(np.ascontiguousarray(x), axis=1) < 1.0
+            assert np.array_equal(ball.contains_batch(x), want)
+            assert np.array_equal(lift.contains_batch(x), _old_lift_mask(lift, x))
+
+
+def test_bounding_balls_name_each_domains_proposal():
+    assert Ball(0.5, 3).bounding_balls() == ((3, 0.5),)
+    assert Polydisc((1.0, 2.0)).bounding_balls() == ((1, 1.0), (1, 2.0))
+    lift = HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 2), 2)
+    assert lift.bounding_balls() == ((2, 1.0), (2, 1.0))
+    lift = HartogsLift(Polydisc((1.0, 0.5)), RadialWeight(LogSingularProfile(), 1), 3)
+    assert lift.bounding_balls() == ((1, 1.0), (1, 0.5), (3, 1.0))

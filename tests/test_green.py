@@ -17,7 +17,7 @@ from holoext.green import (
     RadialLiftModel,
     sublevel_scaling,
 )
-from holoext.integrate import _BLOCK, _SHARD_SIZE
+from holoext.integrate import _BLOCK, _SHARD_SIZE, _disc_radii
 from holoext.weights import EpsilonRegularizedProfile, LogSingularProfile, ScaledLogProfile
 
 PI = math.pi
@@ -35,7 +35,7 @@ MODELS = [
 def _interior_points(model, count, rng):
     """Rejection-sample interior points of the model domain."""
     domain = model.domain()
-    radii = domain.bounding_radii()
+    radii = _disc_radii(domain.bounding_balls())
     out = []
     while len(out) < count:
         block = rng.uniform(-1, 1, (4 * count, 2 * len(radii)))
@@ -506,7 +506,7 @@ def test_sublevel_batch_is_the_domain_and_green_mask(model):
     domain = model.domain()
     for t in (-1.0, -4.0, -12.0):
         radii = green._sublevel_radii(model, t)
-        for _, x in integrate._shard_blocks([radii**2], 2044, 0, 3 * _BLOCK):
+        for _, x in integrate._shard_blocks([1] * len(radii), [radii**2], 2044, 0, 3 * _BLOCK):
             want = domain.contains_batch(x)
             want[want] = model.green_batch(x[want]) < 0.5 * t
             assert np.array_equal(model.sublevel_batch(x, t), want)

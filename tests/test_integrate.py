@@ -46,14 +46,33 @@ FUBINI_PROFILES = [
 ]
 
 
+# the unit ball of C^2 as the lift of the log-singular weight over the disc
+# (|w|^2 < e^(-u(log |z|^2)) = 1 - |z|^2): a set of volume pi^2/2 whose
+# proposal, the bidisc, it fills by half
+BALL2_LIFT = HartogsLift(Ball(1.0, 1), RadialWeight(LogSingularProfile(), 1), 1)
+
+
 def test_disc_area():
-    # the unit disc is its own bounding polydisc: every draw hits, so the
-    # estimate is exact; the ball of C^2 fills half of its polydisc
+    # the unit disc is its own proposal, so its area is exact; the lift over
+    # it is not, so its volume is an estimate
     res = volume(Ball(1.0, 1), 1_000_000, seed=42)
     assert (res.value, res.error_estimate) == (PI, 0.0)
-    res = volume(Ball(1.0, 2), 1_000_000, seed=42)
+    res = volume(BALL2_LIFT, 1_000_000, seed=42)
     assert res.value == pytest.approx(PI**2 / 2, rel=1e-2)
     assert res.error_estimate > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("radius", [1.0, 0.7, 2.5])
+def test_a_ball_is_its_own_exact_proposal(n, radius):
+    # every draw hits, so the volume is pi^n r^(2n) / n! with half-width 0
+    res = volume(Ball(radius, n), 200_000, seed=45)
+    assert res.value == pytest.approx(PI**n * radius ** (2 * n) / math.factorial(n), rel=1e-14)
+    assert res.error_estimate == 0.0
+    [(mean, stderr, hits, _)] = _box_moments(
+        [(Ball(radius, n).bounding_balls(), Ball(radius, n).contains_batch)], None, 200_000, 45
+    )
+    assert (mean, stderr, hits) == (1.0, 0.0, 200_000)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -62,7 +81,7 @@ def test_ball_hits_its_polydisc_at_one_over_n_factorial(n):
     # ball's hit count is binomial with p = 1/n! (a complex box would give
     # p = pi^n / (n! 4^n))
     samples = 1_000_000
-    hits = volume(Ball(1.0, n), samples, seed=38).value / PI**n * samples
+    [(_, _, hits, _)] = _box_moments([([(1, 1.0)] * n, Ball(1.0, n).contains_batch)], None, samples, 38)
     p = 1.0 / math.factorial(n)
     assert abs(hits - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
 
@@ -85,24 +104,24 @@ def test_rng_stream_reproducible_per_key():
 
 def test_mc_is_deterministic_per_seed():
     integrand = lambda pts: np.ones(len(pts))
-    a = mc_integrate(Ball(1.0, 2), integrand, 300_000, seed=7)
-    b = mc_integrate(Ball(1.0, 2), integrand, 300_000, seed=7)
+    a = mc_integrate(BALL2_LIFT, integrand, 300_000, seed=7)
+    b = mc_integrate(BALL2_LIFT, integrand, 300_000, seed=7)
     assert a.value == b.value
     assert a.error_estimate == b.error_estimate
-    c = mc_integrate(Ball(1.0, 2), integrand, 300_000, seed=8)
+    c = mc_integrate(BALL2_LIFT, integrand, 300_000, seed=8)
     assert c.value != a.value
 
 
 def test_mc_unbiasedness_over_seeds():
     target = PI**2 / 2
-    estimates = [volume(Ball(1.0, 2), 100_000, seed=s).value for s in range(30)]
+    estimates = [volume(BALL2_LIFT, 100_000, seed=s).value for s in range(30)]
     mean = np.mean(estimates)
     stderr = np.std(estimates, ddof=1) / math.sqrt(len(estimates))
     assert abs(mean - target) <= 3 * stderr
 
 
 def test_mc_error_bar_covers_truth():
-    res = volume(Ball(1.0, 2), 400_000, seed=3)
+    res = volume(BALL2_LIFT, 400_000, seed=3)
     assert abs(res.value - PI**2 / 2) <= 3 * res.error_estimate
 
 
@@ -117,9 +136,11 @@ def test_mc_counts_nonfinite_integrand_values():
 
 
 def test_mc_degenerate_domain_raises():
-    # the ball of C^8 fills 1/8! = 2.5e-5 of its bounding polydisc, under the 0.1% floor
-    with pytest.raises(DegenerateDomainError):
-        volume(Ball(1.0, 8), 50_000, seed=1)
+    # the scaled lift at a = 10 fills Gamma(11)^2 / (pi Gamma(21)) = 1.7e-6
+    # of its bidisc proposal, under the 0.1% floor
+    lift = HartogsLift(Ball(1.0, 1), RadialWeight(ScaledLogProfile(a=10.0), 1), 1)
+    with pytest.raises(DegenerateDomainError, match="bounding balls"):
+        volume(lift, 50_000, seed=1)
 
 
 def test_radial_quadrature_examples():
@@ -332,13 +353,20 @@ def test_invalid_arguments():
 # ---------------------------------------------------------------------------
 
 
-def _reference_blocks(scales, seed, shard, size):
+def _reference_blocks(dims, scales, seed, shard, size):
     """Reference for _shard_blocks: each block drawn as rng.random((m, b)),
-    then each level's scale of coordinate i broadcast along row i."""
+    the rows of each group of ``dims`` replaced by the differences of their
+    sorted values with a 0 put first, then each level's scale of coordinate i
+    broadcast along row i."""
     m = len(scales[0])
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         u = rng.random((m, min(_BLOCK, size - lo)))
+        start = 0
+        for k in dims:
+            group = np.sort(u[start : start + k], axis=0)
+            u[start : start + k] = np.diff(group, axis=0, prepend=0.0)
+            start += k
         for level, c in enumerate(scales):
             yield level, (u * np.asarray(c)[:, None]).T
 
@@ -348,13 +376,15 @@ def _whole_shard_moments(levels, integrand, samples, seed):
     on one thread by ``_reference_blocks`` at the scales r^2, masked and
     reduced block by block over the inside values, shards in order."""
     moments = []
-    for radii, inside in levels:
+    for balls, inside in levels:
+        dims = [k for k, _ in balls]
+        radii = np.repeat([r for _, r in balls], dims)
         s1 = s2 = 0.0
         n_inside = n_bad = 0
         for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
             size = min(_SHARD_SIZE, samples - done)
             t1 = t2 = 0.0
-            for _, block in _reference_blocks([radii * radii], seed, shard, size):
+            for _, block in _reference_blocks(dims, [radii * radii], seed, shard, size):
                 mask = inside(block)
                 n_inside += int(mask.sum())
                 if mask.any():
@@ -381,10 +411,15 @@ def _nan_on_left_half(x):
     return vals
 
 
-def _ball_levels(inside):
-    """The unit ball of C^2 sampled in its own polydisc, then in one cut to |z_1| < 0.7."""
-    radii = Ball(1.0, 2).bounding_radii()
-    return [(radii, inside), (np.array([0.7, 1.0]), inside)]
+def _ball_levels(inside, proposal):
+    """The unit ball of C^2 sampled in the bidisc, then in one cut to
+    |z_1| < 0.7; or in its own ball, then in the ball of radius 0.7."""
+    if proposal == "discs":
+        return [([(1, 1.0), (1, 1.0)], inside), ([(1, 0.7), (1, 1.0)], inside)]
+    return [([(2, 1.0)], inside), ([(2, 0.7)], inside)]
+
+
+PROPOSALS = pytest.mark.parametrize("proposal", ["discs", "ball"])
 
 
 MOMENT_SAMPLES = pytest.mark.parametrize(
@@ -394,9 +429,10 @@ MOMENT_SAMPLES = pytest.mark.parametrize(
 )
 
 
+@PROPOSALS
 @MOMENT_SAMPLES
-def test_box_moments_bit_identical_to_whole_shard_loop(samples):
-    levels = _ball_levels(Ball(1.0, 2).contains_batch)
+def test_box_moments_bit_identical_to_whole_shard_loop(samples, proposal):
+    levels = _ball_levels(Ball(1.0, 2).contains_batch, proposal)
     for count in (1, 2):
         got = _box_moments(levels[:count], _nan_on_left_half, samples, 2029)
         assert got == _whole_shard_moments(levels[:count], _nan_on_left_half, samples, 2029)
@@ -406,8 +442,9 @@ def test_box_moments_bit_identical_to_whole_shard_loop(samples):
         assert got[0] != got[1]
 
 
+@PROPOSALS
 @MOMENT_SAMPLES
-def test_box_moments_same_on_one_and_two_workers(samples, monkeypatch):
+def test_box_moments_same_on_one_and_two_workers(samples, proposal, monkeypatch):
     domain = Ball(1.0, 2)
     threads = set()
 
@@ -415,7 +452,7 @@ def test_box_moments_same_on_one_and_two_workers(samples, monkeypatch):
         threads.add(threading.get_ident())
         return domain.contains_batch(pts)
 
-    args = (_ball_levels(inside), _nan_on_left_half, samples, 2031)
+    args = (_ball_levels(inside, proposal), _nan_on_left_half, samples, 2031)
     got = {}
     for cores in (1, 2):
         threads.clear()
@@ -442,38 +479,73 @@ def test_box_moments_workers_run_under_the_callers_errstate(monkeypatch):
 def test_shard_blocks_concatenate_to_the_whole_shard_draw():
     # on C^1 a block is one row of draws, so the blocks of a shard, in order,
     # are its whole stream drawn in one call
-    radii = Ball(1.0, 1).bounding_radii()
     sizes = (_SHARD_SIZE, _BLOCK + 5)
     assert integrate._shards(sum(sizes)) == list(enumerate(sizes))
     want_lens = ([_BLOCK] * (_SHARD_SIZE // _BLOCK) + [_SHARD_SIZE % _BLOCK], [_BLOCK, 5])
     for shard, size in enumerate(sizes):
-        blocks = [x.copy() for _, x in integrate._shard_blocks([radii * 0.5], 11, shard, size)]
+        blocks = [x.copy() for _, x in integrate._shard_blocks([1], [[0.5]], 11, shard, size)]
         assert [len(b) for b in blocks] == want_lens[shard]
         want = rng_stream(11, shard).random((size, 1)) * 0.5
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_shard_blocks_match_the_row_broadcast_layout(m):
+@pytest.mark.parametrize(
+    "dims", [(1,), (1, 1), (2,), (1, 2), (3,), (2, 1, 1), (4,), (2, 3), (5,)], ids=str
+)
+def test_shard_blocks_match_the_row_broadcast_layout(dims):
     # three levels whose scales differ in some coordinates only, then the same
     # draws as one level, written over its uniforms; two shards, each ending
-    # in a partial block
+    # in a partial block; the groups of several coordinates hold spacings
+    m = sum(dims)
     base = np.linspace(0.4, 1.0, m)
     scales = [base, base.copy(), base * 0.5]
     scales[1][0] = 0.05
     size = 2 * _BLOCK + 7
     for shard in (0, 3):
         for levels in (scales, scales[2:]):
-            got = [(level, x.copy()) for level, x in integrate._shard_blocks(levels, 2041, shard, size)]
-            want = list(_reference_blocks(levels, 2041, shard, size))
+            got = [
+                (level, x.copy())
+                for level, x in integrate._shard_blocks(dims, levels, 2041, shard, size)
+            ]
+            want = list(_reference_blocks(dims, levels, 2041, shard, size))
             count = len(levels)
             assert [level for level, _ in got] == [level for level, _ in want] == list(range(count)) * 3
             assert [len(x) for _, x in got] == [_BLOCK] * 2 * count + [7] * count
             for (_, g), (_, w) in zip(got, want):
                 assert g.tobytes() == w.tobytes()
     # the consumers see (b, m) views of coordinate-major blocks
-    _, x = next(integrate._shard_blocks(scales, 2041, 0, size))
+    _, x = next(integrate._shard_blocks(dims, scales, 2041, 0, size))
     assert x.shape == (_BLOCK, m) and x.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("radius", [1.0, 0.6])
+def test_ball_draws_are_uniform_squared_moduli(k, radius):
+    # the squared moduli of a uniform point of the ball of radius r in C^k
+    # are uniform on the simplex sum x < r^2, so each has mean r^2 / (k + 1)
+    # and variance r^4 k / ((k + 1)^2 (k + 2))
+    size = 3 * _BLOCK + 11
+    scale = radius * radius
+    blocks = [x.copy() for _, x in integrate._shard_blocks([k], [[scale] * k], 2045, 0, size)]
+    x = np.concatenate(blocks)
+    assert x.shape == (size, k) and np.all(x >= 0.0)
+    assert np.all(x.sum(axis=1) < scale)
+    mean = scale / (k + 1)
+    stderr = scale * math.sqrt(k / ((k + 2) * size)) / (k + 1)
+    assert np.all(np.abs(x.mean(axis=0) - mean) <= 3.0 * stderr)
+
+
+def test_disc_groups_keep_their_uniforms():
+    # a group of one coordinate is not touched: its moduli are the scaled
+    # uniforms, bit for bit, beside a ball group or on their own
+    size = 2 * _BLOCK + 3
+    rng = rng_stream(2046, 0)
+    u = np.concatenate([rng.random((4, min(_BLOCK, size - lo))) for lo in range(0, size, _BLOCK)], 1)
+    for dims in ((1, 1, 1, 1), (1, 2, 1)):
+        blocks = integrate._shard_blocks(dims, [[1.0] * 4], 2046, 0, size)
+        x = np.concatenate([x.copy() for _, x in blocks])
+        assert x[:, 0].tobytes() == u[0].tobytes() and x[:, 3].tobytes() == u[3].tobytes()
+    assert x[:, 1].tobytes() != u[1].tobytes()
 
 
 _FUBINI_K2_LIFT = HartogsLift(
