@@ -7,22 +7,32 @@ draws.  Shard j is drawn from an SFC64 generator seeded by (seed, j), in
 consecutive blocks of ``_BLOCK`` draws.  A block is coordinate-major: an
 (m, b) array of uniforms whose row i holds the b draws of coordinate i, so
 every per-coordinate operation runs on contiguous memory.  The kernel takes
-a list of levels, each a row of per-coordinate scales c_i, and writes each
-level as u_i * c_i with one contiguous product per coordinate, every value
-rounded once.  So a ladder of levels (the sublevel sets of
+the sizes of the coordinate groups that form the balls of the proposal (see
+below), and a list of levels, each a row of per-coordinate scales c_i; it
+writes each level as u_i * c_i with one contiguous product per coordinate,
+every value rounded once.  So a ladder of levels (the sublevel sets of
 ``sublevel_scaling``) pays for one draw, and each level sees exactly the
 values a draw for it alone would make.  The consumers get each level as an
 (N, m) view whose columns are contiguous.
 
 The domains, the Green functions and the weights are Reinhardt: they depend
-on the point through its squared moduli x_i = |z_i|^2 alone.  If z_i is
-uniform on the disc of radius r_i, then x_i is uniform on [0, r_i^2].  So
-the estimators behind ``_box_moments`` (``mc_integrate``, ``volume`` and
-``sublevel_scaling``) draw the moduli directly, with the scales r_i^2, and
-their integrands and membership tests take (N, m) arrays of squared moduli.
-The estimate is the polydisc volume prod pi r_i^2 times the sample mean.
-A draw takes m uniforms, and the unit polydisc holds the unit ball of C^m
-in 1/m! of its volume.
+on the point through its squared moduli x_i = |z_i|^2 alone.  If z is
+uniform on the ball of radius r in C^k, then (x_1, ..., x_k) is uniform on
+the simplex {x >= 0, sum x < r^2} (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. V); for k = 1, on [0, r^2].  The spacings of k sorted
+uniforms are uniform on the unit simplex, so the kernel turns the k rows of
+each ball with k >= 2 into those spacings in place, by a sorting network of
+row-wise minima and maxima, and scales them by r^2; a draw still takes m
+uniforms, and the rows of a disc keep theirs bit for bit.  The estimators
+behind ``_box_moments`` (``mc_integrate``, ``volume`` and
+``sublevel_scaling``) draw the moduli this way, and their integrands and
+membership tests take (N, m) arrays of squared moduli.  The estimate is the
+proposal's volume prod pi^k r^(2k) / k! times the sample mean.
+``mc_integrate`` draws in the product of the domain's bounding balls
+(``geometry``): a ball is its own proposal, every draw hits and its volume
+has half-width 0, and the log-singular lift at k = 2, the ball of C^4, fills
+1/6 of its proposal against 1/24 of the unit polydisc.  ``sublevel_scaling``
+keeps a polydisc for its levels (its docstring says why).
 
 The Monte Carlo Gram integrates z^alpha conj(z^beta), which depends on the
 phases, so it keeps its box in R^(2m): it draws (2m, b) blocks at the
@@ -248,8 +258,11 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
             part[0] += float(hits)
             part[1] += float(hits)
         elif hits:
-            # a copy, so that squaring in place leaves the integrand's array alone
-            vals = np.array(integrand(_compress_rows(mask, x)), dtype=float)
+            # a block that hits everywhere, as a ball's own proposal does, goes
+            # to the integrand uncopied; the values are copied, so that
+            # squaring in place leaves the integrand's array alone
+            inside = x if hits == len(x) else _compress_rows(mask, x)
+            vals = np.array(integrand(inside), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
                 part[3] += int(bad.sum())
