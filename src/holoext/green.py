@@ -338,8 +338,7 @@ def sublevel_scaling(model, chi, t, samples: int, seed: int):
             growth.append(math.exp(-k * level))
         except OverflowError:
             raise ValueError(f"e^(-k t) overflows at t = {level!r} (k = {k})") from None
-    radii = [_sublevel_radii(model, level) for level in ladder]
-    discs = [[(1, ri) for ri in r] for r in radii]
+    discs = [[(1, r) for r in _sublevel_radii(model, level)] for level in ladder]
     levels = [(d, partial(model.sublevel_batch, t=level)) for d, level in zip(discs, ladder)]
     moments = _box_moments(levels, chi, samples, seed)
     results = []

@@ -157,13 +157,6 @@ def _ball_volume(balls):
     return float(np.prod([math.pi**k * (r * r) ** k / math.factorial(k) for k, r in balls]))
 
 
-def _compress_rows(mask, x):
-    """The rows of the (N, m) array ``x`` where ``mask`` holds, copied
-    column by column: the sampler's columns are contiguous, and so are the
-    result's."""
-    return np.compress(mask, x.T, axis=1).T
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -258,10 +251,11 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
             part[0] += float(hits)
             part[1] += float(hits)
         elif hits:
-            # a block that hits everywhere, as a ball's own proposal does, goes
-            # to the integrand uncopied; the values are copied, so that
+            # the inside rows, copied column by column so that their columns
+            # stay contiguous; a block that hits everywhere, as a ball's own
+            # proposal does, goes uncopied.  The values are copied, so that
             # squaring in place leaves the integrand's array alone
-            inside = x if hits == len(x) else _compress_rows(mask, x)
+            inside = x if hits == len(x) else np.compress(mask, x.T, axis=1).T
             vals = np.array(integrand(inside), dtype=float)
             bad = ~np.isfinite(vals)
             if bad.any():
