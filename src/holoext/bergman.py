@@ -331,7 +331,7 @@ def gram_matrix(
             parts -= centre
             x = np.square(parts[:m])
             x += np.square(parts[m:])
-            mask = domain.contains_batch(x.T)
+            mask = domain.contains_moduli(x.T)
             if mask.any():
                 sel = np.compress(mask, parts, axis=1)
                 xs = np.compress(mask, x, axis=1)

@@ -142,10 +142,9 @@ def ball_bound_integral(n: int) -> QuadratureResult:
 
 
 def ball_bound_integral_mc(n: int, samples: int, seed: int) -> QuadratureResult:
-    """Monte Carlo cross-check of integral_(B^n) (1 - |w|^2)^n dV."""
-    return mc_integrate(
-        Ball(radius=1.0, dim=n), lambda x: (1.0 - x.sum(axis=1)) ** n, samples, seed
-    )
+    """Monte Carlo cross-check of integral_(B^n) (1 - |w|^2)^n dV, the
+    integrand on the ball's squared radius."""
+    return mc_integrate(Ball(radius=1.0, dim=n), lambda t: (1.0 - t[:, 0]) ** n, samples, seed)
 
 
 def minimal_norm_squared(scenario: ExtensionScenario, degree: int | None = None):

@@ -1,16 +1,22 @@
 """Model domains and Hartogs lifts.
 
 All domains are open; boundary points test negative.  Values are immutable
-after construction and safe to share across integration workers.  Every
-domain is Reinhardt, so its batch test ``contains_batch`` takes an (N, m)
-array of squared moduli x_i = |z_i|^2, as the Monte Carlo kernel draws them
-(``integrate._shard_blocks``); the scalar ``contains`` takes a complex point.
+after construction and safe to share across integration workers.
 
 Each domain names its Monte Carlo proposal with ``bounding_balls()``: a
 product of centred balls that holds it, as (k, r) pairs, one per ball of
 radius r in C^k over consecutive coordinates.  A ball is its own proposal,
 so every draw for it hits; a polydisc is a product of discs (k = 1); a
-Hartogs lift is its base's proposal times the unit ball of its fiber.
+Hartogs lift is its base's proposal times the unit ball of its fiber, with
+a base ball split in two where a radial weight's block z' ends inside it.
+
+Every domain is Reinhardt and, in its proposal's balls, depends on a point
+only through the squared radius |z|^2 of each ball.  So its batch test
+``contains_batch`` takes an (N, balls) array of those squared radii, one
+column per ball of ``bounding_balls()``, as the Monte Carlo kernel draws
+them (``integrate._shard_blocks``).  ``ball_sums`` turns (N, m) squared
+moduli x_i = |z_i|^2 into that layout, and ``contains_moduli`` tests them
+through it; the scalar ``contains`` takes a complex point.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "Polydisc",
     "HartogsLift",
     "as_point",
+    "ball_sums",
     "sq_moduli",
 ]
 
@@ -48,12 +55,41 @@ def sq_moduli(pts):
     return p.real * p.real + p.imag * p.imag
 
 
+def ball_sums(x, dims):
+    """The squared radii of (N, m) squared moduli ``x`` over consecutive balls
+    of dims[j] coordinates, from the first: a new (N, len(dims)) array with
+    contiguous columns.  Each column adds its coordinates' columns in order, with no
+    axis=1 reduction.  That has the bits of x[:, a:b].sum(axis=1) on the
+    kernel's column-contiguous blocks, and on C-ordered rows of at most seven
+    coordinates (numpy sums eight or more pairwise)."""
+    cols, out = x.T[: sum(dims)], np.empty((len(dims), len(x)))
+    k = dims[0]
+    if all(d == k for d in dims):  # every ball at once: coordinate i of each, in turn
+        sums = [(out, [cols[i::k] for i in range(k)])]
+    else:
+        starts = np.cumsum((0, *dims))
+        sums = [(row, cols[a:b]) for row, a, b in zip(out, starts[:-1], starts[1:])]
+    for dest, parts in sums:
+        if len(parts) == 1:
+            dest[:] = parts[0]
+        else:
+            np.add(parts[0], parts[1], out=dest)
+        for part in parts[2:]:
+            dest += part
+    return out.T
+
+
 class _Domain:
-    """Scalar membership through the batch test of the concrete domain."""
+    """Membership of a complex point and of squared moduli, through the batch
+    test of the concrete domain on the squared radii of its balls."""
 
     def contains(self, p):
         x = sq_moduli(as_point(p, self.ambient_dim))
-        return bool(self.contains_batch(x[None, :])[0])
+        return bool(self.contains_moduli(x[None, :])[0])
+
+    def contains_moduli(self, x):
+        """The mask of (N, ambient_dim) squared moduli."""
+        return self.contains_batch(ball_sums(x, [k for k, _ in self.bounding_balls()]))
 
 
 @dataclass(frozen=True)
@@ -73,8 +109,8 @@ class Ball(_Domain):
     def ambient_dim(self):
         return self.dim
 
-    def contains_batch(self, x):
-        return x.sum(axis=1) < self.radius**2
+    def contains_batch(self, t):
+        return t[:, 0] < self.radius**2
 
     def bounding_balls(self):
         return ((self.dim, self.radius),)
@@ -95,11 +131,19 @@ class Polydisc(_Domain):
     def ambient_dim(self):
         return len(self.radii)
 
-    def contains_batch(self, x):
-        return np.all(x < np.square(self.radii), axis=1)
+    def contains_batch(self, t):
+        return np.all(t < np.square(self.radii), axis=1)
 
     def bounding_balls(self):
         return tuple((1, r) for r in self.radii)
+
+
+def _weight_block(weight):
+    """The leading coordinates z' that a radial weight reads apart from the
+    rest, also under an eps term, or None for a weight with no such block."""
+    while hasattr(weight, "inner"):
+        weight = weight.inner
+    return getattr(weight, "k", None)
 
 
 @dataclass(frozen=True)
@@ -123,19 +167,38 @@ class HartogsLift(_Domain):
     def ambient_dim(self):
         return self.base.ambient_dim + self.fiber_dim
 
-    def contains_batch(self, x):
+    def _split(self):
+        """The weight's block when it ends inside a base ball, else None."""
+        k = _weight_block(self.weight)
+        if isinstance(self.base, Ball) and k is not None and k < self.base.dim:
+            return k
+        return None
+
+    def contains_batch(self, t):
         """The fiber test and the base test, each on every row.
 
-        The proposal's draws lie in the base already, so the weight runs on
-        the whole block with nothing copied; the base test stays for rows
-        drawn from any other proposal.
+        The fiber's column is compared with the weight's ``fiber_bound`` of
+        the base columns (for a radial weight, its profile's ``factor``).
+        The proposal's draws lie in the base already, so nothing is copied;
+        the base test, one compare for a ball, stays for rows drawn from any
+        other proposal.
         """
-        nb = self.base.ambient_dim
-        phi = self.weight.value_batch(x[:, :nb])
-        inside = x[:, nb:].sum(axis=1) < np.exp(-phi / self.fiber_dim)
-        inside &= self.base.contains_batch(x[:, :nb])
+        balls = self.bounding_balls()[:-1]
+        inside = t[:, -1] < self.weight.fiber_bound(t[:, :-1], balls, self.fiber_dim)
+        base = t[:, :-1]
+        if self._split():
+            base = (t[:, 0] + t[:, 1])[:, None]
+        inside &= self.base.contains_batch(base)
         return inside
 
     def bounding_balls(self):
-        """The base's balls, then the unit ball of the fiber; valid because phi >= 0."""
-        return self.base.bounding_balls() + ((self.fiber_dim, 1.0),)
+        """The base's balls, then the unit ball of the fiber; valid because
+        phi >= 0.  A base ball in which the weight's block z' ends is split
+        into B^k x B^(n-k), so that |z'|^2 is a column of its own."""
+        k = self._split()
+        if k is None:
+            balls = self.base.bounding_balls()
+        else:
+            r = self.base.radius
+            balls = ((k, r), (self.base.dim - k, r))
+        return balls + ((self.fiber_dim, 1.0),)

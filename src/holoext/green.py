@@ -27,7 +27,8 @@ sublevel set {G < t/2} of the domain is the domain's part of
 {|z'|^2 < e^t e^(2B)}, the e^(t/2)-dilate of the indicatrix bundle
 {(X, v) : X in I_v} along the pole block.  Each model writes its mask on
 squared moduli once, as ``sublevel_batch(x, t)``; none evaluates G, and none
-an inverse profile:
+an inverse profile.  The ball models add the moduli of each block by
+``geometry.ball_sums``, column by column:
 
   * ball point (B = 0): sum x_i < e^t, inside the ball because e^t < 1;
   * ball pair (e^(2B) = 1 - |z''|^2): |z'|^2 < e^t (1 - |z''|^2), which
@@ -47,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDomainError, DomainError
-from .geometry import Ball, HartogsLift, as_point, sq_moduli
+from .geometry import Ball, HartogsLift, as_point, ball_sums, sq_moduli
 from .integrate import (
     QuadratureResult,
     _ball_volume,
@@ -101,7 +102,7 @@ class _GreenModel:
         """The squared moduli of one point of the domain as a (1, ambient_dim)
         array; DomainError if the point lies outside."""
         x = sq_moduli(as_point(p, self.ambient_dim))[None, :]
-        if not self.domain().contains_batch(x)[0]:
+        if not self.domain().contains_moduli(x)[0]:
             raise DomainError("point lies outside the model domain")
         return x
 
@@ -158,7 +159,7 @@ class BallPointModel(_GreenModel):
 
     def sublevel_batch(self, x, t):
         """The mask of {G < t/2} = {|z|^2 < e^t}."""
-        return x.sum(axis=1) < _dilation(t)
+        return ball_sums(x, (self.n,))[:, 0] < _dilation(t)
 
     def indicatrix_integral(self, f_coeffs=None):
         """|f(0)|^2: V is the origin, where B = 0."""
@@ -199,12 +200,12 @@ class BallPairModel(_GreenModel):
 
     def sublevel_batch(self, x, t):
         """The mask of {G < t/2} = {|z'|^2 < e^t (1 - |z''|^2)}."""
-        e_t, k = _dilation(t), self.pole_dim
-        bound = x[:, k:].sum(axis=1)
+        e_t = _dilation(t)
+        r2, bound = ball_sums(x, (self.pole_dim, self.base_dim)).T
         # in place: a new block-long array costs more than the arithmetic on it
         np.subtract(1.0, bound, out=bound)
         bound *= e_t
-        return x[:, :k].sum(axis=1) < bound
+        return r2 < bound
 
     def indicatrix_integral(self, f_coeffs=None):
         """sum_beta |f_beta|^2 integral_(B^n) |z''^beta|^2 (1 - |z''|^2)^k, in closed form."""
@@ -263,7 +264,7 @@ class RadialLiftModel(_GreenModel):
         r2 = x[:, : self.pole_dim].sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # log 0; NaN where r2 >= e^t
             fiber = np.exp(-self.profile.value(np.log(r2) - t))
-        mask = Ball(radius=1.0, dim=n).contains_batch(x[:, :n])
+        mask = Ball(radius=1.0, dim=n).contains_batch(ball_sums(x, (n,)))
         mask &= r2 < e_t
         mask &= x[:, n:].sum(axis=1) < fiber
         return mask

@@ -8,31 +8,36 @@ consecutive blocks of ``_BLOCK`` draws.  A block is coordinate-major: an
 (m, b) array of uniforms whose row i holds the b draws of coordinate i, so
 every per-coordinate operation runs on contiguous memory.  The kernel takes
 the sizes of the coordinate groups that form the balls of the proposal (see
-below), and a list of levels, each a row of per-coordinate scales c_i; it
-writes each level as u_i * c_i with one contiguous product per coordinate,
-every value rounded once.  So a ladder of levels (the sublevel sets of
-``sublevel_scaling``) pays for one draw, and each level sees exactly the
-values a draw for it alone would make.  The consumers get each level as an
-(N, m) view whose columns are contiguous.
+below), and a list of levels, each a row of per-ball scales c_j; it reduces
+each ball's rows to one and writes each level as that row times c_j with one
+contiguous product per ball, every value rounded once.  So a ladder of
+levels (the sublevel sets of ``sublevel_scaling``) pays for one draw, and
+each level sees exactly the values a draw for it alone would make.  The
+consumers get each level as an (N, balls) view whose columns are
+contiguous.
 
 The domains, the Green functions and the weights are Reinhardt: they depend
-on the point through its squared moduli x_i = |z_i|^2 alone.  If z is
-uniform on the ball of radius r in C^k, then (x_1, ..., x_k) is uniform on
-the simplex {x >= 0, sum x < r^2} (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. V); for k = 1, on [0, r^2].  The spacings of k sorted
-uniforms are uniform on the unit simplex, so the kernel turns the k rows of
-each ball with k >= 2 into those spacings in place, by a sorting network of
-row-wise minima and maxima, and scales them by r^2; a draw still takes m
-uniforms, and the rows of a disc keep theirs bit for bit.  The estimators
+on the point through its squared moduli x_i = |z_i|^2 alone, and every
+domain, membership test and integrand of ``mc_integrate`` reads the moduli
+of a proposal ball only through their sum, the squared radius |z|^2.  If z
+is uniform on the ball of radius r in C^k, then |z|^2 / r^2 follows the
+Beta(k, 1) law, the law of the maximum of k uniforms.  So the kernel writes
+over the first row of each ball the maximum of its k rows, by k - 1
+``np.maximum`` calls, and scales it by r^2; a draw still takes m uniforms in
+the same order, and a disc's row keeps its uniform bit for bit.  (Drawn as
+the spacings of the k sorted uniforms, as the kernel once did, the moduli
+add up to that maximum exactly: the uniforms are multiples of 2^-53, so
+every spacing is exact.  So the estimates kept their bits.)  The estimators
 behind ``_box_moments`` (``mc_integrate``, ``volume`` and
-``sublevel_scaling``) draw the moduli this way, and their integrands and
-membership tests take (N, m) arrays of squared moduli.  The estimate is the
-proposal's volume prod pi^k r^(2k) / k! times the sample mean.
-``mc_integrate`` draws in the product of the domain's bounding balls
-(``geometry``): a ball is its own proposal, every draw hits and its volume
-has half-width 0, and the log-singular lift at k = 2, the ball of C^4, fills
-1/6 of its proposal against 1/24 of the unit polydisc.  ``sublevel_scaling``
-keeps a polydisc for its levels (its docstring says why).
+``sublevel_scaling``) take (N, balls) arrays of those squared radii; an
+integrand that needs the moduli of single coordinates belongs on a proposal
+of discs, where each column is one |z_i|^2.  The estimate is the proposal's
+volume prod pi^k r^(2k) / k! times the sample mean.  ``mc_integrate`` draws
+in the product of the domain's bounding balls (``geometry``): a ball is its
+own proposal, every draw hits and its volume has half-width 0, and the
+log-singular lift at k = 2, the ball of C^4, fills 1/6 of its proposal
+against 1/24 of the unit polydisc.  ``sublevel_scaling`` keeps a polydisc
+for its levels (its docstring says why), so its masks see every modulus.
 
 The Monte Carlo Gram integrates z^alpha conj(z^beta), which depends on the
 phases, so it keeps its box in R^(2m): it draws (2m, b) blocks at the
@@ -69,9 +74,9 @@ OPENBLAS_NUM_THREADS=1, and numpy cannot set the BLAS threads of one worker
 gain: a 500k-sample Gram took 0.139-0.149 s at one BLAS thread and
 0.137-0.162 s at two.
 
-Integrands are vectorized: they receive an (N, ambient_dim) array of the
-squared moduli of points that already passed the membership test and return
-N real values.  A membership test maps a whole block to its boolean mask:
+Integrands are vectorized: they receive an (N, balls) array of the squared
+radii of points that already passed the membership test and return N real
+values.  A membership test maps a whole block to its boolean mask:
 a domain's ``contains_batch`` for ``mc_integrate`` and ``volume``, and for
 ``sublevel_scaling`` the Green model's ``sublevel_batch`` at one level, a
 closed form of the domain's part of {G < t/2} that evaluates neither G nor
@@ -173,67 +178,54 @@ def _shards(samples: int):
     ]
 
 
-def _simplex_spacings(u, spare):
-    """Write over the k rows of uniforms ``u`` the spacings of their sorted values.
-
-    Column by column, the sorted values s_1 <= ... <= s_k become
-    s_1, s_2 - s_1, ..., s_k - s_(k-1): a uniform point of the simplex
-    {x >= 0, sum x < 1}.  The sort is an odd-even transposition network of
-    row-wise minima and maxima (k = 2 is one comparator), with ``spare`` one
-    row of scratch.  The uniforms are multiples of 2^-53 in [0, 1), so every
-    difference is exact and the spacings of a column add up to its s_k.
-    """
-    k = len(u)
-    for phase in range(k):
-        for i in range(phase % 2, k - 1, 2):
-            np.minimum(u[i], u[i + 1], out=spare)
-            np.maximum(u[i], u[i + 1], out=u[i + 1])
-            u[i] = spare
-    for i in range(k - 1, 0, -1):
-        np.subtract(u[i], u[i - 1], out=u[i])
-
-
 def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
-    """Yield (level, x) for the ``size`` draws of one shard.
+    """Yield (level, t) for the ``size`` draws of one shard.
 
     ``dims`` splits the m coordinates into consecutive groups, one per ball
-    of the proposal, and ``scales`` holds one row of per-coordinate scales
-    c_i per level.  The draws come from rng_stream(seed, shard) in
-    consecutive blocks of at most ``_BLOCK`` draws, each block an (m, b)
-    array of uniforms u, coordinate by coordinate, as rng.random((m, b))
-    makes it.  The rows of each group of k >= 2 coordinates then become, in
-    place, the spacings of their sorted uniforms (``_simplex_spacings``); a
-    group of one keeps its uniform.  Each level writes u_i * c_i with one
-    contiguous product per coordinate, so each level sees exactly the values
-    a draw for it alone would make, and ``x`` is that (m, b) array seen as
-    (b, m), its columns contiguous.  The buffers are reused for the whole
-    shard; a single level is written over its uniforms.  ``x`` is valid only
-    until the next yield, and the caller may overwrite it.
+    of the proposal, and ``scales`` holds one row of per-ball scales c_j per
+    level.  The draws come from rng_stream(seed, shard) in consecutive
+    blocks of at most ``_BLOCK`` draws, each block an (m, b) array of
+    uniforms u, coordinate by coordinate, as rng.random((m, b)) makes it.
+    Row j of the block then becomes, in place, the maximum of ball j's
+    uniforms, by k_j - 1 ``np.maximum`` calls on contiguous rows (the rows
+    before ball j's first are spent by then); a disc's row is its uniform.
+    Each level writes that maximum times c_j, one contiguous product per
+    ball, so each level sees exactly the values a draw for it alone would
+    make, and ``t`` is that (balls, b) array seen as (b, balls), its columns
+    contiguous.  The buffers are reused for the whole shard; a single level
+    is written over its uniforms.  ``t`` is valid only until the next yield,
+    and the caller may overwrite it.
     """
-    m = len(scales[0])
+    m, nb = sum(dims), len(dims)
     rows = min(_BLOCK, size)
     unit = np.empty(m * rows)
-    out = unit if len(scales) == 1 else np.empty(m * rows)
-    spare = np.empty(rows)
+    out = unit if len(scales) == 1 else np.empty(nb * rows)
     starts = np.cumsum((0, *dims))
-    groups = [(lo, hi) for lo, hi in zip(starts[:-1], starts[1:]) if hi - lo > 1]
-    columns = [np.asarray(c, dtype=float).reshape(m, 1) for c in scales]
+    spans = list(zip(starts[:-1], starts[1:]))
+    columns = [np.asarray(c, dtype=float).reshape(nb, 1) for c in scales]
+    unscaled = len(columns) == 1 and np.all(columns[0] == 1.0)  # the maxima are the values
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
-        ub, xb = unit[: m * b].reshape(m, b), out[: m * b].reshape(m, b)
+        ub, tb = unit[: m * b].reshape(m, b), out[: nb * b].reshape(nb, b)
         rng.random(out=ub)
-        for first, end in groups:
-            _simplex_spacings(ub[first:end], spare[:b])
+        for j, (first, end) in enumerate(spans):
+            if end - first > 1:
+                np.maximum(ub[first], ub[first + 1], out=ub[j])
+                for i in range(first + 2, end):
+                    np.maximum(ub[j], ub[i], out=ub[j])
+            elif first != j:
+                ub[j] = ub[first]
         for level, column in enumerate(columns):
-            np.multiply(ub, column, out=xb)
-            yield level, xb.T
+            if not unscaled:
+                np.multiply(ub[:nb], column, out=tb)
+            yield level, tb.T
 
 
 def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     """Per level, [sum, sum of squares, inside count, non-finite count] over one shard.
 
-    The moduli of a level with balls (k, r) are drawn at the scales r^2.
+    The squared radii of a level with balls (k, r) are drawn at the scales r^2.
     Each block adds the sum of its inside values, then the sum of their
     squares; values outside the level's set are zero and add nothing.  An
     ``integrand`` of None is the constant 1: a block adds its inside count to
@@ -241,7 +233,7 @@ def _shard_moments(levels, integrand, seed: int, shard: int, size: int):
     """
     balls, tests = zip(*levels)
     dims = [k for k, _ in balls[0]]
-    scales = [np.square(_disc_radii(b)) for b in balls]
+    scales = [[r * r for _, r in b] for b in balls]
     parts = [[0.0, 0.0, 0, 0] for _ in levels]
     for level, x in _shard_blocks(dims, scales, seed, shard, size):
         mask = tests[level](x)
@@ -274,8 +266,9 @@ def _box_moments(levels, integrand, samples: int, seed: int):
     ``levels`` is a list of (balls, inside) pairs that share the draws:
     ``balls`` is the level's proposal, a product of balls given as (k, r)
     pairs with the same dimensions k at every level; ``inside`` maps a block
-    of squared moduli drawn in it to its membership mask, and ``integrand``
-    maps the inside moduli to real values, or is None to count them.  The
+    of squared radii drawn in it, one column per ball, to its membership
+    mask, and ``integrand`` maps the inside rows to real values, or is None
+    to count them.  The
     shards run and are reduced as the module docstring describes; each
     worker runs under a copy of the caller's context, so ``np.errstate``
     carries over.  Returns, per level, the sample mean, its standard error,
@@ -352,7 +345,9 @@ def mc_integrate(domain, integrand, samples: int, seed: int) -> QuadratureResult
     The draws are uniform in the product of the domain's bounding balls,
     and the estimator is that product's volume prod pi^k r^(2k) / k! times
     the mean of chi_domain * integrand over them; ``integrand`` maps an
-    (N, ambient_dim) array of squared moduli |z_i|^2 to N values.  The
+    (N, balls) array of the squared radii |z|^2 of those balls, one column
+    per ball, to N values.  An integrand of the moduli of single coordinates
+    needs a domain whose proposal is a product of discs.  The
     error_estimate is a 99% confidence half-width; it is 0 for the volume of
     a set that equals its proposal, such as a ball.  An ``integrand`` of
     None is the constant 1 (the domain's volume), counted without evaluating

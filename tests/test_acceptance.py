@@ -153,7 +153,7 @@ def test_criterion_6_property_suites():
                 block = rng.uniform(-1, 1, (200_000, 2 * len(radii)))
                 cand = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
                 x = sq_moduli(cand)
-                pts.append(x[domain.contains_batch(x)])
+                pts.append(x[domain.contains_moduli(x)])
             sample = np.concatenate(pts)[:100_000]
             assert np.all(model.green_batch(sample) < 0.0)
 
@@ -166,14 +166,14 @@ def test_criterion_6_property_suites():
                 radii = _disc_radii(domain.bounding_balls())
                 block = rng.uniform(-1, 1, (500, 2 * len(radii)))
                 cand = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
-                cand = cand[domain.contains_batch(sq_moduli(cand))]
+                cand = cand[domain.contains_moduli(sq_moduli(cand))]
                 for p in cand:
                     if checked >= 20:
                         break
                     v = rng.normal(size=len(p)) + 1j * rng.normal(size=len(p))
                     v /= np.linalg.norm(v)
                     circle = sq_moduli(p[None, :] + 0.02 * np.outer(np.exp(1j * theta), v))
-                    if not domain.contains_batch(circle).all():
+                    if not domain.contains_moduli(circle).all():
                         continue
                     center = model.green(p)
                     if not np.isfinite(center):

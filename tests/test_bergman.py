@@ -226,7 +226,7 @@ def _whole_shard_gram(domain, weight, basis, samples, seed):
         blocks = [rng.random((2 * m, min(_BLOCK, size - lo))) for lo in range(0, size, _BLOCK)]
         u = 2.0 * np.concatenate(blocks, axis=1) - 1.0
         pts = (u[:m] + 1j * u[m:]).T * radii
-        inside = pts[domain.contains_batch(sq_moduli(pts))]
+        inside = pts[domain.contains_moduli(sq_moduli(pts))]
         vals = _power_prod_values(basis, inside)
         wts = np.exp(-weight.value_batch(sq_moduli(inside)))
         acc += (vals * wts[:, None]).conj().T @ vals

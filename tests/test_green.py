@@ -40,7 +40,7 @@ def _interior_points(model, count, rng):
     while len(out) < count:
         block = rng.uniform(-1, 1, (4 * count, 2 * len(radii)))
         pts = (block[:, : len(radii)] + 1j * block[:, len(radii) :]) * radii
-        keep = domain.contains_batch(sq_moduli(pts))
+        keep = domain.contains_moduli(sq_moduli(pts))
         out.extend(pts[keep])
     return np.asarray(out[:count])
 
@@ -139,7 +139,7 @@ def test_green_circle_submean_property(model):
         rho = 0.02
         circle = p[None, :] + rho * np.outer(np.exp(1j * theta), v)
         x = sq_moduli(circle)
-        if not domain.contains_batch(x).all():
+        if not domain.contains_moduli(x).all():
             continue
         values = model.green_batch(x)
         center = model.green(p)
@@ -507,7 +507,7 @@ def test_sublevel_batch_is_the_domain_and_green_mask(model):
     for t in (-1.0, -4.0, -12.0):
         radii = green._sublevel_radii(model, t)
         for _, x in integrate._shard_blocks([1] * len(radii), [radii**2], 2044, 0, 3 * _BLOCK):
-            want = domain.contains_batch(x)
+            want = domain.contains_moduli(x)
             want[want] = model.green_batch(x[want]) < 0.5 * t
             assert np.array_equal(model.sublevel_batch(x, t), want)
             assert want.any()

@@ -81,7 +81,7 @@ def test_ball_hits_its_polydisc_at_one_over_n_factorial(n):
     # ball's hit count is binomial with p = 1/n! (a complex box would give
     # p = pi^n / (n! 4^n))
     samples = 1_000_000
-    [(_, _, hits, _)] = _box_moments([([(1, 1.0)] * n, Ball(1.0, n).contains_batch)], None, samples, 38)
+    [(_, _, hits, _)] = _box_moments([([(1, 1.0)] * n, Ball(1.0, n).contains_moduli)], None, samples, 38)
     p = 1.0 / math.factorial(n)
     assert abs(hits - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
 
@@ -355,20 +355,16 @@ def test_invalid_arguments():
 
 def _reference_blocks(dims, scales, seed, shard, size):
     """Reference for _shard_blocks: each block drawn as rng.random((m, b)),
-    the rows of each group of ``dims`` replaced by the differences of their
-    sorted values with a 0 put first, then each level's scale of coordinate i
-    broadcast along row i."""
-    m = len(scales[0])
+    each group of ``dims`` rows reduced by np.max to one row, then each
+    level's scale of ball j broadcast along row j."""
+    m = sum(dims)
+    starts = np.cumsum((0, *dims))
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         u = rng.random((m, min(_BLOCK, size - lo)))
-        start = 0
-        for k in dims:
-            group = np.sort(u[start : start + k], axis=0)
-            u[start : start + k] = np.diff(group, axis=0, prepend=0.0)
-            start += k
+        top = np.array([np.max(u[a:b], axis=0) for a, b in zip(starts[:-1], starts[1:])])
         for level, c in enumerate(scales):
-            yield level, (u * np.asarray(c)[:, None]).T
+            yield level, (top * np.asarray(c)[:, None]).T
 
 
 def _whole_shard_moments(levels, integrand, samples, seed):
@@ -378,7 +374,7 @@ def _whole_shard_moments(levels, integrand, samples, seed):
     moments = []
     for balls, inside in levels:
         dims = [k for k, _ in balls]
-        radii = np.repeat([r for _, r in balls], dims)
+        radii = np.array([r for _, r in balls])
         s1 = s2 = 0.0
         n_inside = n_bad = 0
         for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
@@ -404,18 +400,24 @@ def _whole_shard_moments(levels, integrand, samples, seed):
 
 def _nan_on_left_half(x):
     # 1/|z|^2 spans many magnitudes, so any change of summation order shows;
-    # NaN where |z_1|^2 < 1/4: a quarter of the first level's draws and
-    # about half of the cut level's
+    # NaN where the first column is below 1/4: |z_1|^2 on the discs, a
+    # quarter of the first level's draws and about half of the cut level's;
+    # |z|^2 on the balls, a sixteenth and about a quarter
     vals = 1.0 / x.sum(axis=1)
     vals[x[:, 0] < 0.25] = np.nan
     return vals
 
 
-def _ball_levels(inside, proposal):
+def _ball_levels(proposal, watch=lambda: None):
     """The unit ball of C^2 sampled in the bidisc, then in one cut to
-    |z_1| < 0.7; or in its own ball, then in the ball of radius 0.7."""
+    |z_1| < 0.7, tested on the moduli; or in its own ball, then in the ball
+    of radius 0.7, tested on the squared radius.  ``watch`` runs at every
+    test."""
+    ball = Ball(1.0, 2)
     if proposal == "discs":
+        inside = lambda x: watch() or ball.contains_moduli(x)
         return [([(1, 1.0), (1, 1.0)], inside), ([(1, 0.7), (1, 1.0)], inside)]
+    inside = lambda t: watch() or ball.contains_batch(t)
     return [([(2, 1.0)], inside), ([(2, 0.7)], inside)]
 
 
@@ -432,7 +434,7 @@ MOMENT_SAMPLES = pytest.mark.parametrize(
 @PROPOSALS
 @MOMENT_SAMPLES
 def test_box_moments_bit_identical_to_whole_shard_loop(samples, proposal):
-    levels = _ball_levels(Ball(1.0, 2).contains_batch, proposal)
+    levels = _ball_levels(proposal)
     for count in (1, 2):
         got = _box_moments(levels[:count], _nan_on_left_half, samples, 2029)
         assert got == _whole_shard_moments(levels[:count], _nan_on_left_half, samples, 2029)
@@ -445,14 +447,9 @@ def test_box_moments_bit_identical_to_whole_shard_loop(samples, proposal):
 @PROPOSALS
 @MOMENT_SAMPLES
 def test_box_moments_same_on_one_and_two_workers(samples, proposal, monkeypatch):
-    domain = Ball(1.0, 2)
     threads = set()
-
-    def inside(pts):
-        threads.add(threading.get_ident())
-        return domain.contains_batch(pts)
-
-    args = (_ball_levels(inside, proposal), _nan_on_left_half, samples, 2031)
+    watch = lambda: threads.add(threading.get_ident())
+    args = (_ball_levels(proposal, watch), _nan_on_left_half, samples, 2031)
     got = {}
     for cores in (1, 2):
         threads.clear()
@@ -493,11 +490,11 @@ def test_shard_blocks_concatenate_to_the_whole_shard_draw():
     "dims", [(1,), (1, 1), (2,), (1, 2), (3,), (2, 1, 1), (4,), (2, 3), (5,)], ids=str
 )
 def test_shard_blocks_match_the_row_broadcast_layout(dims):
-    # three levels whose scales differ in some coordinates only, then the same
+    # three levels whose scales differ in some balls only, then the same
     # draws as one level, written over its uniforms; two shards, each ending
-    # in a partial block; the groups of several coordinates hold spacings
-    m = sum(dims)
-    base = np.linspace(0.4, 1.0, m)
+    # in a partial block; each ball's column is the np.max of its uniforms
+    nb = len(dims)
+    base = np.linspace(0.4, 1.0, nb)
     scales = [base, base.copy(), base * 0.5]
     scales[1][0] = 0.05
     size = 2 * _BLOCK + 7
@@ -513,39 +510,47 @@ def test_shard_blocks_match_the_row_broadcast_layout(dims):
             assert [len(x) for _, x in got] == [_BLOCK] * 2 * count + [7] * count
             for (_, g), (_, w) in zip(got, want):
                 assert g.tobytes() == w.tobytes()
-    # the consumers see (b, m) views of coordinate-major blocks
+    # the consumers see (b, balls) views of ball-major blocks
     _, x = next(integrate._shard_blocks(dims, scales, 2041, 0, size))
-    assert x.shape == (_BLOCK, m) and x.T.flags.c_contiguous
+    assert x.shape == (_BLOCK, nb) and x.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("radius", [1.0, 0.6])
-def test_ball_draws_are_uniform_squared_moduli(k, radius):
-    # the squared moduli of a uniform point of the ball of radius r in C^k
-    # are uniform on the simplex sum x < r^2, so each has mean r^2 / (k + 1)
-    # and variance r^4 k / ((k + 1)^2 (k + 2))
+def test_ball_draws_are_uniform_squared_radii(k, radius):
+    # the squared radius of a uniform point of the ball of radius r in C^k
+    # is r^2 times a Beta(k, 1) variable: mean r^2 k / (k + 1), variance
+    # r^4 k / ((k + 1)^2 (k + 2))
     size = 3 * _BLOCK + 11
     scale = radius * radius
-    blocks = [x.copy() for _, x in integrate._shard_blocks([k], [[scale] * k], 2045, 0, size)]
-    x = np.concatenate(blocks)
-    assert x.shape == (size, k) and np.all(x >= 0.0)
-    assert np.all(x.sum(axis=1) < scale)
-    mean = scale / (k + 1)
+    blocks = [x.copy() for _, x in integrate._shard_blocks([k], [[scale]], 2045, 0, size)]
+    t = np.concatenate(blocks)
+    assert t.shape == (size, 1) and np.all(t >= 0.0) and np.all(t < scale)
+    mean = scale * k / (k + 1)
     stderr = scale * math.sqrt(k / ((k + 2) * size)) / (k + 1)
-    assert np.all(np.abs(x.mean(axis=0) - mean) <= 3.0 * stderr)
+    assert abs(t.mean() - mean) <= 3.0 * stderr
 
 
 def test_disc_groups_keep_their_uniforms():
-    # a group of one coordinate is not touched: its moduli are the scaled
-    # uniforms, bit for bit, beside a ball group or on their own
+    # a disc's column is its scaled uniform, bit for bit, beside a ball or on
+    # its own; a ball's is the maximum of its uniforms
     size = 2 * _BLOCK + 3
     rng = rng_stream(2046, 0)
     u = np.concatenate([rng.random((4, min(_BLOCK, size - lo))) for lo in range(0, size, _BLOCK)], 1)
     for dims in ((1, 1, 1, 1), (1, 2, 1)):
-        blocks = integrate._shard_blocks(dims, [[1.0] * 4], 2046, 0, size)
-        x = np.concatenate([x.copy() for _, x in blocks])
-        assert x[:, 0].tobytes() == u[0].tobytes() and x[:, 3].tobytes() == u[3].tobytes()
-    assert x[:, 1].tobytes() != u[1].tobytes()
+        blocks = integrate._shard_blocks(dims, [[1.0] * len(dims)], 2046, 0, size)
+        t = np.concatenate([x.copy() for _, x in blocks])
+        assert t[:, 0].tobytes() == u[0].tobytes() and t[:, -1].tobytes() == u[3].tobytes()
+    assert t[:, 1].tobytes() == np.maximum(u[1], u[2]).tobytes() != u[1].tobytes()
+
+
+def test_a_split_lift_proposal_gives_its_volume():
+    # the lift of B^2 under the log-singular weight on z_1 draws in
+    # B^1 x B^1 x B^1; its volume is pi times the integral of 1 - |z_1|^2
+    # over B^2, pi^3 / 3
+    res = volume(RadialLiftModel(LogSingularProfile(), 1, 2).domain(), 1_000_000, seed=47)
+    assert abs(res.value - PI**3 / 3) <= 3.0 * res.error_estimate
+    assert 0.0 < res.error_estimate < 0.01 * res.value
 
 
 _FUBINI_K2_LIFT = HartogsLift(

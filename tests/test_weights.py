@@ -388,3 +388,40 @@ def test_radial_weight_batch_is_finite_exactly_below_the_unit_slice(spec, k):
         [[0.0], k * profile.value(np.log(np.array(inside))), np.full(len(outside), np.inf)]
     )
     assert RadialWeight(profile, k).value_batch(x).tobytes() == expected.tobytes()
+
+
+def _mp_lift_factor(profile, s):
+    """exp(-u(log s)) at 30 digits, from the profile's formula for u."""
+    mpmath.mp.dps = 30
+    t = mpmath.log(mpmath.mpf(s)) if s > 0 else mpmath.mpf("-inf")
+    if t == mpmath.mpf("-inf"):
+        return mpmath.mpf(1)
+
+    def u(p):
+        if isinstance(p, EpsilonRegularizedProfile):
+            return u(p.inner) - p.eps * mpmath.log(-mpmath.expm1(t))
+        return -p.a * mpmath.log(-mpmath.expm1(t / p.a))
+
+    return mpmath.exp(-u(profile))
+
+
+FACTOR_PROFILES = [
+    *CATALOG,
+    *(make_profile(spec) for spec in GRID_PROFILE_SPECS[3:]),
+    ScaledLogProfile(a=10.0),
+    ScaledLogProfile(a=1e-3),
+]
+
+
+@pytest.mark.parametrize("profile", FACTOR_PROFILES, ids=repr)
+def test_factor_is_the_exponential_of_minus_u_of_log(profile):
+    # the lift's fiber bound e^(-u(log s)) as a product of powers: within a
+    # few ulps of 1 of the 30-digit value, which is what a membership test
+    # against |w|^2 in [0, 1) sees; 1 at s = 0
+    s = np.concatenate([np.arange(64) / 64.0, np.linspace(0.0, 0.999, 1000)])
+    got = profile.factor(s)
+    want = np.array([float(_mp_lift_factor(profile, v)) for v in s])
+    assert np.all(np.abs(got - want) <= 4 * 2.0**-52)
+    assert profile.factor(0.0) == 1.0
+    if isinstance(profile, LogSingularProfile):
+        assert got.tobytes() == (1.0 - s).tobytes()
