@@ -58,24 +58,28 @@ def sq_moduli(pts):
 def ball_sums(x, dims):
     """The squared radii of (N, m) squared moduli ``x`` over consecutive balls
     of dims[j] coordinates, from the first: a new (N, len(dims)) array with
-    contiguous columns.  Each column adds its coordinates' columns in order, with no
-    axis=1 reduction.  That has the bits of x[:, a:b].sum(axis=1) on the
-    kernel's column-contiguous blocks, and on C-ordered rows of at most seven
-    coordinates (numpy sums eight or more pairwise)."""
-    cols, out = x.T[: sum(dims)], np.empty((len(dims), len(x)))
-    k = dims[0]
+    contiguous columns.  Each column adds its coordinates' columns in order,
+    with no axis=1 reduction.  That has the bits of x[:, a:b].sum(axis=1) on
+    the kernel's column-contiguous blocks, and on C-ordered rows of at most
+    seven coordinates (numpy sums eight or more pairwise)."""
+    cols, k = x.T, dims[0]
     if all(d == k for d in dims):  # every ball at once: coordinate i of each, in turn
-        sums = [(out, [cols[i::k] for i in range(k)])]
-    else:
-        starts = np.cumsum((0, *dims))
-        sums = [(row, cols[a:b]) for row, a, b in zip(out, starts[:-1], starts[1:])]
-    for dest, parts in sums:
-        if len(parts) == 1:
-            dest[:] = parts[0]
+        end = k * len(dims)
+        if k == 1:
+            return np.array(cols[:end], order="C").T
+        out = np.add(cols[0:end:k], cols[1:end:k], order="C")
+        for i in range(2, k):
+            out += cols[i:end:k]
+        return out.T
+    out, lo = np.empty((len(dims), len(x))), 0
+    for row, k in zip(out, dims):
+        if k == 1:
+            row[:] = cols[lo]
         else:
-            np.add(parts[0], parts[1], out=dest)
-        for part in parts[2:]:
-            dest += part
+            np.add(cols[lo], cols[lo + 1], out=row)
+        for i in range(lo + 2, lo + k):
+            row += cols[i]
+        lo += k
     return out.T
 
 

@@ -225,7 +225,9 @@ def test_bounding_balls_name_each_domains_proposal():
     "lift",
     [
         RadialLiftModel(ScaledLogProfile(a=0.5), 1, 2).domain(),
-        HartogsLift(Ball(1.0, 3), EpsilonRegularizedWeight(RadialWeight(LogSingularProfile(), 2), 0.5), 1),
+        HartogsLift(
+            Ball(1.0, 3), EpsilonRegularizedWeight(RadialWeight(LogSingularProfile(), 2), 0.5), 1
+        ),
         HartogsLift(Ball(1.0, 2), TrivialWeight(), 2),
         HartogsLift(Polydisc((1.0, 0.5)), RadialWeight(LogSingularProfile(), 2), 2),
     ],
@@ -238,7 +240,8 @@ def test_lift_masks_on_ball_radii_are_the_old_masks_on_moduli(lift):
     x = sq_moduli(rng.uniform(-1.0, 1.0, (50_000, 2 * lift.ambient_dim)).view(complex))
     nb = lift.base.ambient_dim
     phi = lift.weight.value_batch(x[:, :nb])
-    want = lift.base.contains_moduli(x[:, :nb]) & (x[:, nb:].sum(axis=1) < np.exp(-phi / lift.fiber_dim))
+    want = x[:, nb:].sum(axis=1) < np.exp(-phi / lift.fiber_dim)
+    want &= lift.base.contains_moduli(x[:, :nb])
     assert np.array_equal(lift.contains_moduli(x), want)
     assert want.any() and not want.all()
 

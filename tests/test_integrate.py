@@ -81,7 +81,8 @@ def test_ball_hits_its_polydisc_at_one_over_n_factorial(n):
     # ball's hit count is binomial with p = 1/n! (a complex box would give
     # p = pi^n / (n! 4^n))
     samples = 1_000_000
-    [(_, _, hits, _)] = _box_moments([([(1, 1.0)] * n, Ball(1.0, n).contains_moduli)], None, samples, 38)
+    levels = [([(1, 1.0)] * n, Ball(1.0, n).contains_moduli)]
+    [(_, _, hits, _)] = _box_moments(levels, None, samples, 38)
     p = 1.0 / math.factorial(n)
     assert abs(hits - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
 
