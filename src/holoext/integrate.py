@@ -24,10 +24,12 @@ is uniform on the ball of radius r in C^k, then |z|^2 / r^2 follows the
 Beta(k, 1) law, the law of the maximum of k uniforms.  So the kernel writes
 over the first row of each ball the maximum of its k rows, by k - 1
 ``np.maximum`` calls, and scales it by r^2; a draw still takes m uniforms in
-the same order, and a disc's row keeps its uniform bit for bit.  (Drawn as
-the spacings of the k sorted uniforms, as the kernel once did, the moduli
-add up to that maximum exactly: the uniforms are multiples of 2^-53, so
-every spacing is exact.  So the estimates kept their bits.)  The estimators
+the same order, and a disc's row keeps its uniform bit for bit.  The
+maximum is also, exactly, the sum of the spacings of the k sorted uniforms,
+which are uniform on the simplex {x >= 0, sum x < 1} (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. V): the uniforms are multiples of
+2^-53, so every spacing is exact.  So a column has the bits of per-coordinate
+moduli drawn that way and summed ball by ball.  The estimators
 behind ``_box_moments`` (``mc_integrate``, ``volume`` and
 ``sublevel_scaling``) take (N, balls) arrays of those squared radii; an
 integrand that needs the moduli of single coordinates belongs on a proposal
@@ -203,7 +205,7 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
     starts = np.cumsum((0, *dims))
     spans = list(zip(starts[:-1], starts[1:]))
     columns = [np.asarray(c, dtype=float).reshape(nb, 1) for c in scales]
-    unscaled = len(columns) == 1 and np.all(columns[0] == 1.0)  # the maxima are the values
+    unscaled = len(columns) == 1 and np.all(columns[0] == 1.0)  # every scale 1: the maxima
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
