@@ -409,16 +409,21 @@ def _nan_on_left_half(x):
     return vals
 
 
-def _ball_levels(proposal, watch=lambda: None):
+def _ball_levels(proposal, watch=None):
     """The unit ball of C^2 sampled in the bidisc, then in one cut to
     |z_1| < 0.7, tested on the moduli; or in its own ball, then in the ball
     of radius 0.7, tested on the squared radius.  ``watch`` runs at every
     test."""
     ball = Ball(1.0, 2)
+    test = ball.contains_moduli if proposal == "discs" else ball.contains_batch
+
+    def inside(x):
+        if watch:
+            watch()
+        return test(x)
+
     if proposal == "discs":
-        inside = lambda x: watch() or ball.contains_moduli(x)
         return [([(1, 1.0), (1, 1.0)], inside), ([(1, 0.7), (1, 1.0)], inside)]
-    inside = lambda t: watch() or ball.contains_batch(t)
     return [([(2, 1.0)], inside), ([(2, 0.7)], inside)]
 
 
