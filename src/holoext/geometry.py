@@ -8,15 +8,16 @@ product of centred balls that holds it, as (k, r) pairs, one per ball of
 radius r in C^k over consecutive coordinates.  A ball is its own proposal,
 so every draw for it hits; a polydisc is a product of discs (k = 1); a
 Hartogs lift is its base's proposal times the unit ball of its fiber, with
-a base ball split in two where a radial weight's block z' ends inside it.
+a base ball split in two where the weight's block z' ends inside it.
 
 Every domain is Reinhardt and, in its proposal's balls, depends on a point
 only through the squared radius |z|^2 of each ball.  So its batch test
 ``contains_batch`` takes an (N, balls) array of those squared radii, one
 column per ball of ``bounding_balls()``, as the Monte Carlo kernel draws
-them (``integrate._shard_blocks``).  ``ball_sums`` turns (N, m) squared
-moduli x_i = |z_i|^2 into that layout, and ``contains_moduli`` tests them
-through it; the scalar ``contains`` takes a complex point.
+them (``integrate._shard_blocks``), and raises DimensionMismatchError on
+any other number of columns.  ``ball_sums`` turns (N, m) squared moduli
+x_i = |z_i|^2 into that layout, and ``contains_moduli`` tests them through
+it; the scalar ``contains`` takes a complex point.
 """
 
 from __future__ import annotations
@@ -62,16 +63,7 @@ def ball_sums(x, dims):
     with no axis=1 reduction.  That has the bits of x[:, a:b].sum(axis=1) on
     the kernel's column-contiguous blocks, and on C-ordered rows of at most
     seven coordinates (numpy sums eight or more pairwise)."""
-    cols, k = x.T, dims[0]
-    if all(d == k for d in dims):  # every ball at once: coordinate i of each, in turn
-        end = k * len(dims)
-        if k == 1:
-            return np.array(cols[:end], order="C").T
-        out = np.add(cols[0:end:k], cols[1:end:k], order="C")
-        for i in range(2, k):
-            out += cols[i:end:k]
-        return out.T
-    out, lo = np.empty((len(dims), len(x))), 0
+    cols, out, lo = x.T, np.empty((len(dims), len(x))), 0
     for row, k in zip(out, dims):
         if k == 1:
             row[:] = cols[lo]
@@ -95,6 +87,15 @@ class _Domain:
         """The mask of (N, ambient_dim) squared moduli."""
         return self.contains_batch(ball_sums(x, [k for k, _ in self.bounding_balls()]))
 
+    def _check_radii(self, t):
+        """Raise unless ``t`` has one column per ball of the proposal, so that
+        per-coordinate moduli, which belong to ``contains_moduli``, fail here."""
+        if t.ndim != 2 or t.shape[1] != len(self.bounding_balls()):
+            raise DimensionMismatchError(
+                f"contains_batch takes one squared radius per ball of {self.bounding_balls()}, "
+                f"got an array of shape {t.shape}"
+            )
+
 
 @dataclass(frozen=True)
 class Ball(_Domain):
@@ -114,6 +115,7 @@ class Ball(_Domain):
         return self.dim
 
     def contains_batch(self, t):
+        self._check_radii(t)
         return t[:, 0] < self.radius**2
 
     def bounding_balls(self):
@@ -136,18 +138,11 @@ class Polydisc(_Domain):
         return len(self.radii)
 
     def contains_batch(self, t):
+        self._check_radii(t)
         return np.all(t < np.square(self.radii), axis=1)
 
     def bounding_balls(self):
         return tuple((1, r) for r in self.radii)
-
-
-def _weight_block(weight):
-    """The leading coordinates z' that a radial weight reads apart from the
-    rest, also under an eps term, or None for a weight with no such block."""
-    while hasattr(weight, "inner"):
-        weight = weight.inner
-    return getattr(weight, "k", None)
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,9 @@ class HartogsLift(_Domain):
 
     The weight is evaluated lazily per membership query.  Every catalog
     weight satisfies phi >= 0, so |w|^2 < e^(-phi/k) <= 1 and the fiber
-    lies in the unit ball of C^k.
+    lies in the unit ball of C^k.  The weight's ``block`` is the length of
+    the leading coordinates z' that it reads apart from the rest (None for
+    none); z' must fit in the base.
     """
 
     base: Ball | Polydisc
@@ -166,17 +163,25 @@ class HartogsLift(_Domain):
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise ValueError("fiber dimension k must be >= 1")
+        block = self.weight.block
+        if block is not None and block > self.base.ambient_dim:
+            raise DimensionMismatchError(
+                f"the weight reads {block} leading coordinates, the base has "
+                f"{self.base.ambient_dim}"
+            )
+        # a base ball in which z' ends is drawn as B^k x B^(n-k)
+        split = isinstance(self.base, Ball) and block is not None and block < self.base.dim
+        if split:
+            r = self.base.radius
+            balls = ((block, r), (self.base.dim - block, r))
+        else:
+            balls = self.base.bounding_balls()
+        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "_balls", balls + ((self.fiber_dim, 1.0),))
 
     @property
     def ambient_dim(self):
         return self.base.ambient_dim + self.fiber_dim
-
-    def _split(self):
-        """The weight's block when it ends inside a base ball, else None."""
-        k = _weight_block(self.weight)
-        if isinstance(self.base, Ball) and k is not None and k < self.base.dim:
-            return k
-        return None
 
     def contains_batch(self, t):
         """The fiber test and the base test, each on every row.
@@ -187,10 +192,10 @@ class HartogsLift(_Domain):
         the base test, one compare for a ball, stays for rows drawn from any
         other proposal.
         """
-        balls = self.bounding_balls()[:-1]
-        inside = t[:, -1] < self.weight.fiber_bound(t[:, :-1], balls, self.fiber_dim)
+        self._check_radii(t)
+        inside = t[:, -1] < self.weight.fiber_bound(t[:, :-1], self._balls[:-1], self.fiber_dim)
         base = t[:, :-1]
-        if self._split():
+        if self._split:
             base = (t[:, 0] + t[:, 1])[:, None]
         inside &= self.base.contains_batch(base)
         return inside
@@ -199,10 +204,4 @@ class HartogsLift(_Domain):
         """The base's balls, then the unit ball of the fiber; valid because
         phi >= 0.  A base ball in which the weight's block z' ends is split
         into B^k x B^(n-k), so that |z'|^2 is a column of its own."""
-        k = self._split()
-        if k is None:
-            balls = self.base.bounding_balls()
-        else:
-            r = self.base.radius
-            balls = ((k, r), (self.base.dim - k, r))
-        return balls + ((self.fiber_dim, 1.0),)
+        return self._balls

@@ -205,7 +205,6 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
     starts = np.cumsum((0, *dims))
     spans = list(zip(starts[:-1], starts[1:]))
     columns = [np.asarray(c, dtype=float).reshape(nb, 1) for c in scales]
-    unscaled = len(columns) == 1 and np.all(columns[0] == 1.0)  # one level, every scale 1
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
@@ -219,8 +218,7 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
             elif first != j:
                 ub[j] = ub[first]
         for level, column in enumerate(columns):
-            if not unscaled:
-                np.multiply(ub[:nb], column, out=tb)
+            np.multiply(ub[:nb], column, out=tb)
             yield level, tb.T
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import as_point, sq_moduli
+from .geometry import as_point, ball_sums, sq_moduli
 
 __all__ = [
     "RadialProfile",
@@ -223,14 +223,27 @@ def _psi_batch(profile: RadialProfile, r2):
 # ---------------------------------------------------------------------------
 
 
+def _leading_sum(t, dims, k):
+    """|z'|^2 of the leading k coordinates z' from the squared radii ``t`` of
+    consecutive balls of dims[j] coordinates: the columns of the balls that
+    make up z', added in order.  z' must end where a ball ends, as the
+    proposal of a Hartogs lift arranges."""
+    return ball_sums(t, (np.cumsum(dims).tolist().index(k) + 1,))[:, 0]
+
+
 class _Weight:
     """Scalar evaluation through the batch formula of the concrete weight.
 
     Every weight is Reinhardt: the batch formula ``value_batch`` takes an
     (N, m) array of squared moduli |z_i|^2 and returns +inf outside the
     weight's domain.  The scalar entry point takes a complex point and raises
-    DomainError there.
+    DomainError there.  A weight reads the point through |z|^2 and, if its
+    ``block`` is k, through |z'|^2 of the leading k coordinates z' (None: no
+    block), so ``value_radii`` takes the squared radii of consecutive balls
+    instead, one column per ball, in which z' ends where a ball ends.
     """
+
+    block = None
 
     def value(self, p):
         p = as_point(p)
@@ -242,17 +255,8 @@ class _Weight:
     def fiber_bound(self, t, balls, k):
         """e^(-phi/k), the fiber bound of a Hartogs lift with fiber C^k, on
         ``t``: one column per ball of ``balls``, the (k_j, r_j) pairs of the
-        lift's base proposal, holding its squared radius |z|^2.
-
-        Every weight here is unchanged by unitary maps of each such ball (the
-        lift splits its base where a radial weight's block ends), so phi is
-        evaluated at the point with |z_i|^2 = t_j in the first coordinate of
-        ball j and 0 in the others.
-        """
-        dims = [d for d, _ in balls]
-        x = np.zeros((len(t), sum(dims)))
-        x[:, np.cumsum((0, *dims[:-1]))] = t
-        return np.exp(-self.value_batch(x) / k)
+        lift's base proposal, holding its squared radius |z|^2."""
+        return np.exp(-self.value_radii(t, [d for d, _ in balls]) / k)
 
 
 @dataclass(frozen=True)
@@ -261,6 +265,9 @@ class TrivialWeight(_Weight):
 
     def value_batch(self, x):
         return np.zeros(len(x))
+
+    def value_radii(self, t, dims):
+        return np.zeros(len(t))
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,12 @@ class BallStandardWeight(_Weight):
             raise ValueError("n must be a positive integer")
 
     def value_batch(self, x):
-        r2 = x.sum(axis=1)
+        return self._of_r2(x.sum(axis=1))
+
+    def value_radii(self, t, dims):
+        return self._of_r2(_leading_sum(t, dims, sum(dims)))
+
+    def _of_r2(self, r2):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = -self.n * np.log1p(-r2)
         return np.where(r2 < 1.0, out, np.inf)
@@ -291,6 +303,10 @@ class RadialWeight(_Weight):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
 
+    @property
+    def block(self):
+        return self.k
+
     def fiber_bound(self, t, balls, k):
         """e^(-u(log |z'|^2)), the profile's ``factor`` of the first column,
         when z' is the first ball, of radius at most 1, and the fiber is C^k
@@ -303,7 +319,12 @@ class RadialWeight(_Weight):
         return super().fiber_bound(t, balls, k)
 
     def value_batch(self, x):
-        r2 = x[:, : self.k].sum(axis=1)
+        return self._of_r2(x[:, : self.k].sum(axis=1))
+
+    def value_radii(self, t, dims):
+        return self._of_r2(_leading_sum(t, dims, self.k))
+
+    def _of_r2(self, r2):
         ok = (0.0 < r2) & (r2 < 1.0)
         if ok.all():  # the usual block: the same values, with no copy or scatter
             return self.k * self.profile.value(np.log(r2))
@@ -330,11 +351,21 @@ class EpsilonRegularizedWeight(_Weight):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
+    @property
+    def block(self):
+        return self.inner.block
+
     def value_batch(self, x):
-        r2 = x.sum(axis=1)
+        return self._plus(x.sum(axis=1), self.inner.value_batch(x))
+
+    def value_radii(self, t, dims):
+        return self._plus(_leading_sum(t, dims, sum(dims)), self.inner.value_radii(t, dims))
+
+    def _plus(self, r2, inner):
+        """The inner weight's values ``inner`` plus the eps term of |z|^2 = r2."""
         with np.errstate(divide="ignore", invalid="ignore"):
             extra = -self.eps * np.log1p(-r2)
-        return np.where(r2 < 1.0, self.inner.value_batch(x) + extra, np.inf)
+        return np.where(r2 < 1.0, inner + extra, np.inf)
 
 
 _PROFILE_PARAMS = {  # kind -> the parameters its config mapping may carry

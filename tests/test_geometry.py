@@ -261,3 +261,61 @@ def test_ball_sums_add_columns_with_the_bits_of_a_row_sum(dims):
             assert (t[:, j].tobytes() == want) or (layout is x and b - a >= 8)
     if dims == (9,):  # the pairwise sum does differ
         assert ball_sums(x, dims).tobytes() != x.sum(axis=1).tobytes()
+
+
+def test_contains_batch_rejects_arrays_not_in_its_ball_layout():
+    # squared moduli, one column per coordinate, fail loudly instead of giving a mask
+    x = np.full((5, 3), 0.2)
+    for domain, moduli in (
+        (Ball(1.0, 3), x),
+        (Polydisc((1.0, 1.0)), x),
+        (HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 2), 2), np.full((5, 4), 0.2)),
+        (HartogsLift(Ball(1.0, 1), TrivialWeight(), 1), x),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            domain.contains_batch(moduli)
+        dims = [k for k, _ in domain.bounding_balls()]
+        assert domain.contains_batch(ball_sums(moduli, dims)).all()
+    with pytest.raises(DimensionMismatchError):
+        Ball(1.0, 3).contains_batch(np.full(5, 0.2))
+
+
+def test_lift_rejects_a_weight_block_longer_than_its_base():
+    with pytest.raises(DimensionMismatchError):
+        HartogsLift(Ball(1.0, 2), RadialWeight(LogSingularProfile(), 3), 1)
+    with pytest.raises(DimensionMismatchError):
+        weight = EpsilonRegularizedWeight(RadialWeight(LogSingularProfile(), 2), 0.5)
+        HartogsLift(Polydisc((1.0,)), weight, 1)
+
+
+def test_each_weight_declares_its_block():
+    radial = RadialWeight(LogSingularProfile(), 2)
+    assert TrivialWeight().block is None and BallStandardWeight(3).block is None
+    assert radial.block == 2
+    assert EpsilonRegularizedWeight(radial, 0.5).block == 2
+    assert EpsilonRegularizedWeight(TrivialWeight(), 0.5).block is None
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        TrivialWeight(),
+        BallStandardWeight(3),
+        RadialWeight(ScaledLogProfile(a=0.5), 2),
+        EpsilonRegularizedWeight(RadialWeight(LogSingularProfile(), 2), 0.5),
+        EpsilonRegularizedWeight(BallStandardWeight(3), 0.25),
+    ],
+    ids=["trivial", "ball_standard", "radial", "eps_radial", "eps_ball"],
+)
+def test_value_radii_is_value_batch_on_the_balls(weight):
+    # on discs the radii are the moduli, bit for bit; on the layouts a lift
+    # draws (one ball, or split where z' ends) the sums may round apart
+    rng = np.random.default_rng(37)
+    z = rng.uniform(-1.0, 1.0, (20_000, 6)).view(complex)
+    x = sq_moduli(z / np.sqrt(1.1 * sq_moduli(z).sum(axis=1, keepdims=True)))
+    want = weight.value_batch(x)
+    assert np.isfinite(want).all()
+    assert weight.value_radii(x.copy(), (1, 1, 1)).tobytes() == want.tobytes()
+    for dims in [(3,), (1, 2)] if weight.block is None else [(2, 1)]:
+        got = weight.value_radii(ball_sums(x, dims), dims)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
