@@ -90,7 +90,7 @@ class _Domain:
     def _check_radii(self, t):
         """Raise unless ``t`` has one column per ball of the proposal, so that
         per-coordinate moduli, which belong to ``contains_moduli``, fail here."""
-        if t.ndim != 2 or t.shape[1] != len(self.bounding_balls()):
+        if t.shape[1] != len(self.bounding_balls()):
             raise DimensionMismatchError(
                 f"contains_batch takes one squared radius per ball of {self.bounding_balls()}, "
                 f"got an array of shape {t.shape}"

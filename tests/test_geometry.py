@@ -276,8 +276,6 @@ def test_contains_batch_rejects_arrays_not_in_its_ball_layout():
             domain.contains_batch(moduli)
         dims = [k for k, _ in domain.bounding_balls()]
         assert domain.contains_batch(ball_sums(moduli, dims)).all()
-    with pytest.raises(DimensionMismatchError):
-        Ball(1.0, 3).contains_batch(np.full(5, 0.2))
 
 
 def test_lift_rejects_a_weight_block_longer_than_its_base():
