@@ -195,8 +195,9 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
     ball, so each level sees exactly the values a draw for it alone would
     make, and ``t`` is that (balls, b) array seen as (b, balls), its columns
     contiguous.  The buffers are reused for the whole shard; a single level
-    is written over its uniforms.  ``t`` is valid only until the next yield,
-    and the caller may overwrite it.
+    is written over its uniforms, and not multiplied where every scale is 1.
+    ``t`` is valid only until the next yield, and the caller may overwrite
+    it.
     """
     m, nb = sum(dims), len(dims)
     rows = min(_BLOCK, size)
@@ -205,6 +206,7 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
     starts = np.cumsum((0, *dims))
     spans = list(zip(starts[:-1], starts[1:]))
     columns = [np.asarray(c, dtype=float).reshape(nb, 1) for c in scales]
+    unscaled = len(columns) == 1 and np.all(columns[0] == 1.0)  # one level, every scale 1
     rng = rng_stream(seed, shard)
     for lo in range(0, size, _BLOCK):
         b = min(_BLOCK, size - lo)
@@ -218,7 +220,8 @@ def _shard_blocks(dims, scales, seed: int, shard: int, size: int):
             elif first != j:
                 ub[j] = ub[first]
         for level, column in enumerate(columns):
-            np.multiply(ub[:nb], column, out=tb)
+            if not unscaled:
+                np.multiply(ub[:nb], column, out=tb)
             yield level, tb.T
 
 

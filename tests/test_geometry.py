@@ -246,7 +246,9 @@ def test_lift_masks_on_ball_radii_are_the_old_masks_on_moduli(lift):
     assert want.any() and not want.all()
 
 
-@pytest.mark.parametrize("dims", [(1,), (2,), (3, 1), (1, 2, 5), (7,), (9,), (4, 4)], ids=str)
+@pytest.mark.parametrize(
+    "dims", [(1,), (2,), (3, 1), (1, 2, 5), (7,), (9,), (4, 4), (1, 1, 1), (2, 2, 2)], ids=str
+)
 def test_ball_sums_add_columns_with_the_bits_of_a_row_sum(dims):
     # numpy reduces column-contiguous rows column by column, and C-ordered
     # rows of fewer than eight values in order; eight or more it sums pairwise

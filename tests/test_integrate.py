@@ -497,15 +497,16 @@ def test_shard_blocks_concatenate_to_the_whole_shard_draw():
 )
 def test_shard_blocks_match_the_row_broadcast_layout(dims):
     # three levels whose scales differ in some balls only, then the same
-    # draws as one level, written over its uniforms; two shards, each ending
-    # in a partial block; each ball's column is the np.max of its uniforms
+    # draws as one level, written over its uniforms, and as one level at
+    # unit scales, which is not multiplied; two shards, each ending in a
+    # partial block; each ball's column is the np.max of its uniforms
     nb = len(dims)
     base = np.linspace(0.4, 1.0, nb)
     scales = [base, base.copy(), base * 0.5]
     scales[1][0] = 0.05
     size = 2 * _BLOCK + 7
     for shard in (0, 3):
-        for levels in (scales, scales[2:]):
+        for levels in (scales, scales[2:], [np.ones(nb)]):
             got = [
                 (level, x.copy())
                 for level, x in integrate._shard_blocks(dims, levels, 2041, shard, size)
